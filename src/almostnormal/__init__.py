@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .core import (
     CLUSTER_TOL,
-    HERMITIAN_TOL,
     NORMAL_TOL,
     NormReport,
     PolarDecomp,
@@ -20,7 +19,6 @@ from .core import (
     adjoint,
     as_cmatrix,
     commutator,
-    hermitian_eig,
     hermitian_part,
     norm_report,
     normal_spectral_decomp,

@@ -235,6 +235,12 @@ def cmd_nearest(args) -> None:
     fileio.write_report(args.report, payload)
     if args.witness:
         fileio.save_matrix(args.witness, rep.witness, metadata=_meta(cfg))
+    if not rep.converged:
+        print(
+            f"warning: nearest did not converge: {rep.sweeps} sweeps used, "
+            f"cap --max-sweeps {args.max_sweeps}",
+            file=sys.stderr,
+        )
     shown = ", ".join(f"p={p}: {v:.6g}" for p, v in rep.distances.items())
     print(
         f"wrote {args.report} (dim {a.shape[0]}, sweeps {rep.sweeps}, "

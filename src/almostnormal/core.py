@@ -24,7 +24,6 @@ from .errors import NotNormal
 UNITARY_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
 NORMAL_TOL = 1e-8
-HERMITIAN_TOL = 1e-8
 CLUSTER_TOL = 1e-8
 
 
@@ -95,20 +94,6 @@ def schatten_norm(a: np.ndarray, p) -> float:
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0
     return float(np.sum(s ** p) ** (1.0 / p))
-
-
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, real) and orthonormal basis of a Hermitian matrix.
-
-    The input must be Hermitian up to 1e-8 * ||A||; it is symmetrized before
-    factorization so the residual contract holds regardless of rounding skew.
-    """
-    a = as_cmatrix(a)
-    scale = operator_norm(a)
-    if operator_norm(a - adjoint(a)) > HERMITIAN_TOL * max(scale, 1e-300):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = npl.eigh(hermitian_part(a))
-    return w, v
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ eigenbasis is T = sum_j (A u_j, u_j) u_j u_j*, and
 Maximizing sum_j |(U*AU)_jj|^2 over unitaries U therefore computes the
 exact Frobenius distance from A to the normal matrices (the optimal T also
 satisfies ||T|| <= ||A||).  The maximization runs cyclic Jacobi-style
-sweeps: each (i, j) plane is optimized over 2x2 unitaries, parametrized by
-a rotation angle and a phase, and a rotation is applied only when it
-strictly improves the objective, so the objective history is monotone.
+sweeps: each (i, j) plane is optimized exactly over 2x2 unitaries by a
+closed form (the numerical radius of the traceless 2x2 block, from the
+elliptical range theorem), and a rotation is applied only when it strictly
+improves the objective, so the objective history is monotone.
 
 The matching lower bound ||[A*, A]||_p / (4 ||A||) holds for every
 Schatten index p in [1, inf] against any normal T with ||T|| <= ||A||.
@@ -26,141 +27,45 @@ import numpy as np
 import numpy.linalg as npl
 
 from .core import adjoint, as_cmatrix, operator_norm, schatten_norm, self_commutator
-
-PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-_E_PHI = np.exp(1j * PHI_GRID)
-_PHI_STEP = float(PHI_GRID[1] - PHI_GRID[0])
-
-
-def _plane_value(u: complex, b: complex, c: complex, phi: float) -> float:
-    """max over the rotation angle of |u cos(t) + q(phi) sin(t)|^2."""
-    e = cmath.exp(1j * phi)
-    q = 0.5 * (b * e + c / e)
-    uu = u.real * u.real + u.imag * u.imag
-    qq = q.real * q.real + q.imag * q.imag
-    re = (u.conjugate() * q).real
-    m = 0.5 * (uu - qq)
-    return 0.5 * (uu + qq) + math.hypot(m, re)
-
-
-def _plane_deriv(u: complex, b: complex, c: complex, phi: float) -> float:
-    e = cmath.exp(1j * phi)
-    q = 0.5 * (b * e + c / e)
-    qp = 0.5j * (b * e - c / e)
-    uu = u.real * u.real + u.imag * u.imag
-    qq = q.real * q.real + q.imag * q.imag
-    re = (u.conjugate() * q).real
-    rep = (u.conjugate() * qp).real
-    qqp = 2.0 * (q.conjugate() * qp).real
-    m = 0.5 * (uu - qq)
-    root = math.hypot(m, re)
-    if root == 0.0:
-        return 0.5 * qqp
-    return 0.5 * qqp + (-0.5 * m * qqp + re * rep) / root
-
-
-def _refine_phi(u, b, c, phi0, val0):
-    """Sharpen the grid maximum of the plane value over the phase.
-
-    Tries a secant/bisection hybrid on the analytic derivative over the
-    bracketing grid interval; falls back to golden-section when the bracket
-    does not enclose a simple maximum.  Returns the best (phi, value) seen.
-    """
-    lo, hi = phi0 - _PHI_STEP, phi0 + _PHI_STEP
-    best_phi, best_val = phi0, val0
-    dlo = _plane_deriv(u, b, c, lo)
-    dhi = _plane_deriv(u, b, c, hi)
-    if dlo > 0.0 > dhi:
-        a, fa, bb, fb = lo, dlo, hi, dhi
-        for it in range(48):
-            # alternate secant with midpoint so a one-sided stall still halves
-            if it % 2 == 0 and fb != fa:
-                x = bb - fb * (bb - a) / (fb - fa)
-                if not (a < x < bb):
-                    x = 0.5 * (a + bb)
-            else:
-                x = 0.5 * (a + bb)
-            fx = _plane_deriv(u, b, c, x)
-            if fx > 0.0:
-                a, fa = x, fx
-            elif fx < 0.0:
-                bb, fb = x, fx
-            else:
-                a = bb = x
-            if bb - a < 1e-9:
-                break
-        phi = 0.5 * (a + bb)
-        val = _plane_value(u, b, c, phi)
-        if val > best_val:
-            best_phi, best_val = phi, val
-        return best_phi, best_val
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, bb = lo, hi
-    x1 = bb - invphi * (bb - a)
-    x2 = a + invphi * (bb - a)
-    f1 = _plane_value(u, b, c, x1)
-    f2 = _plane_value(u, b, c, x2)
-    for _ in range(40):
-        if bb - a < 1e-9:
-            break
-        if f1 >= f2:
-            bb, x2, f2 = x2, x1, f1
-            x1 = bb - invphi * (bb - a)
-            f1 = _plane_value(u, b, c, x1)
-            if f1 > best_val:
-                best_phi, best_val = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (bb - a)
-            f2 = _plane_value(u, b, c, x2)
-            if f2 > best_val:
-                best_phi, best_val = x2, f2
-    return best_phi, best_val
+from .gallery import _haar
 
 
 def _best_plane_rotation(a: complex, b: complex, c: complex, d: complex, floor: float = 0.0):
     """Optimal 2x2 unitary for the block [[a, b], [c, d]].
 
-    Returns (gain, G) where gain is the predicted increase of
-    |d11|^2 + |d22|^2 and G the 2x2 rotation, or None when no improvement
-    above `floor` is available.  A cheap a priori cap
-    gain <= 2*(max(0, |q|^2 - |u|^2) + |u||q|), |q| <= (|b| + |c|)/2,
-    rejects most converged pivots before any grid work.
+    Returns (gain, G) where gain is the exact increase of |d11|^2 + |d22|^2
+    under G* block G and G the 2x2 unitary, or None when the gain does not
+    exceed `floor`.  The trace is invariant, so the pivot maximizes |g* B g|
+    over unit vectors g for the traceless part B = [[p, b], [c, -p]],
+    p = (a - d)/2.  By the elliptical range theorem the numerical range of B
+    is an ellipse centered at 0 with foci +-lam, lam^2 = p^2 + bc, and its
+    farthest points lie along lam, where the top eigenvector of the
+    Hermitian part of conj(lam/|lam|) B attains them.
     """
     if b == 0 and c == 0:
         return None
-    # numpy scalars pay ~10x per arithmetic op in the refine loops
+    # numpy scalars pay ~10x per arithmetic op
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    u = 0.5 * (a - d)
-    au = abs(u)
-    qm = 0.5 * (abs(b) + abs(c))
-    if 2.0 * (max(0.0, qm * qm - au * au) + au * qm) <= floor:
+    p = 0.5 * (a - d)
+    lam = cmath.sqrt(p * p + b * c)
+    gain = 0.5 * (abs(b) ** 2 + abs(c) ** 2) + abs(lam) ** 2 - abs(p) ** 2
+    if gain <= floor:
         return None
-    q = 0.5 * (b * _E_PHI + c * np.conj(_E_PHI))
-    uu = u.real * u.real + u.imag * u.imag
-    qq = q.real ** 2 + q.imag ** 2
-    re = (u.conjugate() * q).real
-    m = 0.5 * (uu - qq)
-    lam = 0.5 * (uu + qq) + np.hypot(m, re)
-    k = int(np.argmax(lam))
-    phi, val = _refine_phi(u, b, c, float(PHI_GRID[k]), float(lam[k]))
-    if 2.0 * (val - uu) <= floor or val <= uu:
-        return None
-    e = cmath.exp(1j * phi)
-    qs = 0.5 * (b * e + c / e)
-    qqs = qs.real * qs.real + qs.imag * qs.imag
-    res = (u.conjugate() * qs).real
-    tau = 0.5 * math.atan2(2.0 * res, uu - qqs)
-    if tau < 0.0:
-        tau += math.pi
-    theta = 0.5 * tau
-    ct, st = math.cos(theta), math.sin(theta)
-    g = np.array(
-        [[ct, -st * cmath.exp(-1j * phi)], [st * cmath.exp(1j * phi), ct]],
-        dtype=complex,
-    )
-    return 2.0 * (val - uu), g
+    # any unit phase is optimal when lam = 0: the range is then a disc
+    e = lam.conjugate() / abs(lam) if lam != 0 else 1.0
+    # Hermitian part of e*B is [[h, k], [conj(k), -h]], eigenvalues +-rho
+    h = (e * p).real
+    k = 0.5 * (e * b + (e * c).conjugate())
+    rho = math.hypot(h, abs(k))
+    # two forms of the same top eigenvector; take the one without cancellation
+    if h >= 0.0:
+        x, y = complex(rho + h), k.conjugate()
+    else:
+        x, y = k, complex(rho - h)
+    nrm = math.sqrt(2.0 * rho * (rho + abs(h)))
+    x, y = x / nrm, y / nrm
+    g = np.array([[x, -y.conjugate()], [y, x.conjugate()]], dtype=complex)
+    return gain, g
 
 
 @dataclass(frozen=True)
@@ -227,13 +132,6 @@ def _run_sweeps(a, u0, max_sweeps: int, obj_tol: float, fro2: float) -> SweepOut
     )
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = npl.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> SweepOutcome:
     a = as_cmatrix(a)
     if seed is None:
@@ -249,7 +147,7 @@ def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> SweepOutcome:
         if k == 0:
             u0 = np.eye(n, dtype=complex)
         else:
-            u0 = _haar_unitary(n, np.random.default_rng([int(seed), k]))
+            u0 = _haar(n, np.random.default_rng([int(seed), k]))
         out = _run_sweeps(a, u0, max_sweeps, obj_tol, fro2)
         if best is None or out.objective > best.objective:
             best = out

@@ -376,7 +376,7 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, Gr
 
     x = lam.real
     y = np.clip(lam.imag, -amp, amp)
-    shifts = np.array([_smallest_level_shift(f, x[k], y[k]) for k in range(lam.size)])
+    shifts = _smallest_level_shift(f, x, y)
     landed = x + shifts
     w = landed + 1j * f(landed)
 
@@ -395,43 +395,21 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, Gr
     return out, report
 
 
-def _smallest_level_shift(f: Oscillator, x0: float, y: float) -> float:
-    """Smallest-magnitude shift s with f(x0 + s) = y, ties to positive s.
+def _smallest_level_shift(f: Oscillator, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Smallest-magnitude shifts s with f(x0 + s) = y, ties to positive s.
 
-    f is monotone on each half-period [j*eps/2, (j+1)*eps/2] and spans the
-    full amplitude range there, so each half-period holds exactly one
-    solution; the nearest one lives in the half-period containing x0 or in
-    one of its neighbors.  Each candidate is found by bisection.
+    With w = 2*pi/eps and alpha = arccos(y/amp) the level set is
+    x = (+-alpha + 2*pi*k)/w for integers k; on each branch the nearest root
+    has k = round((w*x0 -+ alpha)/(2*pi)), and its neighbors k -+ 1 are kept
+    as candidates against rounding.
     """
-    half = f.eps / 2.0
-    amp, eps = f.amplitude, f.eps
-
-    def g(x: float) -> float:
-        return amp * math.cos(2.0 * math.pi * x / eps) - y
-
-    j0 = math.floor(x0 / half)
-    best = None
-    for j in (j0 - 1, j0, j0 + 1):
-        root = _bisect_root(g, j * half, (j + 1) * half)
-        s = root - x0
-        if best is None or abs(s) < abs(best) or (abs(s) == abs(best) and s > best):
-            best = s
-    return best
-
-
-def _bisect_root(g, lo: float, hi: float) -> float:
-    glo = g(lo)
-    if glo == 0.0:
-        return lo
-    if g(hi) == 0.0:
-        return hi
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm > 0:
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    w = 2.0 * math.pi / f.eps
+    alpha = np.arccos(y / f.amplitude)
+    cands = []
+    for branch in (alpha, -alpha):
+        k0 = np.round((w * x0 - branch) / (2.0 * math.pi))
+        for k in (k0 - 1.0, k0, k0 + 1.0):
+            cands.append((branch + 2.0 * math.pi * k) / w - x0)
+    s = np.stack(cands)
+    mag = np.abs(s)
+    return np.where(mag == mag.min(axis=0), s, -np.inf).max(axis=0)

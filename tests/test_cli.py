@@ -40,6 +40,18 @@ def test_gallery_shift_and_nearest(tmp_path):
     assert w.shape == (4, 4)
 
 
+def test_nearest_warns_when_sweep_cap_is_hit(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    mat, rep = tmp_path / "a.json", tmp_path / "near.json"
+    save_matrix(mat, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    assert run("nearest", "--matrix", mat, "--seed", 0, "--max-sweeps", 1,
+               "--report", rep) == 0
+    assert read_json(rep)["converged"] is False
+    warning = capsys.readouterr().err.strip()
+    assert "did not converge" in warning and "1 sweeps used" in warning
+    assert "--max-sweeps 1" in warning and len(warning.splitlines()) == 1
+
+
 def test_gallery_pair_and_report(tmp_path):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     rep = tmp_path / "cert.json"

@@ -13,7 +13,6 @@ from almostnormal import (
     adjoint,
     as_cmatrix,
     commutator,
-    hermitian_eig,
     hermitian_part,
     norm_report,
     normal_spectral_decomp,
@@ -87,17 +86,6 @@ def test_schatten_norm_hand_values():
 def test_schatten_norm_rejects_p_below_one():
     with pytest.raises(ValueError):
         schatten_norm(SHIFT2, 0.5)
-
-
-def test_hermitian_eig_known_matrix():
-    vals, vecs = hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
-    assert np.allclose(vals, [1.0, 3.0], atol=1e-14)
-    assert np.allclose(vecs @ adjoint(vecs), np.eye(2), atol=1e-14)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(SHIFT2)
 
 
 def test_normal_spectral_decomp_circulant_oracle():

@@ -16,6 +16,7 @@ from almostnormal import (
     self_commutator,
     shift_example,
 )
+from almostnormal.nearest import _best_plane_rotation
 from util import random_contraction
 
 SHIFT2 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -109,6 +110,26 @@ def test_maximize_diagonal_returns_unitary():
     a = random_contraction(4, 8)
     u = maximize_diagonal(a, seed=0, restarts=1, max_sweeps=40)
     assert operator_norm(u @ adjoint(u) - np.eye(4)) < 1e-10
+
+
+def _pivot_blocks():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        yield rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    yield SHIFT2                                            # lam = 0
+    yield np.array([[1, 1], [0, 1]], dtype=complex)         # lam = 0
+    yield np.array([[1j, 0], [2 - 1j, -0.5]], dtype=complex)  # lower triangular
+
+
+def test_plane_rotation_gain_is_realized():
+    for blk in _pivot_blocks():
+        gain, g = _best_plane_rotation(*blk.ravel())
+        assert operator_norm(adjoint(g) @ g - np.eye(2)) < 1e-14
+        new = adjoint(g) @ blk @ g
+        realized = (abs(new[0, 0]) ** 2 + abs(new[1, 1]) ** 2
+                    - abs(blk[0, 0]) ** 2 - abs(blk[1, 1]) ** 2)
+        assert abs(realized - gain) <= 1e-13 * np.linalg.norm(blk) ** 2
+    assert _best_plane_rotation(1 + 2j, 0, 0, -3) is None
 
 
 def brute_force_two_by_two(a: np.ndarray, grid: int = 400, rounds: int = 12) -> float:

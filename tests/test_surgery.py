@@ -224,6 +224,11 @@ def test_graph_normal_approx_invariants():
             w = np.linalg.eigvals(out) / rep.scale
             f = oscillator(eps, rep.r)
             assert np.abs(f(w.real) - w.imag).max() < 1e-8
+    # 0 sits midway between the roots -eps/4 and +eps/4 of its level set;
+    # the tie goes to the positive shift
+    eps = 0.3
+    out, rep = graph_normal_approx(normal_spectral_decomp(np.diag([0.0, 1.0])), eps)
+    assert abs(out[0, 0] - rep.scale * eps / 4.0) < 1e-12
 
 
 def test_graph_normal_approx_zero_matrix():
