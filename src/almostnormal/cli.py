@@ -229,6 +229,9 @@ def cmd_nearest(args) -> None:
         "sweeps": rep.sweeps,
         "converged": rep.converged,
         "objective_history": list(rep.objective_history),
+        "restart_objectives": list(rep.restart_objectives),
+        "restart_sweeps": list(rep.restart_sweeps),
+        "restart_pivots": list(rep.restart_pivots),
         "distances": {str(p): v for p, v in rep.distances.items()},
         "lower_bounds": {str(p): v for p, v in rep.lower_bounds.items()},
     }
@@ -246,6 +249,16 @@ def cmd_nearest(args) -> None:
         f"wrote {args.report} (dim {a.shape[0]}, sweeps {rep.sweeps}, "
         f"frobenius_exact {rep.frobenius_exact:.6g}; witness distances {shown})"
     )
+
+
+def _warn_unconverged(sub: str, rows, max_sweeps: int) -> None:
+    missed = sum(not r["converged"] for r in rows)
+    if missed:
+        print(
+            f"warning: {sub}: {missed} of {len(rows)} rows did not converge, "
+            f"cap --max-sweeps {max_sweeps}",
+            file=sys.stderr,
+        )
 
 
 # ---------------------------------------------------------------- partition
@@ -454,6 +467,7 @@ def cmd_truncate(args) -> None:
             ]
         )
     fileio.write_csv(args.out, TRUNCATE_COLUMNS, rows, comments=_comments(cfg))
+    _warn_unconverged("truncate", scaling, args.max_sweeps)
     n_pass = sum(c.passed for c in checks)
     print(f"wrote {args.out} ({len(rows)} levels, {n_pass}/{len(rows)} passed)")
     if n_pass != len(rows):
@@ -538,6 +552,7 @@ def cmd_scatter(args) -> None:
         obj_tol=args.obj_tol,
         header_lines=_comments(cfg),
     )
+    _warn_unconverged("scatter", rows, args.max_sweeps)
     print(f"wrote {args.out} ({len(rows)} scatter rows)")
 
 

@@ -194,6 +194,7 @@ def truncation_scaling(
                 "rhs3": check.rhs3,
                 "dist1_witness": dist1,
                 "ratio": dist1 / check.n,
+                "converged": rep.converged,
             }
         )
     if out is not None:
@@ -324,6 +325,7 @@ def f_scatter(
                 "dist_op_witness": dist_op,
                 "dist_frob_exact": rep.frobenius_exact,
                 "lower_bound_op": floor,
+                "converged": rep.converged,
             }
         )
     if out is not None:

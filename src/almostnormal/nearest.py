@@ -7,19 +7,27 @@ eigenbasis is T = sum_j (A u_j, u_j) u_j u_j*, and
 
 Maximizing sum_j |(U*AU)_jj|^2 over unitaries U therefore computes the
 exact Frobenius distance from A to the normal matrices (the optimal T also
-satisfies ||T|| <= ||A||).  The maximization runs cyclic Jacobi-style
-sweeps: each (i, j) plane is optimized exactly over 2x2 unitaries by a
+satisfies ||T|| <= ||A||).  The maximization runs Jacobi-style sweeps in
+round-robin rounds of disjoint closed-form pivots: each sweep visits every
+(i, j) plane once, in n - 1 rounds (n rounds for odd n) of floor(n/2)
+disjoint pairs.  Each plane is optimized exactly over 2x2 unitaries by a
 closed form (the numerical radius of the traceless 2x2 block, from the
 elliptical range theorem), and a rotation is applied only when it strictly
-improves the objective, so the objective history is monotone.
+improves the objective.  Disjoint pivots change disjoint diagonal entries,
+so the gains of a round add exactly and the objective history is monotone.
 
 The matching lower bound ||[A*, A]||_p / (4 ||A||) holds for every
 Schatten index p in [1, inf] against any normal T with ||T|| <= ||A||.
+
+Every entry point scales its input by a power of two so that the largest
+real or imaginary part of an entry lies in [1/2, 1), computes on that
+matrix, and scales the results back.  Both steps are exact in binary
+floating point, so the distance for 2^k A is bitwise 2^k times the
+distance for A across the whole double range.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,42 +38,90 @@ from .core import adjoint, as_cmatrix, operator_norm, schatten_norm, self_commut
 from .gallery import _haar
 
 
-def _best_plane_rotation(a: complex, b: complex, c: complex, d: complex, floor: float = 0.0):
-    """Optimal 2x2 unitary for the block [[a, b], [c, d]].
+def _pow2_scaled(a):
+    """(2^-e A, e) with the largest real or imaginary part of an entry in
+    [1/2, 1); the zero matrix comes back as (A, 0)."""
+    a = as_cmatrix(a)
+    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    e = math.frexp(top)[1]
+    return (_ldexp(a, -e), e) if e else (a, 0)
 
-    Returns (gain, G) where gain is the exact increase of |d11|^2 + |d22|^2
-    under G* block G and G the 2x2 unitary, or None when the gain does not
-    exceed `floor`.  The trace is invariant, so the pivot maximizes |g* B g|
-    over unit vectors g for the traceless part B = [[p, b], [c, -p]],
-    p = (a - d)/2.  By the elliptical range theorem the numerical range of B
-    is an ellipse centered at 0 with foci +-lam, lam^2 = p^2 + bc, and its
-    farthest points lie along lam, where the top eigenvector of the
-    Hermitian part of conj(lam/|lam|) B attains them.
+
+def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
+    """2^e m for a complex array, exact unless it over- or underflows."""
+    out = np.empty_like(m)
+    out.real = np.ldexp(m.real, e)
+    out.imag = np.ldexp(m.imag, e)
+    return out
+
+
+def _scale(v: float, e: int) -> float:
+    """2^e v, with inf where it overflows (squared norms can)."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _round_robin(n: int) -> list:
+    """One sweep's rounds as (I, J) index arrays, I < J elementwise.
+
+    Circle method: index 0 stays put while the others rotate one place per
+    round; odd n is padded with a dummy index n whose pairs are dropped.
+    Every unordered pair appears exactly once, and the pairs of a round are
+    disjoint.
     """
-    if b == 0 and c == 0:
-        return None
-    # numpy scalars pay ~10x per arithmetic op
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    p = 0.5 * (a - d)
-    lam = cmath.sqrt(p * p + b * c)
-    gain = 0.5 * (abs(b) ** 2 + abs(c) ** 2) + abs(lam) ** 2 - abs(p) ** 2
-    if gain <= floor:
-        return None
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        order = [0] + ring
+        pairs = [
+            (min(p, q), max(p, q))
+            for p, q in zip(order[: m // 2], order[::-1])
+            if max(p, q) < n
+        ]
+        if pairs:
+            i, j = zip(*pairs)
+            rounds.append((np.array(i), np.array(j)))
+        ring = ring[-1:] + ring[:-1]
+    return rounds
+
+
+def _plane_rotations(a, b, c, d, floor: float):
+    """Optimal 2x2 unitaries for the blocks [[a, b], [c, d]], elementwise.
+
+    Returns (keep, gain, x, y): keep marks the blocks whose exact gain,
+    the increase of |d11|^2 + |d22|^2 under G* block G, exceeds `floor`
+    (a block with zero off-diagonal never does), and
+    G = [[x, -conj(y)], [y, conj(x)]] is the optimal unitary.  The
+    trace is invariant, so the pivot maximizes |g* B g| over unit vectors g
+    for the traceless part B = [[p, b], [c, -p]], p = (a - d)/2.  By the
+    elliptical range theorem the numerical range of B is an ellipse
+    centered at 0 with foci +-lam, lam^2 = p^2 + bc, and its farthest
+    points lie along lam, where the top eigenvector of the Hermitian part
+    of conj(lam/|lam|) B attains them.
+    """
+    p = (a - d) * 0.5
+    lam = np.sqrt(p * p + b * c)
+    ab, ac, al, ap = np.abs(b), np.abs(c), np.abs(lam), np.abs(p)
+    gain = (ab * ab + ac * ac) * 0.5 + (al - ap) * (al + ap)
+    keep = (gain > floor) & (ab + ac > 0.0)
     # any unit phase is optimal when lam = 0: the range is then a disc
-    e = lam.conjugate() / abs(lam) if lam != 0 else 1.0
+    zero = al == 0.0
+    e = (lam.conj() + zero) / (al + zero)
     # Hermitian part of e*B is [[h, k], [conj(k), -h]], eigenvalues +-rho
     h = (e * p).real
-    k = 0.5 * (e * b + (e * c).conjugate())
-    rho = math.hypot(h, abs(k))
+    k = (e * b + (e * c).conj()) * 0.5
+    ah = np.abs(h)
+    rho = np.hypot(ah, np.abs(k))
     # two forms of the same top eigenvector; take the one without cancellation
-    if h >= 0.0:
-        x, y = complex(rho + h), k.conjugate()
-    else:
-        x, y = k, complex(rho - h)
-    nrm = math.sqrt(2.0 * rho * (rho + abs(h)))
-    x, y = x / nrm, y / nrm
-    g = np.array([[x, -y.conjugate()], [y, x.conjugate()]], dtype=complex)
-    return gain, g
+    t = rho + ah
+    pos = h >= 0.0
+    x = np.where(pos, t, k)
+    y = np.where(pos, k.conj(), t)
+    nrm = np.sqrt(2.0 * rho * t) + (rho == 0.0)
+    return keep, gain, x / nrm, y / nrm
 
 
 @dataclass(frozen=True)
@@ -75,6 +131,7 @@ class SweepOutcome:
     objective: float
     history: tuple
     sweeps: int
+    pivots: int
     converged: bool
 
 
@@ -85,37 +142,43 @@ def _diag_objective(b: np.ndarray) -> float:
 
 def _run_sweeps(a, u0, max_sweeps: int, obj_tol: float, fro2: float) -> SweepOutcome:
     n = a.shape[0]
-    u = u0.copy()
-    b = adjoint(u) @ a @ u
+    # b = U* A U stacked over U, so one column update rotates both
+    w = np.vstack([adjoint(u0) @ a @ u0, u0])
+    b, u = w[:n], w[n:]
+    rounds = _round_robin(n)
     obj = _diag_objective(b)
     history = [obj]
     converged = False
-    sweeps = 0
+    sweeps = pivots = 0
     # pivots below this gain cannot matter: even if every pivot of a sweep
     # forgoes the floor, the total stays two orders under the stop threshold
     floor = 0.02 * obj_tol * fro2 / max(1, n * (n - 1) // 2)
     for _ in range(max_sweeps):
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                found = _best_plane_rotation(
-                    b[i, i], b[i, j], b[j, i], b[j, j], floor
-                )
-                if found is None:
+        for i, j in rounds:
+            bii, bij, bji, bjj = b[i, i], b[i, j], b[j, i], b[j, j]
+            keep, _, x, y = _plane_rotations(bii, bij, bji, bjj, floor)
+            # realized-gain guard: the rotated diagonal of G* block G, whose
+            # trace is that of the block
+            new_ii = x.conj() * (bii * x + bij * y) + y.conj() * (bji * x + bjj * y)
+            new_jj = (bii + bjj) - new_ii
+            new_local = np.abs(new_ii) ** 2 + np.abs(new_jj) ** 2
+            keep &= new_local > np.abs(bii) ** 2 + np.abs(bjj) ** 2
+            if not keep.all():
+                idx = np.flatnonzero(keep)
+                if idx.size == 0:
                     continue
-                _, g = found
-                block = np.array([[b[i, i], b[i, j]], [b[j, i], b[j, j]]])
-                new_block = adjoint(g) @ block @ g
-                old_local = (
-                    abs(b[i, i]) ** 2 + abs(b[j, j]) ** 2
-                )
-                new_local = abs(new_block[0, 0]) ** 2 + abs(new_block[1, 1]) ** 2
-                if not new_local > old_local:
-                    continue
-                idx = [i, j]
-                b[idx, :] = adjoint(g) @ b[idx, :]
-                b[:, idx] = b[:, idx] @ g
-                b[np.ix_(idx, idx)] = new_block
-                u[:, idx] = u[:, idx] @ g
+                i, j, x, y = i[idx], j[idx], x[idx], y[idx]
+                new_ii, new_jj = new_ii[idx], new_jj[idx]
+            xc, yc = x.conj(), y.conj()
+            ri, rj = b[i], b[j]
+            b[i] = xc[:, None] * ri + yc[:, None] * rj
+            b[j] = x[:, None] * rj - y[:, None] * ri
+            ci, cj = w[:, i], w[:, j]
+            w[:, i] = ci * x + cj * y
+            w[:, j] = cj * xc - ci * yc
+            b[i, i] = new_ii
+            b[j, j] = new_jj
+            pivots += i.size
         sweeps += 1
         obj = _diag_objective(b)
         history.append(obj)
@@ -128,12 +191,13 @@ def _run_sweeps(a, u0, max_sweeps: int, obj_tol: float, fro2: float) -> SweepOut
         objective=history[-1],
         history=tuple(history),
         sweeps=sweeps,
+        pivots=pivots,
         converged=converged,
     )
 
 
-def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> SweepOutcome:
-    a = as_cmatrix(a)
+def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> list:
+    """One SweepOutcome per start: the identity, then seeded Haar bases."""
     if seed is None:
         raise ValueError("a seed is required; all randomness flows from it")
     if restarts < 1:
@@ -142,16 +206,19 @@ def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> SweepOutcome:
     fro2 = float(npl.norm(a) ** 2)
     if fro2 == 0.0:
         fro2 = 1.0
-    best = None
+    runs = []
     for k in range(restarts):
         if k == 0:
             u0 = np.eye(n, dtype=complex)
         else:
             u0 = _haar(n, np.random.default_rng([int(seed), k]))
-        out = _run_sweeps(a, u0, max_sweeps, obj_tol, fro2)
-        if best is None or out.objective > best.objective:
-            best = out
-    return best
+        runs.append(_run_sweeps(a, u0, max_sweeps, obj_tol, fro2))
+    return runs
+
+
+def _best(runs) -> SweepOutcome:
+    # the earliest start wins a tie
+    return max(runs, key=lambda r: r.objective)
 
 
 def maximize_diagonal(
@@ -162,17 +229,18 @@ def maximize_diagonal(
     The first start is the identity basis; the remaining restarts use
     seeded Haar-random bases, and the best run is returned.
     """
-    return _optimize(a, seed, restarts, max_sweeps, obj_tol).basis
+    a, _ = _pow2_scaled(a)
+    return _best(_optimize(a, seed, restarts, max_sweeps, obj_tol)).basis
 
 
 def commutator_lower_bound(a, p) -> float:
     """||[A*, A]||_p / (4 ||A||); a floor under the distance to any normal
     matrix T with ||T|| <= ||A||.  Zero for the zero matrix."""
-    a = as_cmatrix(a)
+    a, e = _pow2_scaled(a)
     nrm = operator_norm(a)
     if nrm == 0.0:
         return 0.0
-    return schatten_norm(self_commutator(a), p) / (4.0 * nrm)
+    return _scale(schatten_norm(self_commutator(a), p) / (4.0 * nrm), e)
 
 
 @dataclass(frozen=True)
@@ -186,6 +254,10 @@ class DistanceReport:
     objective_history: tuple
     sweeps: int
     converged: bool
+    # one entry per start, in start order; pivots count applied rotations
+    restart_objectives: tuple
+    restart_sweeps: tuple
+    restart_pivots: tuple
 
 
 def nearest_normal(
@@ -202,26 +274,32 @@ def nearest_normal(
     frobenius_exact = sqrt(||A||_F^2 - objective) is the certified
     Frobenius distance for the achieved objective; distances[p] measures
     the witness in each requested Schatten norm and always dominates the
-    commutator lower bound.
+    commutator lower bound.  The objectives are squared norms, so they
+    overflow to inf for entries past about 2^511 while every distance and
+    bound stays finite.
     """
-    a = as_cmatrix(a)
-    out = _optimize(a, seed, restarts, max_sweeps, obj_tol)
+    a, e = _pow2_scaled(a)
+    runs = _optimize(a, seed, restarts, max_sweeps, obj_tol)
+    out = _best(runs)
     u = out.basis
     diag = np.diagonal(out.rotated).copy()
     witness = (u * diag) @ adjoint(u)
     fro2 = float(npl.norm(a) ** 2)
     frob_exact = math.sqrt(max(fro2 - out.objective, 0.0))
     diff = a - witness
-    distances = {p: schatten_norm(diff, p) for p in p_list}
-    lower = {p: commutator_lower_bound(a, p) for p in p_list}
+    distances = {p: _scale(schatten_norm(diff, p), e) for p in p_list}
+    lower = {p: _scale(commutator_lower_bound(a, p), e) for p in p_list}
     return DistanceReport(
-        witness=witness,
+        witness=_ldexp(witness, e),
         basis=u,
         distances=distances,
-        frobenius_exact=frob_exact,
+        frobenius_exact=_scale(frob_exact, e),
         lower_bounds=lower,
-        objective=out.objective,
-        objective_history=out.history,
+        objective=_scale(out.objective, 2 * e),
+        objective_history=tuple(_scale(h, 2 * e) for h in out.history),
         sweeps=out.sweeps,
         converged=out.converged,
+        restart_objectives=tuple(_scale(r.objective, 2 * e) for r in runs),
+        restart_sweeps=tuple(r.sweeps for r in runs),
+        restart_pivots=tuple(r.pivots for r in runs),
     )

@@ -36,6 +36,10 @@ def test_gallery_shift_and_nearest(tmp_path):
     assert doc["frobenius_exact"] == pytest.approx(1.0, abs=1e-7)
     assert doc["distances"]["2"] >= doc["lower_bounds"]["2"]
     assert doc["converged"] is True
+    # per-start counters: one entry per start, the best start's sweeps reported
+    assert len(doc["restart_objectives"]) == len(doc["restart_pivots"]) == 2
+    best = doc["restart_objectives"].index(doc["objective"])
+    assert doc["restart_sweeps"][best] == doc["sweeps"]
     w, _ = load_matrix(wit)
     assert w.shape == (4, 4)
 
@@ -50,6 +54,21 @@ def test_nearest_warns_when_sweep_cap_is_hit(tmp_path, capsys):
     warning = capsys.readouterr().err.strip()
     assert "did not converge" in warning and "1 sweeps used" in warning
     assert "--max-sweeps 1" in warning and len(warning.splitlines()) == 1
+
+
+@pytest.mark.parametrize("sub, argv", [
+    ("scatter", ("--shift", "8,16")),
+    ("truncate", ("--coeffs", "0,0,1", "--K", 8, "--grid", "2,4,6")),
+])
+def test_rows_warn_when_sweep_cap_is_hit(tmp_path, capsys, sub, argv):
+    out = tmp_path / "out.csv"
+    common = ("--seed", 0, "--restarts", 1, "--out", out)
+    assert run(sub, *argv, *common, "--max-sweeps", 1) == 0
+    warning = capsys.readouterr().err.strip()
+    assert warning.startswith(f"warning: {sub}: ") and len(warning.splitlines()) == 1
+    assert "rows did not converge, cap --max-sweeps 1" in warning
+    assert run(sub, *argv, *common, "--max-sweeps", 200) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gallery_pair_and_report(tmp_path):

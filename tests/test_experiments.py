@@ -98,7 +98,7 @@ def test_truncation_scaling_rows_and_csv():
     )
     assert len(rows) == 3
     for r in rows:
-        assert set(r) == set(SCALING_COLUMNS)
+        assert set(r) == {*SCALING_COLUMNS, "converged"}
         assert r["ratio"] == pytest.approx(r["dist1_witness"] / r["N"])
         assert r["lhs3"] <= r["rhs3"]
     # the normalized distance shrinks as the window grows
@@ -166,7 +166,7 @@ def test_f_scatter_rows_and_csv():
     rows = f_scatter(specs, buf, seed=0, restarts=1, max_sweeps=40)
     assert len(rows) == 2
     for r in rows:
-        assert set(r) == set(SCATTER_COLUMNS)
+        assert set(r) == {*SCATTER_COLUMNS, "converged"}
         assert r["lower_bound_op"] == pytest.approx(r["defect"] / 4.0)
         assert r["dist_op_witness"] >= r["lower_bound_op"] - 1e-9
     # shift: defect 1, frobenius distance exactly 1 for m = 4

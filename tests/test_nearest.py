@@ -16,7 +16,7 @@ from almostnormal import (
     self_commutator,
     shift_example,
 )
-from almostnormal.nearest import _best_plane_rotation
+from almostnormal.nearest import _optimize, _plane_rotations, _round_robin
 from util import random_contraction
 
 SHIFT2 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -122,14 +122,76 @@ def _pivot_blocks():
 
 
 def test_plane_rotation_gain_is_realized():
-    for blk in _pivot_blocks():
-        gain, g = _best_plane_rotation(*blk.ravel())
+    blocks = np.array(list(_pivot_blocks()))
+    keep, gains, xs, ys = _plane_rotations(*(blocks[:, r, c] for r, c in np.ndindex(2, 2)), 0.0)
+    assert keep.all()
+    for blk, gain, x, y in zip(blocks, gains, xs, ys):
+        g = np.array([[x, -np.conj(y)], [y, np.conj(x)]])
         assert operator_norm(adjoint(g) @ g - np.eye(2)) < 1e-14
         new = adjoint(g) @ blk @ g
         realized = (abs(new[0, 0]) ** 2 + abs(new[1, 1]) ** 2
                     - abs(blk[0, 0]) ** 2 - abs(blk[1, 1]) ** 2)
         assert abs(realized - gain) <= 1e-13 * np.linalg.norm(blk) ** 2
-    assert _best_plane_rotation(1 + 2j, 0, 0, -3) is None
+    diagonal = np.array([1 + 2j, 0, 0, -3], dtype=complex)
+    assert not _plane_rotations(*diagonal[:, None], 0.0)[0].any()
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_round_robin_covers_each_pair_once_in_disjoint_rounds(n):
+    rounds = _round_robin(n)
+    pairs = []
+    for i, j in rounds:
+        assert (i < j).all()
+        assert len(set(i) | set(j)) == 2 * len(i) == 2 * (n // 2)
+        pairs += zip(i.tolist(), j.tolist())
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_batched_sweeps_do_not_drift_from_the_basis():
+    # odd n exercises the dummy index; every round updates b in place
+    a = random_contraction(17, 170)
+    for out in _optimize(a, 3, 2, 200, 1e-12):
+        u, b = out.basis, out.rotated
+        assert out.pivots > 0
+        assert np.abs(adjoint(u) @ a @ u - b).max() <= 1e-12 * np.linalg.norm(a)
+        assert operator_norm(adjoint(u) @ u - np.eye(17)) < 1e-12
+
+
+def test_per_start_counters():
+    a = random_contraction(6, 12)
+    rep = nearest_normal(a, seed=1, restarts=3, max_sweeps=60)
+    assert len(rep.restart_objectives) == len(rep.restart_sweeps) == len(rep.restart_pivots) == 3
+    best = rep.restart_objectives.index(max(rep.restart_objectives))
+    assert rep.objective == max(rep.restart_objectives)
+    assert rep.sweeps == rep.restart_sweeps[best]
+    assert all(k > 0 for k in rep.restart_pivots)
+
+
+@pytest.mark.parametrize("make", [lambda: shift_example(4), lambda: random_contraction(5, 44)],
+                         ids=["shift4", "contraction5"])
+def test_power_of_two_scaling_is_exact(make):
+    a = make()
+
+    def outputs(c):
+        rep = nearest_normal(c, seed=0, restarts=2, max_sweeps=60)
+        return ([rep.frobenius_exact, *rep.distances.values(), *rep.lower_bounds.values(),
+                 *(commutator_lower_bound(c, p) for p in (1, 2, math.inf))],
+                rep.witness, maximize_diagonal(c, seed=0, restarts=2, max_sweeps=60))
+
+    base, base_witness, base_basis = outputs(a)
+    assert min(base) > 0.0   # a non-normal input: every certificate is positive
+    for k in (-900, -660, -1, 0, 1, 500, 900):
+        vals, witness, basis = outputs(a * 2.0 ** k)
+        assert vals == [math.ldexp(v, k) for v in base]
+        assert np.isfinite(vals).all() and np.isfinite(witness).all()
+        assert np.array_equal(witness, base_witness * 2.0 ** k)
+        assert np.array_equal(basis, base_basis)
+
+
+def test_zero_matrix_certifies_zero_distance():
+    rep = nearest_normal(np.zeros((3, 3)), seed=0, restarts=1)
+    assert rep.frobenius_exact == 0.0 and rep.objective == 0.0
+    assert all(v == 0.0 for v in rep.lower_bounds.values())
 
 
 def brute_force_two_by_two(a: np.ndarray, grid: int = 400, rounds: int = 12) -> float:
