@@ -12,7 +12,6 @@ from .core import (
     CLUSTER_TOL,
     NORMAL_TOL,
     NormReport,
-    PolarDecomp,
     RECONSTRUCT_TOL,
     SpectralDecomp,
     UNITARY_TOL,
@@ -24,10 +23,8 @@ from .core import (
     normal_spectral_decomp,
     normality_defect,
     operator_norm,
-    polar_decomp,
     schatten_norm,
     self_commutator,
-    svd_factor,
 )
 from .errors import (
     DomainError,

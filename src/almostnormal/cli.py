@@ -308,7 +308,6 @@ def cmd_partition(args) -> None:
         cover = _cover_from_file(args.cover)
     fsa = finite_spectrum_approx(dec, cover)
     roi = fsa.resolution
-    ranks = [int(round(float(np.real(np.trace(p))))) for p in roi.projections]
     cfg = _config(args)
     payload = {
         "config": cfg,
@@ -317,7 +316,7 @@ def cmd_partition(args) -> None:
         "regions": [_region_doc(r) for r in cover.regions],
         "labels": [[z.real, z.imag] for z in roi.labels],
         "assignment": [int(k) for k in roi.assignment],
-        "ranks": ranks,
+        "ranks": [int(k) for k in roi.ranks],
         "multiplicity": cover.multiplicity(dec.eigenvalues),
         "max_diameter": cover.max_diameter(),
         "error_bound": fsa.error_bound,
@@ -513,6 +512,7 @@ def cmd_pseudospec(args) -> None:
         f"wrote {args.out} ({rep.members.size} members of the {args.eps:g}-pseudospectrum, "
         f"d_eps {rep.d_eps:.6g}, grid step {grid.step():.6g})"
     )
+    print(f"sigma_min at {rep.evaluated} of {grid.resolution ** 2} grid points")
 
 
 # ---------------------------------------------------------------- scatter

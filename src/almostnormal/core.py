@@ -9,6 +9,10 @@ Tolerances are relative to the operator norm scale of the input:
   reconstruct_tol  ||A - U diag(l) U*||   <= 1e-9 * ||A||
   normal_tol       ||[A*, A]||            <= 1e-8 * ||A||^2 to admit A as normal
   cluster_tol      eigenvalue clustering width, 1e-8 * ||A||
+
+Entry points that square the input scale it first by a power of two
+(_pow2_scaled) and scale the results back; both steps are exact in binary
+floating point, so they hold across the whole double range.
 """
 
 from __future__ import annotations
@@ -37,6 +41,31 @@ def as_cmatrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _pow2_scaled(a):
+    """(2^-e A, e) with the largest real or imaginary part of an entry in
+    [1/2, 1); the zero matrix comes back as (A, 0)."""
+    a = as_cmatrix(a)
+    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    e = math.frexp(top)[1]
+    return (_ldexp(a, -e), e) if e else (a, 0)
+
+
+def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
+    """2^e m for a complex array, exact unless it over- or underflows."""
+    out = np.empty_like(m)
+    out.real = np.ldexp(m.real, e)
+    out.imag = np.ldexp(m.imag, e)
+    return out
+
+
+def _scale(v: float, e: int) -> float:
+    """2^e v, with inf where it overflows (squared norms can)."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -145,15 +174,20 @@ def normal_spectral_decomp(a: np.ndarray, cluster_tol: float | None = None) -> S
     Y restricted to each eigenvalue cluster of X (cluster width
     cluster_tol, default 1e-8 * ||A||).  Raises NotNormal when
     ||[A*, A]|| exceeds 1e-8 * ||A||^2.
+
+    The work runs on 2^-e A (see _pow2_scaled), so the eigenvalues of
+    2^k A are 2^k times those of A and the basis is the same.
     """
-    a = as_cmatrix(a)
+    a, e = _pow2_scaled(a)
     scale = operator_norm(a)
     defect = normality_defect(a)
     tol = NORMAL_TOL * scale ** 2
     if defect > tol:
-        raise NotNormal(defect, tol)
+        raise NotNormal(_scale(defect, 2 * e), _scale(tol, 2 * e))
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL * scale
+    else:
+        cluster_tol = _scale(cluster_tol, -e)
 
     x = hermitian_part(a)
     y = (a - adjoint(a)) / 2j
@@ -175,34 +209,7 @@ def normal_spectral_decomp(a: np.ndarray, cluster_tol: float | None = None) -> S
             f"spectral factorization residual {residual:.3g} exceeds "
             f"{RECONSTRUCT_TOL:.0e} * ||A||; eigenvalue clusters too tangled"
         )
-    return dec
-
-
-@dataclass(frozen=True)
-class PolarDecomp:
-    """A = unitary @ positive, with positive = (A*A)^(1/2)."""
-
-    unitary: np.ndarray
-    positive: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.unitary @ self.positive
-
-
-def polar_decomp(a: np.ndarray) -> PolarDecomp:
-    """Polar factorization via SVD; the unitary factor is total (works at rank loss)."""
-    a = as_cmatrix(a)
-    u, s, wh = npl.svd(a)
-    v = u @ wh
-    p = hermitian_part(adjoint(wh) @ (s[:, None] * wh))
-    return PolarDecomp(unitary=v, positive=p)
-
-
-def svd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values (descending) with unitaries (s, u, w): A = u @ diag(s) @ w*."""
-    a = as_cmatrix(a)
-    u, s, wh = npl.svd(a)
-    return s, u, adjoint(wh)
+    return SpectralDecomp(eigenvalues=_ldexp(lam, e), basis=u) if e else dec
 
 
 @dataclass(frozen=True)

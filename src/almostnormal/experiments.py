@@ -13,6 +13,7 @@ Both inequalities are evaluated exactly as stated, no fitted constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -235,12 +236,25 @@ class PseudospectrumReport:
     members: np.ndarray
     sigma_min: np.ndarray
     d_eps: float
+    evaluated: int  # grid points where sigma_min was computed
 
 
 def _sigma_min_batch(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[0], dtype=complex)
     shifted = a[None, :, :] - zs[:, None, None] * eye[None, :, :]
     return npl.svd(shifted, compute_uv=False)[:, -1]
+
+
+# Coarse-to-fine strides of the pruned grid pass, and the most points one
+# _sigma_min_batch call shifts at once (bounds its (k, n, n) temporaries).
+PRUNE_STRIDES = (16, 8, 4, 2, 1)
+SVD_CHUNK = 1024
+
+
+def _lattice(resolution: int, stride: int) -> np.ndarray:
+    """Indices 0, stride, 2*stride, ... plus the last index."""
+    idx = np.arange(0, resolution, stride)
+    return idx if idx[-1] == resolution - 1 else np.append(idx, resolution - 1)
 
 
 def pseudospectrum(
@@ -252,17 +266,55 @@ def pseudospectrum(
     (0 when there are no members; +inf when members exist but the reference
     is empty).  The caller should size the grid to cover the closed disc of
     radius ||A|| + eps, where the entire pseudospectrum lives.
+
+    sigma_min(A - zI) is 1-Lipschitz in z, so a point w with
+    sigma_min(A - wI) > eps + delta rules out every z with
+    |z - w| < sigma_min(A - wI) - eps - delta without an SVD.  The grid is
+    visited coarse to fine (PRUNE_STRIDES); at each stride only the points
+    not yet computed or ruled out get an SVD, and the last stride computes
+    every point left.  The margin delta = 64 n u (||A|| + max |z|) covers
+    twice the backward error of each computed sigma_min plus the rounding of
+    the shift and of |z - w|, so a ruled-out point would also have computed
+    sigma_min >= eps: members and their sigma_min are bitwise those of an
+    SVD at every grid point.  Each stride's points are split into a multiple
+    of `threads` near-equal parts run on a pool of that many threads.
     """
     a = as_cmatrix(a)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps}")
     zs = grid.points()
-    chunks = [zs[i : i + 4096] for i in range(0, zs.size, 4096)]
-    if threads is not None and threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            smin = np.concatenate(list(pool.map(lambda c: _sigma_min_batch(a, c), chunks)))
-    else:
-        smin = np.concatenate([_sigma_min_batch(a, c) for c in chunks])
+    res = grid.resolution
+    z2 = zs.reshape(res, res)
+    xs, ys = z2[0].real, z2[:, 0].imag
+    hmin = min(np.diff(xs).min(), np.diff(ys).min())
+    delta = 64 * a.shape[0] * np.finfo(float).eps * (operator_norm(a) + np.abs(zs).max())
+    smin = np.full(zs.size, np.inf)
+    settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
+    evaluated = 0
+    parts = max(1, int(threads or 1))
+    work = functools.partial(_sigma_min_batch, a)
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        for stride in PRUNE_STRIDES:
+            lat = _lattice(res, stride)
+            rows, cols = np.nonzero(~settled[np.ix_(lat, lat)])
+            idx = lat[rows] * res + lat[cols]
+            if idx.size == 0:
+                continue
+            split = parts * -(-idx.size // (parts * SVD_CHUNK))
+            chunks = np.array_split(zs[idx], min(split, idx.size))
+            smin[idx] = np.concatenate(list(pool.map(work, chunks)))
+            settled.flat[idx] = True
+            evaluated += idx.size
+            if stride == 1:
+                break
+            radius = smin[idx] - (eps + delta)
+            for k in np.flatnonzero(radius > hmin):
+                w, r = zs[idx[k]], radius[k]
+                r0 = max(np.searchsorted(ys, w.imag - r) - 1, 0)
+                r1 = np.searchsorted(ys, w.imag + r) + 1
+                c0 = max(np.searchsorted(xs, w.real - r) - 1, 0)
+                c1 = np.searchsorted(xs, w.real + r) + 1
+                settled[r0:r1, c0:c1] |= np.abs(z2[r0:r1, c0:c1] - w) < r
     mask = smin < eps
     members = zs[mask]
     ref = np.asarray(reference, dtype=complex).ravel()
@@ -273,7 +325,12 @@ def pseudospectrum(
     else:
         d_eps = float(np.abs(members[:, None] - ref[None, :]).min(axis=1).max())
     return PseudospectrumReport(
-        epsilon=float(eps), grid=grid, members=members, sigma_min=smin[mask], d_eps=d_eps
+        epsilon=float(eps),
+        grid=grid,
+        members=members,
+        sigma_min=smin[mask],
+        d_eps=d_eps,
+        evaluated=evaluated,
     )
 
 

@@ -34,33 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .core import adjoint, as_cmatrix, operator_norm, schatten_norm, self_commutator
+from .core import (
+    _ldexp,
+    _pow2_scaled,
+    _scale,
+    adjoint,
+    operator_norm,
+    schatten_norm,
+    self_commutator,
+)
 from .gallery import _haar
-
-
-def _pow2_scaled(a):
-    """(2^-e A, e) with the largest real or imaginary part of an entry in
-    [1/2, 1); the zero matrix comes back as (A, 0)."""
-    a = as_cmatrix(a)
-    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
-    e = math.frexp(top)[1]
-    return (_ldexp(a, -e), e) if e else (a, 0)
-
-
-def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
-    """2^e m for a complex array, exact unless it over- or underflows."""
-    out = np.empty_like(m)
-    out.real = np.ldexp(m.real, e)
-    out.imag = np.ldexp(m.imag, e)
-    return out
-
-
-def _scale(v: float, e: int) -> float:
-    """2^e v, with inf where it overflows (squared norms can)."""
-    try:
-        return math.ldexp(v, e)
-    except OverflowError:
-        return math.copysign(math.inf, v)
 
 
 def _round_robin(n: int) -> list:

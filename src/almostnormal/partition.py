@@ -9,6 +9,7 @@ controlled by sqrt(multiplicity) * max diameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,16 +144,29 @@ class ResolutionOfIdentity:
     labels[j] is a point of region j (the centroid of its assigned
     eigenvalues, or the region's interior point when nothing was assigned).
     assignment[k] is the index of the region that claimed eigenvalue k.
+    The dense projections are built from the decomposition on first read.
     """
 
-    projections: tuple
     labels: np.ndarray
     assignment: np.ndarray
     cover: Cover
+    decomposition: SpectralDecomp
 
     def __post_init__(self):
         self.labels.setflags(write=False)
         self.assignment.setflags(write=False)
+
+    @functools.cached_property
+    def projections(self) -> tuple:
+        """P_j onto the eigenvectors assigned to region j (zero when none)."""
+        return tuple(
+            self.decomposition.projection(self.assignment == j) for j in range(len(self.cover))
+        )
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """rank P_j: the number of eigenvalues assigned to region j."""
+        return np.bincount(self.assignment, minlength=len(self.cover))
 
 
 def _clamp_into(region: Region, z: complex) -> complex:
@@ -186,20 +200,15 @@ def resolution_of_identity(dec: SpectralDecomp, cover: Cover) -> ResolutionOfIde
         raise UncoveredSpectrum(lam[~table.any(axis=1)])
     assignment = np.argmax(table, axis=1)
 
-    projections = []
     labels = np.empty(len(cover), dtype=complex)
     for j, region in enumerate(cover.regions):
         mask = assignment == j
-        projections.append(dec.projection(mask))
         if mask.any():
             labels[j] = _clamp_into(region, complex(lam[mask].mean()))
         else:
             labels[j] = region.interior_point()
     return ResolutionOfIdentity(
-        projections=tuple(projections),
-        labels=labels,
-        assignment=assignment,
-        cover=cover,
+        labels=labels, assignment=assignment, cover=cover, decomposition=dec
     )
 
 

@@ -131,6 +131,16 @@ def test_partition_side_and_cover(tmp_path):
     ) == 2
 
 
+def test_partition_far_from_unit_scale(tmp_path):
+    lam = np.array([1.0, 0.5j, -0.3, 0.7])
+    mat, rep = tmp_path / "big.json", tmp_path / "part.json"
+    save_matrix(mat, np.diag(lam) * 1e160)
+    assert run("partition", "--matrix", mat, "--side", 2e159, "--report", rep) == 0
+    doc = read_json(rep)
+    assert sum(doc["ranks"]) == 4
+    assert doc["error_actual"] <= doc["error_bound"]
+
+
 def test_partition_rejects_non_normal(tmp_path):
     mat = tmp_path / "nn.json"
     save_matrix(mat, np.array([[0, 1], [0, 0]], dtype=complex))
@@ -235,7 +245,7 @@ def test_truncate_csv(tmp_path):
     assert any(c.startswith("config=") for c in comments)
 
 
-def test_pseudospec_csv(tmp_path):
+def test_pseudospec_csv(tmp_path, capsys):
     mat = tmp_path / "n.json"
     save_matrix(mat, np.diag([0j, 1 + 0j]))
     out = tmp_path / "ps.csv"
@@ -249,6 +259,8 @@ def test_pseudospec_csv(tmp_path):
     d = np.minimum(np.abs(pts), np.abs(pts - 1.0))
     assert (d < 0.3 + 1e-12).all()
     assert any("d_eps=" in c for c in comments)
+    evaluated = capsys.readouterr().out.splitlines()[-1]
+    assert evaluated.startswith("sigma_min at ") and evaluated.endswith(" of 1681 grid points")
 
 
 def test_scatter_shift_family(tmp_path):

@@ -3,9 +3,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import numpy.linalg as npl
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from almostnormal import (
@@ -18,10 +17,8 @@ from almostnormal import (
     normal_spectral_decomp,
     normality_defect,
     operator_norm,
-    polar_decomp,
     schatten_norm,
     self_commutator,
-    svd_factor,
 )
 from util import assert_close_multiset, haar_unitary, random_contraction, random_normal_with_spectrum
 
@@ -129,6 +126,44 @@ def test_normal_spectral_decomp_random_roundtrip(seed):
     assert_close_multiset(dec.eigenvalues, lam, 1e-8)
 
 
+@pytest.mark.parametrize("c", (1e160, 1e-160))
+def test_normal_spectral_decomp_far_from_unit_scale(c):
+    # at 1e160 the self-commutator overflows and at 1e-160 the normality
+    # tolerance underflows unless the input is rescaled first
+    lam = np.array([1.0, 0.5j, -0.3, 0.7])
+    u = haar_unitary(4, np.random.default_rng(3))
+    dec = normal_spectral_decomp((u * lam) @ adjoint(u) * c)
+    assert_close_multiset(dec.eigenvalues / c, lam, 1e-12)
+    assert np.isfinite(dec.eigenvalues).all()
+
+
+def _ldexp(m, k):
+    return np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=-900, max_value=900),
+)
+def test_normal_spectral_decomp_power_of_two_homogeneity(n, seed, k):
+    a, _, _ = random_normal_with_spectrum(n, seed)
+    ak = _ldexp(a, k)
+    assume(np.array_equal(_ldexp(ak, -k), a))  # 2^k A is exact (no subnormals)
+    dec = normal_spectral_decomp(a)
+    deck = normal_spectral_decomp(ak)
+    assert np.array_equal(deck.basis, dec.basis)
+    assert np.array_equal(deck.eigenvalues, _ldexp(dec.eigenvalues, k))
+    # a caller's cluster width scales with the matrix
+    tol = normal_spectral_decomp(a, cluster_tol=1e-6)
+    tolk = normal_spectral_decomp(ak, cluster_tol=math.ldexp(1e-6, k))
+    assert np.array_equal(tolk.basis, tol.basis)
+    assert np.array_equal(tolk.eigenvalues, _ldexp(tol.eigenvalues, k))
+    with pytest.raises(NotNormal):  # and a non-normal matrix stays rejected
+        normal_spectral_decomp(_ldexp(SHIFT2, k))
+
+
 def test_spectral_decomp_projection():
     a = np.diag([1.0, 2.0, 2.0, 5.0]).astype(complex)
     dec = normal_spectral_decomp(a)
@@ -137,31 +172,6 @@ def test_spectral_decomp_projection():
     assert np.trace(proj).real == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(proj @ proj, proj, atol=1e-12)
     assert np.allclose(proj, adjoint(proj), atol=1e-12)
-
-
-def test_polar_decomp_hand_value():
-    a = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-    pol = polar_decomp(a)
-    # |A| = (A*A)^{1/2} = diag(0, 2)
-    assert np.allclose(pol.positive, np.diag([0.0, 2.0]), atol=1e-13)
-    assert np.allclose(pol.unitary @ adjoint(pol.unitary), np.eye(2), atol=1e-13)
-    assert np.allclose(pol.unitary @ pol.positive, a, atol=1e-13)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_polar_decomp_random(seed):
-    a = random_contraction(7, seed=300 + seed)
-    pol = polar_decomp(a)
-    assert np.allclose(pol.unitary @ pol.positive, a, atol=1e-12)
-    assert np.allclose(pol.positive, adjoint(pol.positive), atol=1e-12)
-    assert npl.eigvalsh(hermitian_part(pol.positive)).min() > -1e-12
-
-
-def test_svd_factor_roundtrip():
-    a = random_contraction(6, seed=17)
-    s, u, w = svd_factor(a)
-    assert np.all(np.diff(s) <= 1e-15)
-    assert np.allclose(u @ np.diag(s).astype(complex) @ adjoint(w), a, atol=1e-12)
 
 
 def test_norm_report_fields():

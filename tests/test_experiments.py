@@ -24,6 +24,9 @@ from almostnormal import (
     truncation_scaling,
     verify_truncation_bounds,
 )
+from almostnormal.experiments import _sigma_min_batch
+from almostnormal.gallery import perturbed_normal
+from util import random_contraction
 
 
 def test_truncation_model_sorts_and_freezes():
@@ -155,6 +158,54 @@ def test_pseudospectrum_threads_bitwise_equal():
     threaded = pseudospectrum(a, 1.0, grid, threads=4)
     assert np.array_equal(serial.members, threaded.members)
     assert np.array_equal(serial.sigma_min, threaded.sigma_min)
+
+
+def _every_point_svd(a, eps, grid):
+    zs = grid.points()
+    smin = _sigma_min_batch(a, zs)
+    return zs[smin < eps], smin[smin < eps]
+
+
+@pytest.mark.parametrize("resolution", (50, 67))
+@pytest.mark.parametrize("eps", (1e-3, 0.1, 1.0))
+@pytest.mark.parametrize("n", (4, 8, 16))
+def test_pruned_pseudospectrum_is_bitwise_the_every_point_svd(n, eps, resolution):
+    a = random_contraction(n, seed=40 + n)
+    grid = GridSpec(center=0j, half_width=1.0 + 2.0 * eps, resolution=resolution)
+    rep = pseudospectrum(a, eps, grid, threads=2)
+    members, smin = _every_point_svd(a, eps, grid)
+    assert np.array_equal(rep.members, members)
+    assert np.array_equal(rep.sigma_min, smin)
+    assert members.size <= rep.evaluated <= resolution ** 2
+
+
+@pytest.mark.parametrize("where", ("off-centre", "no members", "all members"))
+def test_pruned_pseudospectrum_edge_grids(where):
+    a = random_contraction(8, seed=7)
+    center, half_width = {
+        "off-centre": (0.3 - 0.2j, 0.45),  # cuts through the pseudospectrum
+        "no members": (6 + 5j, 1.0),
+        "all members": (complex(np.linalg.eigvals(a)[0]), 0.01),
+    }[where]
+    grid = GridSpec(center=center, half_width=half_width, resolution=34)
+    rep = pseudospectrum(a, 0.1, grid)
+    members, smin = _every_point_svd(a, 0.1, grid)
+    assert np.array_equal(rep.members, members)
+    assert np.array_equal(rep.sigma_min, smin)
+    if where == "no members":
+        assert members.size == 0 and rep.evaluated < 34 ** 2
+    elif where == "all members":
+        assert members.size == 34 ** 2
+    else:
+        assert 0 < members.size < 34 ** 2
+
+
+def test_pruned_pseudospectrum_skips_most_exterior_points():
+    a = perturbed_normal(32, 0.05, 11)
+    eps = 0.1
+    grid = GridSpec(center=0j, half_width=np.linalg.norm(a, 2) + 2 * eps, resolution=201)
+    rep = pseudospectrum(a, eps, grid, threads=2)
+    assert rep.members.size <= rep.evaluated <= 0.2 * 201 ** 2
 
 
 def test_f_scatter_rows_and_csv():

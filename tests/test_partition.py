@@ -183,6 +183,18 @@ def test_resolution_projection_invariants(seed):
         assert bool(region.contains(roi.labels[j]))
 
 
+def test_ranks_match_projection_traces_and_projections_are_lazy():
+    a, _, _ = random_normal_with_spectrum(12, 5)
+    dec = normal_spectral_decomp(a)
+    approx = finite_spectrum_approx(dec, square_cover(dec.eigenvalues, 0.3))
+    roi = approx.resolution
+    assert "projections" not in vars(roi)  # finite_spectrum_approx never reads them
+    traces = [round(float(np.trace(p).real)) for p in roi.projections]
+    assert roi.ranks.tolist() == traces
+    assert len(roi.projections) == len(roi.cover) > roi.ranks.astype(bool).sum()
+    assert roi.projections is roi.projections  # built once
+
+
 def test_finite_spectrum_approx_exact_when_regions_are_tight():
     # one eigenvalue per region and the label equals the centroid, so the
     # approximant reproduces the matrix exactly up to rounding
