@@ -14,7 +14,6 @@ from .core import (
     NormReport,
     RECONSTRUCT_TOL,
     SpectralDecomp,
-    UNITARY_TOL,
     adjoint,
     as_cmatrix,
     commutator,
@@ -37,7 +36,6 @@ from .experiments import (
     CountingReport,
     GridSpec,
     PseudospectrumReport,
-    SCALING_COLUMNS,
     SCATTER_COLUMNS,
     TruncationCheck,
     TruncationModel,
@@ -81,7 +79,6 @@ from .partition import (
     finite_spectrum_approx,
     finite_spectrum_approx_for,
     resolution_of_identity,
-    spectral_projection,
     square_cover,
 )
 from .surgery import (
@@ -94,7 +91,6 @@ from .surgery import (
     SurgeryResult,
     check_oscillator,
     graph_normal_approx,
-    oscillator,
     remove_arc,
     remove_region,
     transport,

@@ -26,11 +26,11 @@ from .core import (
 )
 from .errors import DomainError, NotNormal
 from .experiments import (
+    SCATTER_COLUMNS,
     GridSpec,
     laurent_truncation_model,
     pseudospectrum,
     truncation_scaling,
-    verify_truncation_bounds,
     f_scatter,
 )
 from .fileio import ARTIFACT_VERSION
@@ -164,19 +164,18 @@ def cmd_gallery_pair(args) -> None:
         and comm_bb <= 4.0 / m + slack
         and comm_ab <= 2.0 / m + slack
     )
-    payload = {
-        "config": cfg,
-        "version": ARTIFACT_VERSION,
-        "m": m,
-        "dim": a.shape[0],
-        "norm_a": norm_a,
-        "norm_b": norm_b,
-        "comm_self_b": comm_bb,
-        "comm_self_b_bound": 4.0 / m,
-        "comm_ab": comm_ab,
-        "comm_ab_bound": 2.0 / m,
-        "passed": passed,
-    }
+    payload = _meta(
+        cfg,
+        m=m,
+        dim=a.shape[0],
+        norm_a=norm_a,
+        norm_b=norm_b,
+        comm_self_b=comm_bb,
+        comm_self_b_bound=4.0 / m,
+        comm_ab=comm_ab,
+        comm_ab_bound=2.0 / m,
+        passed=passed,
+    )
     if args.report:
         fileio.write_report(args.report, payload)
     print(
@@ -220,21 +219,20 @@ def cmd_nearest(args) -> None:
         obj_tol=args.obj_tol,
     )
     cfg = _config(args)
-    payload = {
-        "config": cfg,
-        "version": ARTIFACT_VERSION,
-        "dim": a.shape[0],
-        "objective": rep.objective,
-        "frobenius_exact": rep.frobenius_exact,
-        "sweeps": rep.sweeps,
-        "converged": rep.converged,
-        "objective_history": list(rep.objective_history),
-        "restart_objectives": list(rep.restart_objectives),
-        "restart_sweeps": list(rep.restart_sweeps),
-        "restart_pivots": list(rep.restart_pivots),
-        "distances": {str(p): v for p, v in rep.distances.items()},
-        "lower_bounds": {str(p): v for p, v in rep.lower_bounds.items()},
-    }
+    payload = _meta(
+        cfg,
+        dim=a.shape[0],
+        objective=rep.objective,
+        frobenius_exact=rep.frobenius_exact,
+        sweeps=rep.sweeps,
+        converged=rep.converged,
+        objective_history=list(rep.objective_history),
+        restart_objectives=list(rep.restart_objectives),
+        restart_sweeps=list(rep.restart_sweeps),
+        restart_pivots=list(rep.restart_pivots),
+        distances={str(p): v for p, v in rep.distances.items()},
+        lower_bounds={str(p): v for p, v in rep.lower_bounds.items()},
+    )
     fileio.write_report(args.report, payload)
     if args.witness:
         fileio.save_matrix(args.witness, rep.witness, metadata=_meta(cfg))
@@ -309,19 +307,18 @@ def cmd_partition(args) -> None:
     fsa = finite_spectrum_approx(dec, cover)
     roi = fsa.resolution
     cfg = _config(args)
-    payload = {
-        "config": cfg,
-        "version": ARTIFACT_VERSION,
-        "dim": a.shape[0],
-        "regions": [_region_doc(r) for r in cover.regions],
-        "labels": [[z.real, z.imag] for z in roi.labels],
-        "assignment": [int(k) for k in roi.assignment],
-        "ranks": [int(k) for k in roi.ranks],
-        "multiplicity": cover.multiplicity(dec.eigenvalues),
-        "max_diameter": cover.max_diameter(),
-        "error_bound": fsa.error_bound,
-        "error_actual": fsa.error_actual,
-    }
+    payload = _meta(
+        cfg,
+        dim=a.shape[0],
+        regions=[_region_doc(r) for r in cover.regions],
+        labels=[[z.real, z.imag] for z in roi.labels],
+        assignment=[int(k) for k in roi.assignment],
+        ranks=[int(k) for k in roi.ranks],
+        multiplicity=cover.multiplicity(dec.eigenvalues),
+        max_diameter=cover.max_diameter(),
+        error_bound=fsa.error_bound,
+        error_actual=fsa.error_actual,
+    )
     fileio.write_report(args.report, payload)
     if args.approx:
         fileio.save_matrix(args.approx, fsa.matrix, metadata=_meta(cfg))
@@ -333,53 +330,26 @@ def cmd_partition(args) -> None:
 
 # ---------------------------------------------------------------- surgery
 
-def _surgery_common(args) -> tuple[np.ndarray, "object", dict]:
-    a, _ = fileio.load_matrix(args.matrix)
-    dec = normal_spectral_decomp(a)
-    return a, dec, _config(args)
-
-
-def _write_surgery(args, cfg, out, payload) -> None:
+def _write_surgery(args, out, **fields) -> None:
+    cfg = _config(args)
     fileio.save_matrix(args.out, out, metadata=_meta(cfg))
-    payload = {"config": cfg, "version": ARTIFACT_VERSION, **payload}
     if args.report:
-        fileio.write_report(args.report, payload)
+        fileio.write_report(args.report, _meta(cfg, **fields))
 
 
-def cmd_surgery_remove_disc(args) -> None:
-    _, dec, cfg = _surgery_common(args)
+def cmd_surgery_remove(args) -> None:
+    dec = normal_spectral_decomp(fileio.load_matrix(args.matrix)[0])
     disc = OpenDisc(center=args.center, radius=args.radius)
-    mu = args.mu if args.mu is not None else disc.center
-    res = remove_region(dec, disc, mu)
+    if args.op == "remove-arc":
+        res = remove_arc(dec, disc, args.e_minus, args.e_plus)
+    else:
+        res = remove_region(dec, disc, args.mu if args.mu is not None else disc.center)
     _write_surgery(
         args,
-        cfg,
         res.output,
-        {
-            "moved_count": res.moved_count,
-            "perturbation_norm": res.perturbation_norm,
-            "bound": res.bound,
-        },
-    )
-    print(
-        f"wrote {args.out} (moved {res.moved_count} eigenvalues, "
-        f"perturbation {res.perturbation_norm:.6g} <= {res.bound:.6g})"
-    )
-
-
-def cmd_surgery_remove_arc(args) -> None:
-    _, dec, cfg = _surgery_common(args)
-    disc = OpenDisc(center=args.center, radius=args.radius)
-    res = remove_arc(dec, disc, args.e_minus, args.e_plus)
-    _write_surgery(
-        args,
-        cfg,
-        res.output,
-        {
-            "moved_count": res.moved_count,
-            "perturbation_norm": res.perturbation_norm,
-            "bound": res.bound,
-        },
+        moved_count=res.moved_count,
+        perturbation_norm=res.perturbation_norm,
+        bound=res.bound,
     )
     print(
         f"wrote {args.out} (moved {res.moved_count} eigenvalues, "
@@ -388,7 +358,7 @@ def cmd_surgery_remove_arc(args) -> None:
 
 
 def cmd_surgery_transport(args) -> None:
-    _, dec, cfg = _surgery_common(args)
+    dec = normal_spectral_decomp(fileio.load_matrix(args.matrix)[0])
     if args.map == "affine":
         if args.a is None or args.b is None:
             raise ValueError("--map affine requires --a and --b")
@@ -403,34 +373,30 @@ def cmd_surgery_transport(args) -> None:
         phi = BoundaryPush(
             disc=OpenDisc(center=args.center, radius=args.radius), anchor=args.anchor
         )
-    out = transport(dec, phi)
-    new_eigs = phi(dec.eigenvalues)
-    pert = float(np.abs(new_eigs - dec.eigenvalues).max()) if dec.dim else 0.0
-    _write_surgery(args, cfg, out, {"perturbation_norm": pert, "map": args.map})
-    print(f"wrote {args.out} (map {args.map}, perturbation {pert:.6g})")
+    res = transport(dec, phi)
+    _write_surgery(args, res.output, perturbation_norm=res.perturbation_norm, map=args.map)
+    print(f"wrote {args.out} (map {args.map}, perturbation {res.perturbation_norm:.6g})")
 
 
 def cmd_surgery_graph(args) -> None:
-    _, dec, cfg = _surgery_common(args)
+    dec = normal_spectral_decomp(fileio.load_matrix(args.matrix)[0])
     out, rep = graph_normal_approx(dec, args.eps)
+    out_norm = operator_norm(out)
     _write_surgery(
         args,
-        cfg,
         out,
-        {
-            "eps": rep.eps,
-            "r": rep.r,
-            "scale": rep.scale,
-            "max_shift": rep.max_shift,
-            "perturbation_norm": rep.perturbation_norm,
-            "bound": rep.bound,
-            "output_defect": normality_defect(out),
-            "output_norm": operator_norm(out),
-        },
+        eps=rep.eps,
+        r=rep.r,
+        scale=rep.scale,
+        max_shift=rep.max_shift,
+        perturbation_norm=rep.perturbation_norm,
+        bound=rep.bound,
+        output_defect=normality_defect(out),
+        output_norm=out_norm,
     )
     print(
         f"wrote {args.out} (graph approx, perturbation {rep.perturbation_norm:.6g} "
-        f"<= {rep.bound:.6g}, output norm {operator_norm(out):.6g})"
+        f"<= {rep.bound:.6g}, output norm {out_norm:.6g})"
     )
 
 
@@ -444,30 +410,20 @@ TRUNCATE_COLUMNS = (
 
 def cmd_truncate(args) -> None:
     model = laurent_truncation_model(args.coeffs, args.K)
-    grid = args.grid
-    checks = [verify_truncation_bounds(model, lam) for lam in grid]
-    cfg = _config(args)
-    scaling = truncation_scaling(
+    rows = truncation_scaling(
         model,
-        grid,
-        out=None,
+        args.grid,
         seed=args.seed,
         restarts=args.restarts,
         max_sweeps=args.max_sweeps,
         obj_tol=args.obj_tol,
     )
-    rows = []
-    for check, srow in zip(checks, scaling):
-        rows.append(
-            [
-                check.lam, check.n, check.n1, check.lhs2, check.rhs2,
-                check.lhs3, check.rhs3, check.passed,
-                srow["dist1_witness"], srow["ratio"],
-            ]
-        )
-    fileio.write_csv(args.out, TRUNCATE_COLUMNS, rows, comments=_comments(cfg))
-    _warn_unconverged("truncate", scaling, args.max_sweeps)
-    n_pass = sum(c.passed for c in checks)
+    fileio.write_csv(
+        args.out, TRUNCATE_COLUMNS, [[r[c] for c in TRUNCATE_COLUMNS] for r in rows],
+        comments=_comments(_config(args)),
+    )
+    _warn_unconverged("truncate", rows, args.max_sweeps)
+    n_pass = sum(r["passed"] for r in rows)
     print(f"wrote {args.out} ({len(rows)} levels, {n_pass}/{len(rows)} passed)")
     if n_pass != len(rows):
         raise ArithmeticError("a truncation inequality failed; see the CSV")
@@ -542,15 +498,16 @@ def cmd_scatter(args) -> None:
         specs = [EnsembleSpec(kind="shift_example", params={"m": m}) for m in args.shift]
     else:
         specs = _specs_from_file(args.spec)
-    cfg = _config(args)
     rows = f_scatter(
         specs,
-        out=args.out,
         seed=args.seed,
         restarts=args.restarts,
         max_sweeps=args.max_sweeps,
         obj_tol=args.obj_tol,
-        header_lines=_comments(cfg),
+    )
+    fileio.write_csv(
+        args.out, SCATTER_COLUMNS, [[r[c] for c in SCATTER_COLUMNS] for r in rows],
+        comments=_comments(_config(args)),
     )
     _warn_unconverged("scatter", rows, args.max_sweeps)
     print(f"wrote {args.out} ({len(rows)} scatter rows)")
@@ -636,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     rd.add_argument("--mu", type=_complex_arg, help="push anchor, default the center")
     rd.add_argument("--out", required=True)
     rd.add_argument("--report")
-    rd.set_defaults(func=cmd_surgery_remove_disc)
+    rd.set_defaults(func=cmd_surgery_remove)
 
     ra = ss.add_parser("remove-arc", help="snap chord spectrum to the chord endpoints")
     ra.add_argument("--matrix", required=True)
@@ -646,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     ra.add_argument("--e-plus", type=_complex_arg, required=True, dest="e_plus")
     ra.add_argument("--out", required=True)
     ra.add_argument("--report")
-    ra.set_defaults(func=cmd_surgery_remove_arc)
+    ra.set_defaults(func=cmd_surgery_remove)
 
     tr = ss.add_parser("transport", help="apply a plane map to the spectrum")
     tr.add_argument("--matrix", required=True)

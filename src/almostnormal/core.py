@@ -5,7 +5,6 @@ handful of operations here.  Matrices are plain complex numpy arrays; a
 value is accepted as a matrix iff it is square with finite entries.
 
 Tolerances are relative to the operator norm scale of the input:
-  unitary_tol      ||U*U - I||            <= 1e-9
   reconstruct_tol  ||A - U diag(l) U*||   <= 1e-9 * ||A||
   normal_tol       ||[A*, A]||            <= 1e-8 * ||A||^2 to admit A as normal
   cluster_tol      eigenvalue clustering width, 1e-8 * ||A||
@@ -25,7 +24,6 @@ import numpy.linalg as npl
 
 from .errors import NotNormal
 
-UNITARY_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
 NORMAL_TOL = 1e-8
 CLUSTER_TOL = 1e-8

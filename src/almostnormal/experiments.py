@@ -25,7 +25,6 @@ from .core import adjoint, as_cmatrix, hermitian_part, operator_norm, schatten_n
 from .errors import EmptyTruncation
 from .gallery import EnsembleSpec, laurent_multiplication, materialize
 from .nearest import nearest_normal
-from . import fileio
 
 
 @dataclass(frozen=True)
@@ -154,24 +153,20 @@ def verify_truncation_bounds(model: TruncationModel, lam: float) -> TruncationCh
     )
 
 
-SCALING_COLUMNS = ("lambda", "N", "N1", "lhs3", "rhs3", "dist1_witness", "ratio")
-
-
 def truncation_scaling(
     model: TruncationModel,
     lambda_grid,
-    out=None,
     *,
     seed: int,
     restarts: int = 2,
     max_sweeps: int = 80,
     obj_tol: float = 1e-10,
-    header_lines=(),
 ) -> list[dict]:
     """Scaling table: trace-norm witness distance of A_lambda against N(lambda).
 
-    Emits one CSV row per grid level with the inequality data and the
-    normalized distance ratio dist1_witness / N.
+    One row per grid level: the TruncationCheck fields (lam as "lambda", n
+    as "N", n1 as "N1"), the witness distance dist1_witness, the normalized
+    ratio dist1_witness / N, and whether the optimizer converged.
     """
     rows = []
     for idx, lam in enumerate(lambda_grid):
@@ -191,17 +186,15 @@ def truncation_scaling(
                 "lambda": float(lam),
                 "N": check.n,
                 "N1": check.n1,
+                "lhs2": check.lhs2,
+                "rhs2": check.rhs2,
                 "lhs3": check.lhs3,
                 "rhs3": check.rhs3,
+                "passed": check.passed,
                 "dist1_witness": dist1,
                 "ratio": dist1 / check.n,
                 "converged": rep.converged,
             }
-        )
-    if out is not None:
-        fileio.write_csv(
-            out, SCALING_COLUMNS, [[r[c] for c in SCALING_COLUMNS] for r in rows],
-            comments=header_lines,
         )
     return rows
 
@@ -339,13 +332,11 @@ SCATTER_COLUMNS = ("defect", "dist_op_witness", "dist_frob_exact", "lower_bound_
 
 def f_scatter(
     specs,
-    out=None,
     *,
     seed: int,
     restarts: int = 2,
     max_sweeps: int = 80,
     obj_tol: float = 1e-10,
-    header_lines=(),
 ) -> list[dict]:
     """Defect-versus-distance scatter rows over an ensemble of gallery matrices.
 
@@ -384,10 +375,5 @@ def f_scatter(
                 "lower_bound_op": floor,
                 "converged": rep.converged,
             }
-        )
-    if out is not None:
-        fileio.write_csv(
-            out, SCATTER_COLUMNS, [[r[c] for c in SCATTER_COLUMNS] for r in rows],
-            comments=header_lines,
         )
     return rows

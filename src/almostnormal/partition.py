@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralDecomp, adjoint, as_cmatrix, operator_norm
+from .core import SpectralDecomp, as_cmatrix
 from .errors import UncoveredSpectrum
-
-PROJ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,9 +33,6 @@ class OpenDisc:
 
     def diameter(self) -> float:
         return 2.0 * self.radius
-
-    def interior_point(self) -> complex:
-        return self.center
 
 
 @dataclass(frozen=True)
@@ -58,9 +53,6 @@ class OpenSquare:
 
     def diameter(self) -> float:
         return self.side * math.sqrt(2.0)
-
-    def interior_point(self) -> complex:
-        return self.center
 
 
 Region = OpenDisc | OpenSquare
@@ -131,18 +123,12 @@ def square_cover(points, side: float) -> Cover:
     return Cover(regions=regions)
 
 
-def spectral_projection(dec: SpectralDecomp, region: Region) -> np.ndarray:
-    """Orthogonal projection onto the eigenvectors with eigenvalue in the region."""
-    mask = region.contains(dec.eigenvalues)
-    return dec.projection(mask)
-
-
 @dataclass(frozen=True)
 class ResolutionOfIdentity:
     """Mutually orthogonal projections summing to I, one per region.
 
     labels[j] is a point of region j (the centroid of its assigned
-    eigenvalues, or the region's interior point when nothing was assigned).
+    eigenvalues, or the region's center when nothing was assigned).
     assignment[k] is the index of the region that claimed eigenvalue k.
     The dense projections are built from the decomposition on first read.
     """
@@ -174,7 +160,7 @@ def _clamp_into(region: Region, z: complex) -> complex:
     points of a convex open region already lie inside it)."""
     if bool(region.contains(z)):
         return z
-    c = region.interior_point()
+    c = region.center
     if isinstance(region, OpenDisc):
         d = z - c
         if abs(d) == 0:
@@ -191,8 +177,8 @@ def resolution_of_identity(dec: SpectralDecomp, cover: Cover) -> ResolutionOfIde
 
     Every eigenvalue must lie in at least one region (UncoveredSpectrum
     otherwise); it is assigned to the first region of the cover containing
-    it.  Empty regions keep a zero projection and are labeled by an interior
-    point.
+    it.  Empty regions keep a zero projection and are labeled by their
+    center.
     """
     lam = dec.eigenvalues
     table = cover.membership(lam)
@@ -206,7 +192,7 @@ def resolution_of_identity(dec: SpectralDecomp, cover: Cover) -> ResolutionOfIde
         if mask.any():
             labels[j] = _clamp_into(region, complex(lam[mask].mean()))
         else:
-            labels[j] = region.interior_point()
+            labels[j] = region.center
     return ResolutionOfIdentity(
         labels=labels, assignment=assignment, cover=cover, decomposition=dec
     )
@@ -226,19 +212,18 @@ def finite_spectrum_approx(dec: SpectralDecomp, cover: Cover) -> FiniteSpectrumA
     """T = sum_j z_j P_j from the resolution of identity of the cover.
 
     error_bound = sqrt(multiplicity on the spectrum) * max region diameter;
-    error_actual = ||A - T|| in operator norm.  Because every eigenvalue
-    moves within its own region, error_actual is also the largest eigenvalue
-    displacement.
+    error_actual = ||A - T|| in operator norm.  T keeps the eigenbasis of A,
+    so that norm is exactly the largest eigenvalue displacement, and
+    error_actual is computed as that displacement.
     """
     roi = resolution_of_identity(dec, cover)
-    new_eigs = roi.labels[roi.assignment]
-    u = dec.basis
-    t = (u * new_eigs) @ adjoint(u)
+    approx = SpectralDecomp(eigenvalues=roi.labels[roi.assignment], basis=dec.basis)
     k = cover.multiplicity(dec.eigenvalues)
-    bound = math.sqrt(k) * cover.max_diameter()
-    actual = operator_norm(dec.reconstruct() - t)
     return FiniteSpectrumApprox(
-        matrix=t, error_bound=bound, error_actual=actual, resolution=roi
+        matrix=approx.reconstruct(),
+        error_bound=math.sqrt(k) * cover.max_diameter(),
+        error_actual=float(np.abs(approx.eigenvalues - dec.eigenvalues).max()),
+        resolution=roi,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralDecomp, adjoint, operator_norm
+from .core import SpectralDecomp
 from .errors import SpectrumOffContour
 from .partition import OpenDisc
 
@@ -128,15 +128,6 @@ class ChordSnap:
         return _unwrap(res, scalar)
 
 
-def transport(dec: SpectralDecomp, phi) -> np.ndarray:
-    """U diag(phi(lambda)) U* for any vectorized plane map phi."""
-    lam = np.asarray(phi(dec.eigenvalues), dtype=complex)
-    if lam.shape != dec.eigenvalues.shape:
-        raise ValueError("plane map must return one value per eigenvalue")
-    u = dec.basis
-    return (u * lam) @ adjoint(u)
-
-
 @dataclass(frozen=True)
 class SurgeryResult:
     output: np.ndarray
@@ -146,10 +137,33 @@ class SurgeryResult:
     bound: float
 
 
-def _rebuild(dec: SpectralDecomp, new_eigs: np.ndarray) -> tuple[np.ndarray, SpectralDecomp]:
-    u = dec.basis
-    out = (u * new_eigs) @ adjoint(u)
-    return out, SpectralDecomp(eigenvalues=new_eigs, basis=u)
+def _move(dec: SpectralDecomp, new_eigs, bound: float) -> SurgeryResult:
+    """U diag(new_eigs) U* on the basis of dec, and how far the spectrum moved.
+
+    moved_count is the number of eigenvalues that changed; perturbation_norm
+    is max |new - old|, which is exactly ||A_out - A|| since the basis is kept.
+    """
+    lam = dec.eigenvalues
+    new = np.array(new_eigs, dtype=complex)
+    if new.shape != lam.shape:
+        raise ValueError("plane map must return one value per eigenvalue")
+    out_dec = SpectralDecomp(eigenvalues=new, basis=dec.basis)
+    return SurgeryResult(
+        output=out_dec.reconstruct(),
+        decomp=out_dec,
+        moved_count=int(np.count_nonzero(new != lam)),
+        perturbation_norm=float(np.abs(new - lam).max(initial=0.0)),
+        bound=bound,
+    )
+
+
+def transport(dec: SpectralDecomp, phi) -> SurgeryResult:
+    """U diag(phi(lambda)) U* for any vectorized plane map phi.
+
+    A general map has no a priori bound, so bound is inf; perturbation_norm
+    is the exact distance moved.
+    """
+    return _move(dec, phi(dec.eigenvalues), math.inf)
 
 
 def remove_region(dec: SpectralDecomp, disc: OpenDisc, mu: complex) -> SurgeryResult:
@@ -161,21 +175,7 @@ def remove_region(dec: SpectralDecomp, disc: OpenDisc, mu: complex) -> SurgeryRe
     The perturbation never exceeds 2 * radius.
     """
     push = BoundaryPush(disc=disc, anchor=complex(mu))
-    lam = dec.eigenvalues
-    inside = disc.contains(lam)
-    new_eigs = lam.copy()
-    if inside.any():
-        new_eigs[inside] = push(lam[inside])
-    out, out_dec = _rebuild(dec, new_eigs)
-    moved = int(inside.sum())
-    pert = float(np.abs(lam - new_eigs).max()) if moved else 0.0
-    return SurgeryResult(
-        output=out,
-        decomp=out_dec,
-        moved_count=moved,
-        perturbation_norm=pert,
-        bound=2.0 * disc.radius,
-    )
+    return _move(dec, push(dec.eigenvalues), 2.0 * disc.radius)
 
 
 def remove_arc(
@@ -189,25 +189,12 @@ def remove_arc(
     """
     snap = ChordSnap(disc=disc, e_minus=complex(e_minus), e_plus=complex(e_plus))
     lam = dec.eigenvalues
-    inside = disc.contains(lam)
+    inside = lam[disc.contains(lam)]
     tol = CHORD_TOL_FACTOR * disc.diameter()
-    if inside.any():
-        d = _dist_to_segment(lam[inside], snap.e_minus, snap.e_plus)
-        if (d > tol).any():
-            raise SpectrumOffContour(lam[inside][d > tol], tol)
-    new_eigs = lam.copy()
-    if inside.any():
-        new_eigs[inside] = snap(lam[inside])
-    out, out_dec = _rebuild(dec, new_eigs)
-    moved = int(inside.sum())
-    pert = float(np.abs(lam - new_eigs).max()) if moved else 0.0
-    return SurgeryResult(
-        output=out,
-        decomp=out_dec,
-        moved_count=moved,
-        perturbation_norm=pert,
-        bound=2.0 * disc.radius,
-    )
+    d = _dist_to_segment(inside, snap.e_minus, snap.e_plus)
+    if (d > tol).any():
+        raise SpectrumOffContour(inside[d > tol], tol)
+    return _move(dec, snap(lam), 2.0 * disc.radius)
 
 
 def _dist_to_segment(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -248,10 +235,6 @@ class Oscillator:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return self.amplitude * np.cos(2.0 * math.pi * x / self.eps)
-
-
-def oscillator(eps: float, r: float) -> Oscillator:
-    return Oscillator(eps=eps, r=r)
 
 
 def check_oscillator(f, eps: float, r: float) -> float:
@@ -370,7 +353,7 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, Gr
         raise ValueError(f"eps must be positive, got {eps}")
     lam = dec.eigenvalues
     r = float(np.abs(lam).max())
-    f = oscillator(eps, r)
+    f = Oscillator(eps=eps, r=r)
     amp = f.amplitude
     scale = r / amp
 
@@ -378,21 +361,17 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, Gr
     y = np.clip(lam.imag, -amp, amp)
     shifts = _smallest_level_shift(f, x, y)
     landed = x + shifts
-    w = landed + 1j * f(landed)
-
-    u = dec.basis
-    new_eigs = scale * w
-    out = (u * new_eigs) @ adjoint(u)
-    pert = float(np.abs(lam - new_eigs).max())
+    bound = 2.0 * eps + eps * (1.0 + r)
+    res = _move(dec, scale * (landed + 1j * f(landed)), bound)
     report = GraphReport(
         eps=float(eps),
         r=r,
         scale=scale,
         max_shift=float(np.abs(shifts).max()),
-        perturbation_norm=pert,
-        bound=2.0 * eps + eps * (1.0 + r),
+        perturbation_norm=res.perturbation_norm,
+        bound=bound,
     )
-    return out, report
+    return res.output, report
 
 
 def _smallest_level_shift(f: Oscillator, x0: np.ndarray, y: np.ndarray) -> np.ndarray:

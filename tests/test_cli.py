@@ -7,7 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from almostnormal import load_matrix, read_csv, save_matrix, shift_example
+from almostnormal import (
+    OpenDisc,
+    RadialCollapse,
+    load_matrix,
+    normal_spectral_decomp,
+    read_csv,
+    save_matrix,
+    shift_example,
+)
 from almostnormal.cli import main
 
 
@@ -201,12 +209,17 @@ def test_surgery_transport_variants(tmp_path):
     b, _ = load_matrix(out)
     assert np.allclose(np.diagonal(b), [1 + 1j, 4 + 1j])
 
+    rep = tmp_path / "rep.json"
     assert run(
         "surgery", "transport", "--matrix", mat, "--map", "radial-collapse",
-        "--center", "0,0", "--radius", 1, "--out", out,
+        "--center", "0,0", "--radius", 1, "--out", out, "--report", rep,
     ) == 0
     b, _ = load_matrix(out)
     assert np.allclose(sorted(np.abs(np.diagonal(b))), [0.5, 1.0])
+    # the report measures the move the output was built from: 2 -> 1
+    lam = normal_spectral_decomp(load_matrix(mat)[0]).eigenvalues
+    phi = RadialCollapse(disc=OpenDisc(center=0j, radius=1.0))
+    assert read_json(rep)["perturbation_norm"] == np.abs(phi(lam) - lam).max()
 
     # missing map parameters are argument errors
     assert run(

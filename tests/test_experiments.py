@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -12,18 +11,17 @@ from almostnormal import (
     EmptyTruncation,
     EnsembleSpec,
     GridSpec,
-    SCALING_COLUMNS,
     SCATTER_COLUMNS,
     counting_functions,
     f_scatter,
     laurent_truncation_model,
     pseudospectrum,
-    read_csv,
     truncate,
     truncation_model,
     truncation_scaling,
     verify_truncation_bounds,
 )
+from almostnormal.cli import TRUNCATE_COLUMNS
 from almostnormal.experiments import _sigma_min_batch
 from almostnormal.gallery import perturbed_normal
 from util import random_contraction
@@ -94,23 +92,16 @@ def test_verify_truncation_empty():
 
 def test_truncation_scaling_rows_and_csv():
     model = laurent_truncation_model([0, 0, 1], 8)
-    buf = io.StringIO()
-    rows = truncation_scaling(
-        model, [2.0, 4.0, 6.0], buf, seed=3, restarts=1, max_sweeps=30,
-        header_lines=["run=test"],
-    )
+    rows = truncation_scaling(model, [2.0, 4.0, 6.0], seed=3, restarts=1, max_sweeps=30)
     assert len(rows) == 3
     for r in rows:
-        assert set(r) == {*SCALING_COLUMNS, "converged"}
+        # each row carries every column of the truncate CSV
+        assert set(r) == {*TRUNCATE_COLUMNS, "converged"}
         assert r["ratio"] == pytest.approx(r["dist1_witness"] / r["N"])
         assert r["lhs3"] <= r["rhs3"]
+        assert r["passed"]
     # the normalized distance shrinks as the window grows
     assert rows[2]["ratio"] < rows[0]["ratio"]
-    buf.seek(0)
-    cols, data, comments = read_csv(buf)
-    assert cols == list(SCALING_COLUMNS)
-    assert len(data) == 3
-    assert "run=test" in comments
 
 
 def test_grid_spec():
@@ -213,8 +204,7 @@ def test_f_scatter_rows_and_csv():
         EnsembleSpec(kind="shift_example", params={"m": 4}),
         EnsembleSpec(kind="perturbed_normal", params={"dim": 4, "delta": 0.2}, seed=3),
     ]
-    buf = io.StringIO()
-    rows = f_scatter(specs, buf, seed=0, restarts=1, max_sweeps=40)
+    rows = f_scatter(specs, seed=0, restarts=1, max_sweeps=40)
     assert len(rows) == 2
     for r in rows:
         assert set(r) == {*SCATTER_COLUMNS, "converged"}
@@ -223,10 +213,6 @@ def test_f_scatter_rows_and_csv():
     # shift: defect 1, frobenius distance exactly 1 for m = 4
     assert rows[0]["defect"] == pytest.approx(1.0)
     assert rows[0]["dist_frob_exact"] == pytest.approx(1.0, abs=1e-7)
-    buf.seek(0)
-    cols, data, _ = read_csv(buf)
-    assert cols == list(SCATTER_COLUMNS)
-    assert len(data) == 2
 
 
 def test_f_scatter_rejects_non_spec():

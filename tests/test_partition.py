@@ -18,7 +18,6 @@ from almostnormal import (
     normal_spectral_decomp,
     operator_norm,
     resolution_of_identity,
-    spectral_projection,
     square_cover,
 )
 from util import random_normal_with_spectrum
@@ -32,7 +31,6 @@ def test_open_disc_strict_containment():
     assert not bool(d.contains(1.5 + 1j))
     assert not bool(d.contains(2 + 1j))
     assert d.diameter() == 1.0
-    assert d.interior_point() == 1 + 1j
 
 
 def test_open_square_strict_containment():
@@ -116,15 +114,6 @@ def test_square_cover_validation():
         square_cover([0j], 0.0)
     with pytest.raises(ValueError):
         square_cover(np.array([], dtype=complex), 1.0)
-
-
-def test_spectral_projection_rank():
-    a = np.diag([0.0, 1.0, 1.0, 3.0]).astype(complex)
-    dec = normal_spectral_decomp(a)
-    p = spectral_projection(dec, OpenDisc(center=1 + 0j, radius=0.5))
-    assert abs(np.trace(p).real - 2.0) < 1e-12
-    assert operator_norm(p @ p - p) < 1e-12
-    assert operator_norm(p - adjoint(p)) < 1e-12
 
 
 def test_resolution_first_hit_assignment():

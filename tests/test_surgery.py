@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from almostnormal import (
     Affine,
@@ -17,13 +19,14 @@ from almostnormal import (
     SpectralDecomp,
     SpectrumOffContour,
     check_oscillator,
+    finite_spectrum_approx,
     graph_normal_approx,
     normal_spectral_decomp,
     operator_norm,
-    oscillator,
     remove_arc,
     remove_region,
     self_commutator,
+    square_cover,
     transport,
 )
 from util import random_normal_with_spectrum
@@ -101,7 +104,7 @@ def test_chord_snap_endpoint_validation():
 def test_transport_matches_affine_action():
     a, lam, _ = random_normal_with_spectrum(5, 3)
     dec = normal_spectral_decomp(a)
-    out = transport(dec, Affine(a=2 - 1j, b=0.5j))
+    out = transport(dec, Affine(a=2 - 1j, b=0.5j)).output
     want = (2 - 1j) * a + 0.5j * np.eye(5)
     assert operator_norm(out - want) < 1e-9
 
@@ -175,8 +178,34 @@ def test_remove_arc_random_on_chord():
     assert res.perturbation_norm <= res.bound + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.complex_numbers(max_magnitude=1.5),
+    st.floats(min_value=0.05, max_value=1.5),
+    st.floats(min_value=0.05, max_value=1.0),
+)
+def test_every_spectrum_move_is_measured_on_its_eigenvalues(n, seed, center, radius, side):
+    a, _, _ = random_normal_with_spectrum(n, seed, radius=1.5)
+    dec = normal_spectral_decomp(a)
+    lam = dec.eigenvalues
+    disc = OpenDisc(center=center, radius=radius)
+    res = remove_region(dec, disc, mu=center)
+    new = res.decomp.eigenvalues
+    assert res.moved_count == np.count_nonzero(disc.contains(lam))
+    assert res.moved_count == np.count_nonzero(new != lam)
+    assert res.perturbation_norm == np.abs(new - lam).max()
+    slack = 1e-12 * operator_norm(a)
+    assert operator_norm(res.output - dec.reconstruct()) <= res.perturbation_norm + slack
+    # the partition approximant moves each eigenvalue to its region's label
+    fsa = finite_spectrum_approx(dec, square_cover(lam, side))
+    roi = fsa.resolution
+    assert fsa.error_actual == np.abs(roi.labels[roi.assignment] - lam).max()
+
+
 def test_oscillator_values():
-    f = oscillator(0.5, 1.0)
+    f = Oscillator(eps=0.5, r=1.0)
     assert f.amplitude == 1.5
     assert f.domain == (-1.5, 1.5)
     assert abs(f(0.0) - 1.5) < 1e-15
@@ -197,7 +226,7 @@ def test_oscillator_validation():
 
 @pytest.mark.parametrize("eps,r", [(0.5, 1.0), (0.3, 1.0), (0.5, 0.0)])
 def test_oscillator_is_half_eps_net(eps, r):
-    f = oscillator(eps, r)
+    f = Oscillator(eps=eps, r=r)
     worst = check_oscillator(f, eps, r)
     assert abs(worst - eps / 2.0) < 1e-6 * max(eps, 1.0)
 
@@ -222,7 +251,7 @@ def test_graph_normal_approx_invariants():
             assert rep.max_shift <= eps / 2.0 * 1.0001
             # every output eigenvalue divided by the scale is on the graph
             w = np.linalg.eigvals(out) / rep.scale
-            f = oscillator(eps, rep.r)
+            f = Oscillator(eps=eps, r=rep.r)
             assert np.abs(f(w.real) - w.imag).max() < 1e-8
     # 0 sits midway between the roots -eps/4 and +eps/4 of its level set;
     # the tie goes to the positive shift
