@@ -199,7 +199,8 @@ def normal_spectral_decomp(a: np.ndarray, cluster_tol: float | None = None) -> S
         _, w = npl.eigh(yb)
         u[:, lo:hi] = block @ w
 
-    lam = np.einsum("ij,jk,ki->i", adjoint(u), a, u)
+    # diag(U* A U); a three-operand einsum would run as a naive n^3 loop
+    lam = np.einsum("ij,ij->j", u.conj(), a @ u)
     dec = SpectralDecomp(eigenvalues=lam, basis=u)
     residual = operator_norm(a - dec.reconstruct())
     if residual > RECONSTRUCT_TOL * max(scale, 1e-300):
