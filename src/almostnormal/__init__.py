@@ -67,7 +67,6 @@ from .gallery import (
 from .nearest import (
     DistanceReport,
     commutator_lower_bound,
-    maximize_diagonal,
     nearest_normal,
 )
 from .partition import (

@@ -16,6 +16,11 @@ elliptical range theorem), and a rotation is applied only when it strictly
 improves the objective.  Disjoint pivots change disjoint diagonal entries,
 so the gains of a round add exactly and the objective history is monotone.
 
+The starts (the identity, then seeded Haar bases) run together through one
+round kernel: each round gathers and rotates the 2x2 blocks of every start
+that has not yet stopped.  The arithmetic is elementwise, so each start's
+result is bitwise what it gives when run alone.
+
 The matching lower bound ||[A*, A]||_p / (4 ||A||) holds for every
 Schatten index p in [1, inf] against any normal T with ||T|| <= ||A||.
 
@@ -123,22 +128,47 @@ def _diag_objective(b: np.ndarray) -> float:
     return float(np.sum(d.real ** 2 + d.imag ** 2))
 
 
-def _run_sweeps(a, u0, max_sweeps: int, obj_tol: float, fro2: float) -> SweepOutcome:
-    n = a.shape[0]
-    # b = U* A U stacked over U, so one column update rotates both
-    w = np.vstack([adjoint(u0) @ a @ u0, u0])
-    b, u = w[:n], w[n:]
+def _round_tables(active, rounds, n: int) -> list:
+    """Per round, the flat and row indices of every active start's pivots.
+
+    Entry (s, i, j) addresses b[s, i, j] of the (r, 2n, n) stack w at
+    flat index (s*2n + i)*n + j, and row i of b[s] at row s*2n + i of
+    w.reshape(r*2n, n).  Entries run start-major within a round.
+    """
+    tables = []
+    for i, j in rounds:
+        s = np.repeat(active, i.size)
+        i, j = np.tile(i, active.size), np.tile(j, active.size)
+        row_i, row_j = s * (2 * n) + i, s * (2 * n) + j
+        tables.append((s, i, j, row_i, row_j, row_i * n + i, row_i * n + j,
+                       row_j * n + i, row_j * n + j))
+    return tables
+
+
+def _run_sweeps(w, max_sweeps: int, obj_tol: float, fro2: float) -> list:
+    """Round-robin sweeps over every start at once; one SweepOutcome each.
+
+    w is the C-contiguous (r, 2n, n) stack of [U*AU; U] per start, so one
+    column update rotates both, and it is rotated in place.  Each round
+    gathers the 2x2 blocks of every active start in one go and rotates
+    them together; the arithmetic is elementwise, so every start gets
+    bitwise the result it gets alone.  A start that meets the stop rule
+    drops out of the round tables.
+    """
+    r, n = w.shape[0], w.shape[2]
+    flat, rows, cols = w.reshape(-1), w.reshape(r * 2 * n, n), w.transpose(0, 2, 1)
     rounds = _round_robin(n)
-    obj = _diag_objective(b)
-    history = [obj]
-    converged = False
-    sweeps = pivots = 0
+    history = [[_diag_objective(w[k, :n])] for k in range(r)]
+    pivots = np.zeros(r, dtype=np.int64)
+    converged = [False] * r
     # pivots below this gain cannot matter: even if every pivot of a sweep
     # forgoes the floor, the total stays two orders under the stop threshold
     floor = 0.02 * obj_tol * fro2 / max(1, n * (n - 1) // 2)
+    active = np.arange(r)
+    tables = _round_tables(active, rounds, n)
     for _ in range(max_sweeps):
-        for i, j in rounds:
-            bii, bij, bji, bjj = b[i, i], b[i, j], b[j, i], b[j, j]
+        for s, i, j, row_i, row_j, ii, ij, ji, jj in tables:
+            bii, bij, bji, bjj = flat[ii], flat[ij], flat[ji], flat[jj]
             keep, _, x, y = _plane_rotations(bii, bij, bji, bjj, floor)
             # realized-gain guard: the rotated diagonal of G* block G, whose
             # trace is that of the block
@@ -150,33 +180,56 @@ def _run_sweeps(a, u0, max_sweeps: int, obj_tol: float, fro2: float) -> SweepOut
                 idx = np.flatnonzero(keep)
                 if idx.size == 0:
                     continue
-                i, j, x, y = i[idx], j[idx], x[idx], y[idx]
-                new_ii, new_jj = new_ii[idx], new_jj[idx]
-            xc, yc = x.conj(), y.conj()
-            ri, rj = b[i], b[j]
-            b[i] = xc[:, None] * ri + yc[:, None] * rj
-            b[j] = x[:, None] * rj - y[:, None] * ri
-            ci, cj = w[:, i], w[:, j]
-            w[:, i] = ci * x + cj * y
-            w[:, j] = cj * xc - ci * yc
-            b[i, i] = new_ii
-            b[j, j] = new_jj
-            pivots += i.size
-        sweeps += 1
-        obj = _diag_objective(b)
-        history.append(obj)
-        if obj - history[-2] < obj_tol * fro2:
-            converged = True
-            break
-    return SweepOutcome(
-        basis=u,
-        rotated=b,
-        objective=history[-1],
-        history=tuple(history),
-        sweeps=sweeps,
-        pivots=pivots,
-        converged=converged,
-    )
+                s, i, j, row_i, row_j, ii, jj, x, y, new_ii, new_jj = (
+                    v[idx] for v in (s, i, j, row_i, row_j, ii, jj, x, y, new_ii, new_jj)
+                )
+            xc, yc = x.conj()[:, None], y.conj()[:, None]
+            x, y = x[:, None], y[:, None]
+            ri, rj = rows[row_i], rows[row_j]
+            rows[row_i] = xc * ri + yc * rj
+            rows[row_j] = x * rj - y * ri
+            ci, cj = cols[s, i], cols[s, j]
+            cols[s, i] = ci * x + cj * y
+            cols[s, j] = cj * xc - ci * yc
+            flat[ii] = new_ii
+            flat[jj] = new_jj
+            pivots += np.bincount(s, minlength=r)
+        for k in active:
+            h = history[k]
+            h.append(_diag_objective(w[k, :n]))
+            converged[k] = h[-1] - h[-2] < obj_tol * fro2
+        if any(converged[k] for k in active):
+            active = np.flatnonzero(np.logical_not(converged))
+            if active.size == 0:
+                break
+            tables = _round_tables(active, rounds, n)
+    return [
+        SweepOutcome(
+            basis=w[k, n:],
+            rotated=w[k, :n],
+            objective=history[k][-1],
+            history=tuple(history[k]),
+            sweeps=len(history[k]) - 1,
+            pivots=int(pivots[k]),
+            converged=converged[k],
+        )
+        for k in range(r)
+    ]
+
+
+def _starts(a, seed, restarts) -> np.ndarray:
+    """The (restarts, 2n, n) stack of [U*AU; U]: the identity, then seeded
+    Haar bases, each start's product taken on its own."""
+    n = a.shape[0]
+    w = np.empty((restarts, 2 * n, n), dtype=complex)
+    for k in range(restarts):
+        if k == 0:
+            u0 = np.eye(n, dtype=complex)
+        else:
+            u0 = _haar(n, np.random.default_rng([int(seed), k]))
+        w[k, :n] = adjoint(u0) @ a @ u0
+        w[k, n:] = u0
+    return w
 
 
 def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> list:
@@ -185,35 +238,15 @@ def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> list:
         raise ValueError("a seed is required; all randomness flows from it")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n = a.shape[0]
     fro2 = float(npl.norm(a) ** 2)
     if fro2 == 0.0:
         fro2 = 1.0
-    runs = []
-    for k in range(restarts):
-        if k == 0:
-            u0 = np.eye(n, dtype=complex)
-        else:
-            u0 = _haar(n, np.random.default_rng([int(seed), k]))
-        runs.append(_run_sweeps(a, u0, max_sweeps, obj_tol, fro2))
-    return runs
+    return _run_sweeps(_starts(a, seed, restarts), max_sweeps, obj_tol, fro2)
 
 
 def _best(runs) -> SweepOutcome:
     # the earliest start wins a tie
     return max(runs, key=lambda r: r.objective)
-
-
-def maximize_diagonal(
-    a, *, seed: int, restarts: int = 4, max_sweeps: int = 200, obj_tol: float = 1e-12
-) -> np.ndarray:
-    """Unitary u maximizing sum_j |(u* A u)_jj|^2 by monotone plane sweeps.
-
-    The first start is the identity basis; the remaining restarts use
-    seeded Haar-random bases, and the best run is returned.
-    """
-    a, _ = _pow2_scaled(a)
-    return _best(_optimize(a, seed, restarts, max_sweeps, obj_tol)).basis
 
 
 def commutator_lower_bound(a, p) -> float:
@@ -231,6 +264,9 @@ class DistanceReport:
     witness: np.ndarray
     basis: np.ndarray
     distances: dict
+    # ||A - witness||_F: an upper bound on the distance to the normal
+    # matrices, equal to it only at a global maximum of the objective
+    # (up to the ~1e-8 ||A||_F rounding of its difference of squares)
     frobenius_exact: float
     lower_bounds: dict
     objective: float
@@ -254,12 +290,14 @@ def nearest_normal(
 ) -> DistanceReport:
     """Normal witness T from the maximizing basis, with distance panel.
 
-    frobenius_exact = sqrt(||A||_F^2 - objective) is the certified
-    Frobenius distance for the achieved objective; distances[p] measures
-    the witness in each requested Schatten norm and always dominates the
-    commutator lower bound.  The objectives are squared norms, so they
-    overflow to inf for entries past about 2^511 while every distance and
-    bound stays finite.
+    frobenius_exact = sqrt(||A||_F^2 - objective) is the Frobenius
+    distance from A to the witness, so it is an upper bound on the distance
+    to the normal matrices, equal to it only when the objective is the
+    global maximum.  As a difference of squares it carries a rounding
+    error of about 1e-8 ||A||_F.  distances[p] measures the witness in each
+    requested Schatten norm and always dominates the commutator lower
+    bound.  The objectives are squared norms, so they overflow to inf for
+    entries past about 2^511 while every distance and bound stays finite.
     """
     a, e = _pow2_scaled(a)
     runs = _optimize(a, seed, restarts, max_sweeps, obj_tol)

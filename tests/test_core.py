@@ -141,7 +141,7 @@ def _ldexp(m, k):
     return np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=2**31 - 1),
@@ -189,13 +189,13 @@ def small_matrices(draw):
     return random_contraction(n, seed)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_matrices())
 def test_defect_bounded_by_twice_norm_squared(a):
     assert normality_defect(a) <= 2.0 * operator_norm(a) ** 2 + 1e-12
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_matrices())
 def test_schatten_monotone_in_p(a):
     n1 = schatten_norm(a, 1)

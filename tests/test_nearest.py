@@ -6,17 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from almostnormal import (
     adjoint,
     commutator_lower_bound,
-    maximize_diagonal,
     nearest_normal,
     operator_norm,
     self_commutator,
     shift_example,
 )
-from almostnormal.nearest import _optimize, _plane_rotations, _round_robin
+from almostnormal.nearest import _optimize, _plane_rotations, _round_robin, _run_sweeps, _starts
 from util import random_contraction
 
 SHIFT2 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -108,7 +109,7 @@ def test_commutator_lower_bound_hand_values():
 
 def test_maximize_diagonal_returns_unitary():
     a = random_contraction(4, 8)
-    u = maximize_diagonal(a, seed=0, restarts=1, max_sweeps=40)
+    u = nearest_normal(a, seed=0, restarts=1, max_sweeps=40).basis
     assert operator_norm(u @ adjoint(u) - np.eye(4)) < 1e-10
 
 
@@ -157,6 +158,50 @@ def test_batched_sweeps_do_not_drift_from_the_basis():
         assert operator_norm(adjoint(u) @ u - np.eye(17)) < 1e-12
 
 
+def _alone(a, seed, k, max_sweeps, obj_tol):
+    """Start k of _optimize, run through the kernel with no other start."""
+    fro2 = float(np.linalg.norm(a) ** 2) or 1.0
+    return _run_sweeps(_starts(a, seed, k + 1)[k:], max_sweeps, obj_tol, fro2)[0]
+
+
+def _same_bits(x, y) -> bool:
+    return (x.basis.tobytes() == y.basis.tobytes()
+            and x.rotated.tobytes() == y.rotated.tobytes()
+            and np.array(x.history).tobytes() == np.array(y.history).tobytes()
+            and (x.sweeps, x.pivots, x.converged) == (y.sweeps, y.pivots, y.converged))
+
+
+# (matrix, seed, max_sweeps, obj_tol)
+STACK_CASES = {
+    "n1": (random_contraction(1, 1), 1, 200, 1e-12),
+    "n2": (random_contraction(2, 2), 2, 200, 1e-12),
+    "n7": (random_contraction(7, 7), 7, 200, 1e-12),
+    "n10": (random_contraction(10, 10), 10, 200, 1e-12),
+    # the identity start stops after 2 sweeps, the first Haar start after 12
+    "uneven_stops": (shift_example(6), 3, 200, 1e-12),
+    "sweep_cap": (random_contraction(9, 90), 5, 6, 1e-12),
+    "zero": (np.zeros((4, 4), dtype=complex), 0, 200, 1e-12),
+}
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_stacked_starts_match_each_start_run_alone(case, restarts):
+    a, seed, max_sweeps, obj_tol = STACK_CASES[case]
+    runs = _optimize(a, seed, restarts, max_sweeps, obj_tol)
+    assert len(runs) == restarts
+    for k, run in enumerate(runs):
+        assert _same_bits(run, _alone(a, seed, k, max_sweeps, obj_tol)), k
+
+
+def test_stack_cases_cover_uneven_stops_and_the_cap():
+    a, seed, max_sweeps, obj_tol = STACK_CASES["uneven_stops"]
+    assert [r.sweeps for r in _optimize(a, seed, 2, max_sweeps, obj_tol)] == [2, 12]
+    a, seed, max_sweeps, obj_tol = STACK_CASES["sweep_cap"]
+    runs = _optimize(a, seed, 4, max_sweeps, obj_tol)
+    assert all(r.sweeps == max_sweeps and not r.converged for r in runs)
+
+
 def test_per_start_counters():
     a = random_contraction(6, 12)
     rep = nearest_normal(a, seed=1, restarts=3, max_sweeps=60)
@@ -176,7 +221,7 @@ def test_power_of_two_scaling_is_exact(make):
         rep = nearest_normal(c, seed=0, restarts=2, max_sweeps=60)
         return ([rep.frobenius_exact, *rep.distances.values(), *rep.lower_bounds.values(),
                  *(commutator_lower_bound(c, p) for p in (1, 2, math.inf))],
-                rep.witness, maximize_diagonal(c, seed=0, restarts=2, max_sweeps=60))
+                rep.witness, rep.basis)
 
     base, base_witness, base_basis = outputs(a)
     assert min(base) > 0.0   # a non-normal input: every certificate is positive
@@ -231,3 +276,67 @@ def test_two_by_two_matches_brute_force(seed):
     rep = nearest_normal(a, seed=seed, restarts=2)
     bf = brute_force_two_by_two(a)
     assert abs(rep.frobenius_exact - bf) < 1e-6
+
+
+@st.composite
+def seeded_inputs(draw):
+    """(A, seed): a random complex contraction of dimension 1-8 and an optimizer seed."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return random_contraction(n, seed), seed
+
+
+def _bits(rep):
+    return (rep.witness.tobytes(), rep.basis.tobytes(), rep.frobenius_exact,
+            rep.distances, rep.lower_bounds, np.array(rep.objective_history).tobytes(),
+            np.array(rep.restart_objectives).tobytes(), rep.restart_sweeps,
+            rep.restart_pivots, rep.converged)
+
+
+@settings(max_examples=40)
+@given(seeded_inputs())
+def test_nearest_normal_report_properties(case):
+    a, seed = case
+    rep = nearest_normal(a, seed=seed, restarts=2)
+    fro = float(np.linalg.norm(a))
+    for p in rep.distances:
+        assert rep.lower_bounds[p] <= rep.distances[p] + 1e-12 * fro
+    assert abs(rep.frobenius_exact - rep.distances[2]) <= 1e-12 * fro
+    assert operator_norm(self_commutator(rep.witness)) <= 1e-12 * fro ** 2
+    numbers = [rep.frobenius_exact, rep.objective, *rep.distances.values(),
+               *rep.lower_bounds.values(), *rep.objective_history, *rep.restart_objectives]
+    assert np.isfinite(numbers).all()
+    assert np.isfinite(rep.witness).all() and np.isfinite(rep.basis).all()
+    assert _bits(nearest_normal(a, seed=seed, restarts=2)) == _bits(rep)
+
+
+@settings(max_examples=30)
+@given(seeded_inputs(), st.integers(min_value=-900, max_value=900))
+def test_nearest_normal_power_of_two_homogeneity(case, k):
+    a, seed = case
+    ak = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+    assume(np.array_equal(np.ldexp(ak.real, -k) + 1j * np.ldexp(ak.imag, -k), a))
+    rep = nearest_normal(a, seed=seed, restarts=2)
+    repk = nearest_normal(ak, seed=seed, restarts=2)
+    assert repk.frobenius_exact == math.ldexp(rep.frobenius_exact, k)
+    for p in rep.distances:
+        assert repk.distances[p] == math.ldexp(rep.distances[p], k)
+        assert repk.lower_bounds[p] == math.ldexp(rep.lower_bounds[p], k)
+    assert np.array_equal(repk.witness.real, np.ldexp(rep.witness.real, k))
+    assert np.array_equal(repk.witness.imag, np.ldexp(rep.witness.imag, k))
+    assert np.array_equal(repk.basis, rep.basis)
+    assert np.isfinite([repk.frobenius_exact, *repk.distances.values(),
+                        *repk.lower_bounds.values()]).all()
+
+
+@settings(max_examples=30)
+@given(seeded_inputs(), st.integers(min_value=1, max_value=3))
+def test_restart_prefix_is_bitwise_stable(case, r):
+    # start k depends only on the seed and k, so one more restart leaves the
+    # first r starts bitwise as they were
+    a, seed = case
+    few = nearest_normal(a, seed=seed, restarts=r)
+    more = nearest_normal(a, seed=seed, restarts=r + 1)
+    assert np.array(more.restart_objectives[:r]).tobytes() == np.array(few.restart_objectives).tobytes()
+    assert more.restart_sweeps[:r] == few.restart_sweeps
+    assert more.restart_pivots[:r] == few.restart_pivots

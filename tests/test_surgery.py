@@ -178,7 +178,7 @@ def test_remove_arc_random_on_chord():
     assert res.perturbation_norm <= res.bound + 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=2**31 - 1),
