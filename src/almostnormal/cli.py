@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import fileio
 from .core import (
     normal_spectral_decomp,
@@ -58,15 +56,10 @@ from .surgery import (
 
 def _complex_arg(text: str) -> complex:
     """'re' or 're,im'."""
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+        return fileio.parse_complex(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _complex_list_arg(text: str) -> list[complex]:
@@ -226,10 +219,10 @@ def cmd_nearest(args) -> None:
         frobenius_exact=rep.frobenius_exact,
         sweeps=rep.sweeps,
         converged=rep.converged,
-        objective_history=list(rep.objective_history),
-        restart_objectives=list(rep.restart_objectives),
-        restart_sweeps=list(rep.restart_sweeps),
-        restart_pivots=list(rep.restart_pivots),
+        objective_history=rep.objective_history,
+        restart_objectives=rep.restart_objectives,
+        restart_sweeps=rep.restart_sweeps,
+        restart_pivots=rep.restart_pivots,
         distances={str(p): v for p, v in rep.distances.items()},
         lower_bounds={str(p): v for p, v in rep.lower_bounds.items()},
     )
@@ -264,18 +257,24 @@ def _warn_unconverged(sub: str, rows, max_sweeps: int) -> None:
 def _cover_from_file(path) -> Cover:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "regions" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ValueError("cover JSON must be an object with a 'regions' list")
     regions = []
     for i, item in enumerate(doc["regions"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"region {i}: expected an object, got {item!r}")
         kind = item.get("kind")
-        center = complex(float(item["center"][0]), float(item["center"][1]))
-        if kind == "disc":
-            regions.append(OpenDisc(center=center, radius=float(item["radius"])))
-        elif kind == "square":
-            regions.append(OpenSquare(center=center, side=float(item["side"])))
-        else:
+        if kind not in ("disc", "square"):
             raise ValueError(f"region {i}: unknown kind {kind!r} (want disc|square)")
+        try:
+            center = complex(float(item["center"][0]), float(item["center"][1]))
+            size = float(item["radius" if kind == "disc" else "side"])
+        except (TypeError, IndexError) as exc:
+            raise ValueError(f"region {i}: bad center or size: {exc}") from None
+        if kind == "disc":
+            regions.append(OpenDisc(center=center, radius=size))
+        else:
+            regions.append(OpenSquare(center=center, side=size))
     if not regions:
         raise ValueError("cover has no regions")
     return Cover(tuple(regions))
@@ -311,9 +310,9 @@ def cmd_partition(args) -> None:
         cfg,
         dim=a.shape[0],
         regions=[_region_doc(r) for r in cover.regions],
-        labels=[[z.real, z.imag] for z in roi.labels],
-        assignment=[int(k) for k in roi.assignment],
-        ranks=[int(k) for k in roi.ranks],
+        labels=roi.labels,
+        assignment=roi.assignment,
+        ranks=roi.ranks,
         multiplicity=cover.multiplicity(dec.eigenvalues),
         max_diameter=cover.max_diameter(),
         error_bound=fsa.error_bound,
@@ -453,16 +452,14 @@ def cmd_pseudospec(args) -> None:
         center=center,
         half_width=half_width,
         threads=threads,
-        reference=list(np.asarray(ref, dtype=complex)),
+        reference=ref,
     )
     extra = [
         f"members={rep.members.size}",
         f"d_eps={fileio.format_float(rep.d_eps)}",
         f"grid_step={fileio.format_float(grid.step())}",
     ]
-    rows = [
-        [z.real, z.imag, s] for z, s in zip(rep.members, rep.sigma_min)
-    ]
+    rows = zip(rep.members.real, rep.members.imag, rep.sigma_min)
     fileio.write_csv(args.out, ("re", "im", "sigma_min"), rows, comments=_comments(cfg, extra))
     print(
         f"wrote {args.out} ({rep.members.size} members of the {args.eps:g}-pseudospectrum, "
@@ -482,14 +479,12 @@ def _specs_from_file(path) -> list[EnsembleSpec]:
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or "kind" not in item:
             raise ValueError(f"spec {i}: expected an object with a 'kind' field")
-        seed = item.get("seed")
-        specs.append(
-            EnsembleSpec(
-                kind=str(item["kind"]),
-                params=dict(item.get("params") or {}),
-                seed=None if seed is None else int(seed),
-            )
-        )
+        params, seed = item.get("params") or {}, item.get("seed")
+        if not isinstance(params, dict):
+            raise ValueError(f"spec {i}: 'params' must be an object, got {params!r}")
+        if not (seed is None or isinstance(seed, int)):
+            raise ValueError(f"spec {i}: 'seed' must be an integer, got {seed!r}")
+        specs.append(EnsembleSpec(kind=str(item["kind"]), params=dict(params), seed=seed))
     return specs
 
 

@@ -2,9 +2,10 @@
 
 The native matrix format is JSON: {"dim": n, "metadata": {...}, "data": rows}
 where every entry is a [re, im] pair.  Floats are written with repr fidelity
-so a save/load round trip is bit exact.  A plain CSV reader is provided for
-matrices produced elsewhere; cells are either a real number or a quoted
-"re,im" pair.
+so a save/load round trip is bit exact.  Encoding is one (n, n, 2) float64
+array's tolist(); decoding is one numpy conversion of "data" plus a shape
+check.  A plain CSV reader is provided for matrices produced elsewhere;
+cells are either a real number or a quoted "re,im" pair.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 
 import numpy as np
 
@@ -39,7 +39,7 @@ def _format_cell(value) -> str:
 
 def save_matrix(path, a, metadata=None) -> None:
     a = as_cmatrix(a)
-    data = [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    data = np.stack([a.real, a.imag], -1).tolist()
     doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {}), "data": data}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
@@ -50,34 +50,30 @@ def save_matrix(path, a, metadata=None) -> None:
 def _matrix_from_json(doc) -> tuple[np.ndarray, dict]:
     if not isinstance(doc, dict) or "data" not in doc:
         raise ValueError("matrix JSON must be an object with a 'data' field")
-    rows = doc["data"]
-    n = len(rows)
-    if n == 0:
+    try:
+        data = np.array(doc["data"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix data is not a grid of [re, im] pairs: {exc}") from None
+    if data.size == 0:
         raise ValueError("matrix data is empty")
-    out = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for j, cell in enumerate(row):
-            if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
-                raise ValueError(f"entry ({i},{j}) is not a [re, im] pair")
-            out[i, j] = complex(float(cell[0]), float(cell[1]))
-    if "dim" in doc and int(doc["dim"]) != n:
+    if data.ndim != 3 or data.shape[1:] != (data.shape[0], 2):
+        raise ValueError(f"matrix data has shape {data.shape}, expected n x n [re, im] pairs")
+    n = len(data)
+    if doc.get("dim", n) != n:
         raise ValueError(f"declared dim {doc['dim']} does not match data ({n} rows)")
     meta = doc.get("metadata") or {}
-    return as_cmatrix(out), dict(meta)
+    return as_cmatrix(data.view(np.complex128)[..., 0]), dict(meta)
 
 
-def _parse_csv_cell(cell: str, where: str) -> complex:
-    parts = cell.split(",")
+def parse_complex(text: str, what: str = "value") -> complex:
+    """'re' or 're,im' as a complex number; raises ValueError naming `what`."""
+    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) <= 2:
+            return complex(*map(float, parts))
     except ValueError:
         pass
-    raise ValueError(f"cannot parse matrix cell {cell!r} at {where}")
+    raise ValueError(f"cannot parse {what} {text!r}: expected 're' or 're,im'")
 
 
 def _matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
@@ -90,7 +86,7 @@ def _matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
         if len(row) != n:
             raise ValueError(f"row {i} has {len(row)} cells, expected {n} (square)")
         for j, cell in enumerate(row):
-            out[i, j] = _parse_csv_cell(cell.strip(), f"({i},{j})")
+            out[i, j] = parse_complex(cell.strip(), f"matrix cell ({i},{j})")
     return as_cmatrix(out), {}
 
 
@@ -118,7 +114,7 @@ def _sanitize(value):
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [_sanitize(value.real), _sanitize(value.imag)]
     if isinstance(value, np.ndarray):
         return [_sanitize(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -135,11 +131,10 @@ def write_report(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_csv(out, columns, rows, comments=()) -> None:
+def write_csv(path, columns, rows, comments=()) -> None:
     """Write a CSV table with optional leading '# ' comment lines.
 
-    Floats go through format_float so reruns are byte identical; `out` may
-    be a path or a writable text file.
+    Floats go through format_float so reruns are byte identical.
     """
     buf = io.StringIO()
     for line in comments:
@@ -148,26 +143,16 @@ def write_csv(out, columns, rows, comments=()) -> None:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_format_cell(v) for v in row])
-    text = buf.getvalue()
-    if isinstance(out, (str, os.PathLike)):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())
 
 
-def read_csv(src) -> tuple[list[str], list[list[str]], list[str]]:
-    """Read back a write_csv table: (columns, string rows, comment lines).
-
-    `src` may be a path or a readable text file, matching write_csv.
-    """
+def read_csv(path) -> tuple[list[str], list[list[str]], list[str]]:
+    """Read back a write_csv table: (columns, string rows, comment lines)."""
     comments = []
     body = []
-    if isinstance(src, (str, os.PathLike)):
-        with open(src, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = src.readlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for line in lines:
         if line.startswith("#"):
             comments.append(line[1:].strip())

@@ -307,6 +307,52 @@ def test_missing_file_is_exit_2(tmp_path):
                "--report", tmp_path / "r.json") == 2
 
 
+_GOOD_MATRIX = {"dim": 1, "data": [[[0.5, 0.0]]]}
+_GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
+
+
+@pytest.mark.parametrize(
+    "matrix, cover, spec",
+    [
+        ({"data": [[[None, 0]]]}, None, None),
+        ({"data": 5}, None, None),
+        ({"dim": None, "data": [[[0.5, 0.0]]]}, None, None),
+        (_GOOD_MATRIX, {"regions": [3]}, None),
+        (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "center": [0, None]}]}, None),
+        (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "radius": None}]}, None),
+        (_GOOD_MATRIX, {"regions": 3}, None),
+        (None, None, [{"kind": "shift_example", "params": [1]}]),
+        (None, None, [{"kind": "shift_example", "params": {"m": 2}, "seed": [1]}]),
+    ],
+    ids=["matrix-null-cell", "matrix-data-5", "matrix-dim-null", "cover-region-3",
+         "cover-center-null", "cover-radius-null", "cover-regions-3", "spec-params-list",
+         "spec-seed-list"],
+)
+def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
+    def dump(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return path
+
+    if spec is not None:
+        argv = ["scatter", "--spec", dump("spec.json", spec), "--seed", 0,
+                "--out", tmp_path / "s.csv"]
+    elif cover is not None:
+        argv = ["partition", "--matrix", dump("m.json", matrix),
+                "--cover", dump("cover.json", cover), "--report", tmp_path / "r.json"]
+    else:
+        argv = ["nearest", "--matrix", dump("m.json", matrix), "--seed", 0,
+                "--report", tmp_path / "r.json"]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_complex_argument_error_names_the_form(tmp_path, capsys):
+    assert run("surgery", "remove-disc", "--matrix", tmp_path / "m.json", "--center", "1,x",
+               "--radius", 0.1, "--out", tmp_path / "o.json") == 2
+    assert "'re' or 're,im'" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_2():
     assert run("gallery", "shift", "--m", "3", "--out", "/tmp/x.json") == 2  # odd m
     assert run("nope-command") == 2

@@ -7,9 +7,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from almostnormal import load_matrix, read_csv, save_matrix, write_csv, write_report
 from almostnormal.fileio import format_float
+
+from util import reference_matrix_json
+
+# signed zeros, the smallest subnormal and normal, and the ends of the range
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308]
+_ENTRIES = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(1, 6))
+    parts = draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
 
 
 def test_save_load_bit_exact(tmp_path):
@@ -25,6 +43,21 @@ def test_save_load_bit_exact(tmp_path):
     assert np.array_equal(a, b)
     assert b.dtype == complex
     assert meta == {"tag": "case"}
+
+
+@given(a=_matrices(), transpose=st.booleans())
+def test_codec_matches_per_cell_reference_bitwise(tmp_path_factory, a, transpose):
+    if transpose:
+        a = a.T  # a non-contiguous view
+    path = tmp_path_factory.mktemp("codec") / "m.json"
+    meta = {"tag": "case", "k": 1}
+    save_matrix(path, a, metadata=meta)
+    assert path.read_text(encoding="utf-8") == reference_matrix_json(a, meta)
+    b, got_meta = load_matrix(path)
+    assert b.dtype == np.complex128
+    # bit patterns, so signed zeros count
+    assert b.tobytes() == np.ascontiguousarray(a).tobytes()
+    assert got_meta == meta
 
 
 def test_save_is_deterministic(tmp_path):
@@ -50,6 +83,25 @@ def test_load_rejects_bad_cells(tmp_path):
         load_matrix(path)
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "data, words",
+    [
+        ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "pairs"),  # ragged rows
+        ([[0.5]], "pair"),
+        ([[[0.0, 1.0, 2.0]]], "pair"),  # a 3-element cell
+        ("0,0", "pair"),
+        ([], "empty"),
+        ([[["x", 0.0]]], "pair"),
+        ({"0": 1}, "pair"),
+    ],
+)
+def test_load_rejects_malformed_data(tmp_path, data, words):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"data": data}))
+    with pytest.raises(ValueError, match=words):
         load_matrix(path)
 
 

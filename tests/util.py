@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import numpy.linalg as npl
 
@@ -51,3 +53,11 @@ def random_normal_with_spectrum(n: int, seed: int, radius: float = 1.0):
     u = haar_unitary(n, rng)
     a = (u * lam) @ u.conj().T
     return a, lam, u
+
+
+def reference_matrix_json(a, metadata=None) -> str:
+    """The per-cell matrix JSON encoder that fileio.save_matrix vectorized:
+    the codec tests require save_matrix to write exactly this text."""
+    data = [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {}), "data": data}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
