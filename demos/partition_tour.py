@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from almostnormal import (
-    finite_spectrum_approx_for,
+    finite_spectrum_approx,
     normal_spectral_decomp,
     operator_norm,
     square_cover,
@@ -22,18 +22,18 @@ rng = np.random.default_rng(12)
 lam = np.exp(2j * np.pi * rng.uniform(0, 1, 8)) * np.sqrt(rng.uniform(0, 1, 8))
 u = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
 a = (u * lam) @ u.conj().T
+dec = normal_spectral_decomp(a)
 
 print(f"{'side':>6} {'regions':>8} {'distinct':>9} {'error':>10} {'bound':>10}")
 for side in (0.8, 0.4, 0.2, 0.1, 0.05):
     cover = square_cover(lam, side)
-    approx = finite_spectrum_approx_for(a, cover)
+    approx = finite_spectrum_approx(dec, cover)
     roi = approx.resolution
     distinct = len({int(j) for j in roi.assignment})
     print(f"{side:>6} {len(cover):>8} {distinct:>9} "
           f"{approx.error_actual:>10.6f} {approx.error_bound:>10.6f}")
 
-dec = normal_spectral_decomp(a)
-roi = finite_spectrum_approx_for(a, square_cover(lam, 0.2)).resolution
+roi = finite_spectrum_approx(dec, square_cover(lam, 0.2)).resolution
 total = sum(roi.projections)
 print()
 print(f"projection algebra at side 0.2: ||sum P_j - I|| = "

@@ -76,7 +76,6 @@ from .partition import (
     OpenSquare,
     ResolutionOfIdentity,
     finite_spectrum_approx,
-    finite_spectrum_approx_for,
     resolution_of_identity,
     square_cover,
 )
@@ -88,7 +87,6 @@ from .surgery import (
     Oscillator,
     RadialCollapse,
     SurgeryResult,
-    check_oscillator,
     graph_normal_approx,
     remove_arc,
     remove_region,

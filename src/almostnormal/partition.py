@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralDecomp, as_cmatrix
+from .core import SpectralDecomp
 from .errors import UncoveredSpectrum
 
 
@@ -225,10 +225,3 @@ def finite_spectrum_approx(dec: SpectralDecomp, cover: Cover) -> FiniteSpectrumA
         error_actual=float(np.abs(approx.eigenvalues - dec.eigenvalues).max()),
         resolution=roi,
     )
-
-
-def finite_spectrum_approx_for(a, cover: Cover) -> FiniteSpectrumApprox:
-    """Convenience wrapper accepting a raw normal matrix."""
-    from .core import normal_spectral_decomp
-
-    return finite_spectrum_approx(normal_spectral_decomp(as_cmatrix(a)), cover)

@@ -237,99 +237,6 @@ class Oscillator:
         return self.amplitude * np.cos(2.0 * math.pi * x / self.eps)
 
 
-def check_oscillator(f, eps: float, r: float) -> float:
-    """Smallest eps' such that {x : f(x) = y} is an eps'-net of the disc slice
-    at height y, for every y on a grid of step eps/100 over [-(r+eps), r+eps].
-
-    Returns math.inf when the estimate is >= eps (the function cannot
-    certify the net condition) or when some level has no solutions at all.
-    Level sets are located by sign-change bisection on a grid of step
-    eps/128, plus near-tangency minima of |f - y| (peaks of f touch extreme
-    levels without a sign change).
-    """
-    if not (eps > 0 and math.isfinite(eps)) or not (r >= 0 and math.isfinite(r)):
-        raise ValueError("need eps > 0 and r >= 0")
-    big = r + eps
-    n_y = int(round(200.0 * big / eps)) + 1
-    ys = np.linspace(-big, big, n_y)
-    n_x = int(round(256.0 * big / eps)) + 1
-    xs = np.linspace(-big, big, n_x)
-    fx = np.asarray(f(xs), dtype=float)
-    if fx.shape != xs.shape:
-        fx = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape).copy()
-    tangent_tol = 1e-4 * max(np.abs(fx).max(), big)
-
-    worst = 0.0
-    for y in ys:
-        roots = _level_points(xs, fx, f, y, tangent_tol)
-        a = math.sqrt(max(big * big - y * y, 0.0))
-        if roots.size == 0:
-            return math.inf
-        cands = [-a, a]
-        mids = (roots[1:] + roots[:-1]) / 2.0
-        cands.extend(mids[(mids > -a) & (mids < a)])
-        cands = np.asarray(cands)
-        dist = np.abs(cands[:, None] - roots[None, :]).min(axis=1)
-        worst = max(worst, float(dist.max()))
-    return worst if worst < eps else math.inf
-
-
-def _level_points(xs, fx, f, y, tangent_tol) -> np.ndarray:
-    """Solutions of f(x) = y on the sampled interval, sorted."""
-    g = fx - y
-    roots = list(xs[g == 0.0])
-    sign_flip = np.nonzero(g[:-1] * g[1:] < 0)[0]
-    lo = xs[sign_flip]
-    hi = xs[sign_flip + 1]
-    glo = g[sign_flip]
-    for _ in range(48):
-        mid = (lo + hi) / 2.0
-        gm = np.asarray(f(mid), dtype=float) - y
-        left = (glo * gm) > 0
-        lo = np.where(left, mid, lo)
-        glo = np.where(left, gm, glo)
-        hi = np.where(left, hi, mid)
-    roots.extend((lo + hi) / 2.0)
-
-    # tangency: local minima of |g| that nearly reach zero without crossing
-    ag = np.abs(g)
-    interior = np.nonzero((ag[1:-1] <= ag[:-2]) & (ag[1:-1] <= ag[2:]))[0] + 1
-    for i in interior:
-        if g[i] == 0.0:
-            continue  # exact roots were collected already
-        if g[i - 1] * g[i] < 0 or g[i] * g[i + 1] < 0:
-            continue  # transversal crossing, bisection owns it
-        # the nearest sample can sit half a step off the touch point, so the
-        # coarse gate must allow one curvature quantum before refining
-        curv = abs(g[i - 1] - 2.0 * g[i] + g[i + 1])
-        if ag[i] > tangent_tol + curv:
-            continue
-        x0 = _refine_abs_min(f, y, xs[i - 1], xs[i + 1])
-        if abs(float(np.asarray(f(x0)).reshape(())) - y) <= tangent_tol:
-            roots.append(x0)
-    return np.sort(np.asarray(roots, dtype=float))
-
-
-def _refine_abs_min(f, y, lo, hi) -> float:
-    """Golden-section minimization of |f(x) - y| on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = abs(float(np.asarray(f(c)).reshape(())) - y)
-    fd = abs(float(np.asarray(f(d)).reshape(())) - y)
-    for _ in range(60):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = abs(float(np.asarray(f(c)).reshape(())) - y)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = abs(float(np.asarray(f(d)).reshape(())) - y)
-    return (a + b) / 2.0
-
-
 @dataclass(frozen=True)
 class GraphReport:
     eps: float

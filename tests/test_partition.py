@@ -14,7 +14,6 @@ from almostnormal import (
     UncoveredSpectrum,
     adjoint,
     finite_spectrum_approx,
-    finite_spectrum_approx_for,
     normal_spectral_decomp,
     operator_norm,
     resolution_of_identity,
@@ -203,7 +202,8 @@ def test_finite_spectrum_approx_exact_when_regions_are_tight():
 @pytest.mark.parametrize("side", [0.5, 0.1])
 def test_finite_spectrum_error_within_bound(seed, side):
     a, lam, _ = random_normal_with_spectrum(5, seed)
-    approx = finite_spectrum_approx_for(a, square_cover(lam, side))
+    dec = normal_spectral_decomp(a)
+    approx = finite_spectrum_approx(dec, square_cover(lam, side))
     assert approx.error_actual <= approx.error_bound + 1e-12
     assert approx.error_bound <= math.sqrt(4) * side * math.sqrt(2) + 1e-12
     # approximant is normal with spectrum drawn from the labels
@@ -211,6 +211,5 @@ def test_finite_spectrum_error_within_bound(seed, side):
     assert operator_norm(t @ adjoint(t) - adjoint(t) @ t) < 1e-10
     # displacement interpretation: error equals max eigenvalue move
     roi = approx.resolution
-    dec = normal_spectral_decomp(a)
     moves = np.abs(dec.eigenvalues - roi.labels[roi.assignment])
     assert abs(approx.error_actual - moves.max()) < 1e-9

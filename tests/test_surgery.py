@@ -18,7 +18,6 @@ from almostnormal import (
     RadialCollapse,
     SpectralDecomp,
     SpectrumOffContour,
-    check_oscillator,
     finite_spectrum_approx,
     graph_normal_approx,
     normal_spectral_decomp,
@@ -29,7 +28,7 @@ from almostnormal import (
     square_cover,
     transport,
 )
-from util import random_normal_with_spectrum
+from util import check_oscillator, random_normal_with_spectrum
 
 DISC = OpenDisc(center=0j, radius=1.0)
 
