@@ -266,7 +266,6 @@ class DistanceReport:
     distances: dict
     # ||A - witness||_F: an upper bound on the distance to the normal
     # matrices, equal to it only at a global maximum of the objective
-    # (up to the ~1e-8 ||A||_F rounding of its difference of squares)
     frobenius_exact: float
     lower_bounds: dict
     objective: float
@@ -290,12 +289,11 @@ def nearest_normal(
 ) -> DistanceReport:
     """Normal witness T from the maximizing basis, with distance panel.
 
-    frobenius_exact = sqrt(||A||_F^2 - objective) is the Frobenius
-    distance from A to the witness, so it is an upper bound on the distance
-    to the normal matrices, equal to it only when the objective is the
-    global maximum.  As a difference of squares it carries a rounding
-    error of about 1e-8 ||A||_F.  distances[p] measures the witness in each
-    requested Schatten norm and always dominates the commutator lower
+    frobenius_exact is the Frobenius norm of the off-diagonal part of U*AU,
+    i.e. the Frobenius distance from A to the witness, so it is an upper
+    bound on the distance to the normal matrices, equal to it only when the
+    objective is the global maximum.  distances[p] measures the witness in
+    each requested Schatten norm and always dominates the commutator lower
     bound.  The objectives are squared norms, so they overflow to inf for
     entries past about 2^511 while every distance and bound stays finite.
     """
@@ -305,8 +303,8 @@ def nearest_normal(
     u = out.basis
     diag = np.diagonal(out.rotated).copy()
     witness = (u * diag) @ adjoint(u)
-    fro2 = float(npl.norm(a) ** 2)
-    frob_exact = math.sqrt(max(fro2 - out.objective, 0.0))
+    # ||A - witness||_F is the norm of U*AU's off-diagonal part
+    frob_exact = float(npl.norm(out.rotated - np.diag(diag)))
     diff = a - witness
     distances = {p: _scale(schatten_norm(diff, p), e) for p in p_list}
     lower = {p: _scale(commutator_lower_bound(a, p), e) for p in p_list}

@@ -18,7 +18,7 @@ from almostnormal import (
     shift_example,
 )
 from almostnormal.nearest import _optimize, _plane_rotations, _round_robin, _run_sweeps, _starts
-from util import random_contraction
+from util import random_contraction, random_normal_with_spectrum
 
 SHIFT2 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -85,6 +85,15 @@ def test_witness_is_normal_and_certified():
     # basis is unitary
     u = rep.basis
     assert operator_norm(u @ adjoint(u) - np.eye(5)) < 1e-10
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_frobenius_exact_is_the_witness_distance_near_normal(s):
+    # near the optimum ||A||_F^2 - objective cancels to about 1e-16 ||A||_F^2,
+    # so a difference of squares would lose the distance's leading digits
+    a, _, _ = random_normal_with_spectrum(6, s)
+    rep = nearest_normal(a, seed=0, restarts=1)
+    assert abs(rep.frobenius_exact - rep.distances[2]) <= 1e-12 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("seed", range(10))
