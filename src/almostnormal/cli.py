@@ -57,7 +57,7 @@ from .surgery import (
 def _complex_arg(text: str) -> complex:
     """'re' or 're,im'."""
     try:
-        return fileio.parse_complex(text)
+        return fileio.parse_complex(text, "value")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

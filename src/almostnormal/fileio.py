@@ -65,7 +65,7 @@ def _matrix_from_json(doc) -> tuple[np.ndarray, dict]:
     return as_cmatrix(data.view(np.complex128)[..., 0]), dict(meta)
 
 
-def parse_complex(text: str, what: str = "value") -> complex:
+def parse_complex(text: str, what: str) -> complex:
     """'re' or 're,im' as a complex number; raises ValueError naming `what`."""
     parts = text.split(",")
     try:
