@@ -62,7 +62,9 @@ def _matrix_from_json(doc) -> tuple[np.ndarray, dict]:
     if doc.get("dim", n) != n:
         raise ValueError(f"declared dim {doc['dim']} does not match data ({n} rows)")
     meta = doc.get("metadata") or {}
-    return as_cmatrix(data.view(np.complex128)[..., 0]), dict(meta)
+    if not isinstance(meta, dict):
+        raise ValueError("matrix metadata must be an object")
+    return as_cmatrix(data.view(np.complex128)[..., 0]), meta
 
 
 def parse_complex(text: str, what: str) -> complex:

@@ -317,6 +317,7 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
         ({"data": [[[None, 0]]]}, None, None),
         ({"data": 5}, None, None),
         ({"dim": None, "data": [[[0.5, 0.0]]]}, None, None),
+        ({"data": [[[0.5, 0.0]]], "metadata": [1]}, None, None),
         (_GOOD_MATRIX, {"regions": [3]}, None),
         (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "center": [0, None]}]}, None),
         (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "radius": None}]}, None),
@@ -324,9 +325,9 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
         (None, None, [{"kind": "shift_example", "params": [1]}]),
         (None, None, [{"kind": "shift_example", "params": {"m": 2}, "seed": [1]}]),
     ],
-    ids=["matrix-null-cell", "matrix-data-5", "matrix-dim-null", "cover-region-3",
-         "cover-center-null", "cover-radius-null", "cover-regions-3", "spec-params-list",
-         "spec-seed-list"],
+    ids=["matrix-null-cell", "matrix-data-5", "matrix-dim-null", "matrix-metadata-list",
+         "cover-region-3", "cover-center-null", "cover-radius-null", "cover-regions-3",
+         "spec-params-list", "spec-seed-list"],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
     def dump(name, doc):
