@@ -87,9 +87,9 @@ def test_load_rejects_bad_cells(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "data, words",
+    "data, match",
     [
-        ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "pairs"),  # ragged rows
+        ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "pair"),  # ragged rows
         ([[0.5]], "pair"),
         ([[[0.0, 1.0, 2.0]]], "pair"),  # a 3-element cell
         ("0,0", "pair"),
@@ -98,10 +98,10 @@ def test_load_rejects_bad_cells(tmp_path):
         ({"0": 1}, "pair"),
     ],
 )
-def test_load_rejects_malformed_data(tmp_path, data, words):
+def test_load_rejects_malformed_data(tmp_path, data, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"data": data}))
-    with pytest.raises(ValueError, match=words):
+    with pytest.raises(ValueError, match=match):
         load_matrix(path)
 
 

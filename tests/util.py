@@ -1,4 +1,5 @@
-"""Shared test fixtures: seeded random matrices with known structure."""
+"""Shared test fixtures (seeded random matrices with known structure) and the
+reference implementations the tests compare the package against."""
 
 from __future__ import annotations
 
