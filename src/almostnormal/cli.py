@@ -9,6 +9,7 @@ failure (input violates a mathematical precondition, e.g. not normal).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -86,9 +87,12 @@ def _float_list_arg(text: str) -> list[float]:
 
 def _int_list_arg(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        out = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse int list {text!r}")
+    if not out:
+        raise argparse.ArgumentTypeError("empty int list")
+    return out
 
 
 def _p_list_arg(text: str) -> list:
@@ -223,8 +227,12 @@ def cmd_nearest(args) -> None:
         restart_objectives=rep.restart_objectives,
         restart_sweeps=rep.restart_sweeps,
         restart_pivots=rep.restart_pivots,
+        restart_stop_reasons=rep.restart_stop_reasons,
+        restart_stationarity=rep.restart_stationarity,
         distances={str(p): v for p, v in rep.distances.items()},
         lower_bounds={str(p): v for p, v in rep.lower_bounds.items()},
+        # which side of the true distance each number lies on
+        directions={"frobenius_exact": "upper", "distances": "upper", "lower_bounds": "lower"},
     )
     fileio.write_report(args.report, payload)
     if args.witness:
@@ -512,8 +520,11 @@ def cmd_scatter(args) -> None:
 
 def _add_optimizer_args(p, restarts: int) -> None:
     p.add_argument("--restarts", type=int, default=restarts, help="random restarts")
-    p.add_argument("--max-sweeps", type=int, default=200, dest="max_sweeps")
-    p.add_argument("--obj-tol", type=float, default=1e-12, dest="obj_tol")
+    p.add_argument("--max-sweeps", type=int, default=200, dest="max_sweeps",
+                   help="per start, cap on Jacobi sweeps plus trust-region steps")
+    p.add_argument("--obj-tol", type=float, default=1e-12, dest="obj_tol",
+                   help="a start stops once its last sweep gained, or its next "
+                        "trust-region step would gain, less than this times ||A||_F^2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -661,14 +672,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: argparse takes some 35 times longer to build
+    # it than to parse a command line, and parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the handler is looked up by name at each call, so one that is replaced
+    # on this module after the parser was built (say, wrapped by a tracer)
+    # still runs in its current form
+    handler = globals()[args.func.__name__]
     try:
-        args.func(args)
+        handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -113,14 +113,21 @@ def schatten_norm(a: np.ndarray, p) -> float:
     p may be any real >= 1 or math.inf (operator norm).  p = 1 is the trace
     norm, p = 2 the Frobenius norm.
     """
+    return schatten_norms(a, (p,))[p]
+
+
+def schatten_norms(a: np.ndarray, p_list) -> dict:
+    """{p: Schatten p-norm of A} for every p in p_list, from one SVD."""
     a = as_cmatrix(a)
-    p = float(p)
-    if math.isnan(p) or p < 1:
-        raise ValueError(f"Schatten index must satisfy p >= 1, got {p}")
+    qs = [float(p) for p in p_list]
+    for q in qs:
+        if math.isnan(q) or q < 1:
+            raise ValueError(f"Schatten index must satisfy p >= 1, got {q}")
     s = npl.svd(a, compute_uv=False)
-    if math.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    return float(np.sum(s ** p) ** (1.0 / p))
+    return {
+        p: (float(s[0]) if s.size else 0.0) if math.isinf(q) else float(np.sum(s ** q) ** (1.0 / q))
+        for p, q in zip(p_list, qs)
+    }
 
 
 @dataclass(frozen=True)
@@ -223,10 +230,9 @@ class NormReport:
 
 def norm_report(a: np.ndarray, p_list=(1, 2, math.inf)) -> NormReport:
     a = as_cmatrix(a)
-    schatten = {p: schatten_norm(a, p) for p in p_list}
     return NormReport(
         operator_norm=operator_norm(a),
         frobenius=float(npl.norm(a)),
-        schatten=schatten,
+        schatten=schatten_norms(a, p_list),
         normality_defect=normality_defect(a),
     )

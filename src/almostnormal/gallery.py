@@ -133,6 +133,8 @@ def laurent_multiplication(coeffs, big_k: int) -> tuple[np.ndarray, np.ndarray]:
     coeffs = np.asarray(coeffs, dtype=complex).ravel()
     if coeffs.size % 2 != 1:
         raise ValueError("coeffs must have odd length (c_{-d}..c_d)")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coeffs must be finite")
     if big_k < 1:
         raise ValueError(f"K must be >= 1, got {big_k}")
     d = (coeffs.size - 1) // 2
@@ -171,6 +173,13 @@ class EnsembleSpec:
 _KINDS = ("shift_example", "almost_commuting_pair", "perturbed_normal", "laurent_multiplication")
 
 
+def _number_list(v) -> np.ndarray:
+    # np.asarray would read a string as one number and null as NaN
+    if v is None or isinstance(v, str):
+        raise TypeError
+    return np.asarray(v, dtype=complex)
+
+
 def materialize(spec: EnsembleSpec) -> np.ndarray:
     """Produce the matrix described by an EnsembleSpec.
 
@@ -178,16 +187,26 @@ def materialize(spec: EnsembleSpec) -> np.ndarray:
     window contributes the multiplication operator A.
     """
     kind = spec.kind
+
+    def param(name, convert, what):
+        # a missing or mistyped value is bad input, not a bug: ValueError
+        try:
+            return convert(spec.params[name])
+        except (KeyError, TypeError):
+            got = repr(spec.params[name]) if name in spec.params else "nothing"
+            raise ValueError(f"{kind} spec: params.{name} must be {what}, got {got}") from None
+
     if kind == "shift_example":
-        return shift_example(int(spec.params["m"]))
+        return shift_example(param("m", int, "an integer"))
     if kind == "almost_commuting_pair":
-        return almost_commuting_pair(int(spec.params["m"]))[1]
+        return almost_commuting_pair(param("m", int, "an integer"))[1]
     if kind == "perturbed_normal":
         if spec.seed is None:
             raise ValueError("perturbed_normal spec requires a seed")
         return perturbed_normal(
-            int(spec.params["dim"]), float(spec.params["delta"]), int(spec.seed)
+            param("dim", int, "an integer"), param("delta", float, "a number"), int(spec.seed)
         )
     if kind == "laurent_multiplication":
-        return laurent_multiplication(spec.params["coeffs"], int(spec.params["K"]))[1]
+        coeffs = param("coeffs", _number_list, "a list of numbers")
+        return laurent_multiplication(coeffs, param("K", int, "an integer"))[1]
     raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {_KINDS}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from almostnormal import (
     save_matrix,
     shift_example,
 )
+from almostnormal import cli
 from almostnormal.cli import main
 
 
@@ -48,6 +50,11 @@ def test_gallery_shift_and_nearest(tmp_path):
     assert len(doc["restart_objectives"]) == len(doc["restart_pivots"]) == 2
     best = doc["restart_objectives"].index(doc["objective"])
     assert doc["restart_sweeps"][best] == doc["sweeps"]
+    assert doc["restart_stop_reasons"] == ["tolerance", "tolerance"]
+    assert len(doc["restart_stationarity"]) == 2
+    assert all(0.0 <= s <= 1e-6 for s in doc["restart_stationarity"])
+    assert doc["directions"] == {"frobenius_exact": "upper", "distances": "upper",
+                                 "lower_bounds": "lower"}
     w, _ = load_matrix(wit)
     assert w.shape == (4, 4)
 
@@ -58,7 +65,8 @@ def test_nearest_warns_when_sweep_cap_is_hit(tmp_path, capsys):
     save_matrix(mat, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     assert run("nearest", "--matrix", mat, "--seed", 0, "--max-sweeps", 1,
                "--report", rep) == 0
-    assert read_json(rep)["converged"] is False
+    doc = read_json(rep)
+    assert doc["converged"] is False and "cap" in doc["restart_stop_reasons"]
     warning = capsys.readouterr().err.strip()
     assert "did not converge" in warning and "1 sweeps used" in warning
     assert "--max-sweeps 1" in warning and len(warning.splitlines()) == 1
@@ -324,10 +332,12 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
         (_GOOD_MATRIX, {"regions": 3}, None),
         (None, None, [{"kind": "shift_example", "params": [1]}]),
         (None, None, [{"kind": "shift_example", "params": {"m": 2}, "seed": [1]}]),
+        (None, None, [{"kind": "shift_example", "params": {"m": [2]}}]),
+        (None, None, [{"kind": "laurent_multiplication", "params": {"coeffs": "1", "K": 2}}]),
     ],
     ids=["matrix-null-cell", "matrix-data-5", "matrix-dim-null", "matrix-metadata-list",
          "cover-region-3", "cover-center-null", "cover-radius-null", "cover-regions-3",
-         "spec-params-list", "spec-seed-list"],
+         "spec-params-list", "spec-seed-list", "spec-param-list", "spec-coeffs-string"],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
     def dump(name, doc):
@@ -348,10 +358,34 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_empty_shift_list_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run("scatter", "--shift", ",", "--seed", 0, "--out", out) == 2
+    assert "empty int list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complex_argument_error_names_the_form(tmp_path, capsys):
     assert run("surgery", "remove-disc", "--matrix", tmp_path / "m.json", "--center", "1,x",
                "--radius", 0.1, "--out", tmp_path / "o.json") == 2
     assert "'re' or 're,im'" in capsys.readouterr().err
+
+
+def test_main_runs_a_handler_replaced_after_the_parser_is_built(tmp_path, monkeypatch):
+    # the parser is built once per process; a handler wrapped on the module
+    # afterwards (as functools.wraps wrappers do) must still be the one run
+    assert run("gallery", "shift", "--m", 2, "--out", tmp_path / "a.json") == 0
+    calls = []
+    original = cli.cmd_gallery_shift
+
+    @functools.wraps(original)
+    def wrapped(args):
+        calls.append(args.m)
+        original(args)
+
+    monkeypatch.setattr(cli, "cmd_gallery_shift", wrapped)
+    assert run("gallery", "shift", "--m", 4, "--out", tmp_path / "b.json") == 0
+    assert calls == [4]
 
 
 def test_bad_arguments_exit_2():

@@ -119,6 +119,8 @@ def test_laurent_validation():
         laurent_multiplication([1], 0)          # K too small
     with pytest.raises(ValueError):
         laurent_multiplication(np.ones(11), 2)  # band exceeds window
+    with pytest.raises(ValueError, match="finite"):
+        laurent_multiplication([0, np.nan, 1], 2)
 
 
 def test_materialize_all_kinds():
@@ -141,3 +143,19 @@ def test_materialize_unknown_kind():
         materialize(EnsembleSpec(kind="mystery"))
     with pytest.raises(ValueError, match="seed"):
         materialize(EnsembleSpec(kind="perturbed_normal", params={"dim": 2, "delta": 0.1}))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("shift_example", {"m": [2]}),
+    ("shift_example", {}),
+    ("almost_commuting_pair", {"m": None}),
+    ("perturbed_normal", {"dim": 3, "delta": {"x": 1}}),
+    ("laurent_multiplication", {"coeffs": None, "K": 2}),
+    ("laurent_multiplication", {"coeffs": "1", "K": 2}),
+    ("laurent_multiplication", {"coeffs": [{"x": 1}], "K": 2}),
+    ("laurent_multiplication", {"coeffs": [0, 0, 1], "K": [3]}),
+])
+def test_materialize_rejects_mistyped_params(kind, params):
+    # spec files are outside input: a wrong JSON type is a ValueError, not a TypeError
+    with pytest.raises(ValueError, match="params"):
+        materialize(EnsembleSpec(kind=kind, params=params, seed=1))

@@ -17,7 +17,20 @@ from almostnormal import (
     self_commutator,
     shift_example,
 )
-from almostnormal.nearest import _optimize, _plane_rotations, _round_robin, _run_sweeps, _starts
+from almostnormal.core import _pow2_scaled
+from almostnormal.nearest import (
+    _diag_objective,
+    _gradient,
+    _Hessian,
+    _horizontal,
+    _optimize,
+    _plane_rotations,
+    _retract,
+    _round_robin,
+    _run_sweeps,
+    _solve,
+    _starts,
+)
 from util import random_contraction, random_normal_with_spectrum
 
 SHIFT2 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -168,16 +181,18 @@ def test_batched_sweeps_do_not_drift_from_the_basis():
 
 
 def _alone(a, seed, k, max_sweeps, obj_tol):
-    """Start k of _optimize, run through the kernel with no other start."""
+    """Start k of _optimize, run through the rounds and the finish with no
+    other start."""
     fro2 = float(np.linalg.norm(a) ** 2) or 1.0
-    return _run_sweeps(_starts(a, seed, k + 1)[k:], max_sweeps, obj_tol, fro2)[0]
+    return _solve(a, _starts(a, seed, k + 1)[k:], max_sweeps, obj_tol, fro2)[0]
 
 
 def _same_bits(x, y) -> bool:
     return (x.basis.tobytes() == y.basis.tobytes()
             and x.rotated.tobytes() == y.rotated.tobytes()
             and np.array(x.history).tobytes() == np.array(y.history).tobytes()
-            and (x.sweeps, x.pivots, x.converged) == (y.sweeps, y.pivots, y.converged))
+            and (x.sweeps, x.pivots, x.stop_reason, x.stationarity)
+            == (y.sweeps, y.pivots, y.stop_reason, y.stationarity))
 
 
 # (matrix, seed, max_sweeps, obj_tol)
@@ -206,15 +221,140 @@ def test_stacked_starts_match_each_start_run_alone(case, restarts):
 def test_stack_cases_cover_uneven_stops_and_the_cap():
     a, seed, max_sweeps, obj_tol = STACK_CASES["uneven_stops"]
     assert [r.sweeps for r in _optimize(a, seed, 2, max_sweeps, obj_tol)] == [2, 12]
+    # the identity start of n10 leaves the rounds for the trust-region finish
+    a, seed, max_sweeps, obj_tol = STACK_CASES["n10"]
+    fro2 = float(np.linalg.norm(a) ** 2)
+    assert _run_sweeps(_starts(a, seed, 1), max_sweeps, obj_tol, fro2)[0].stop_reason == "switch"
     a, seed, max_sweeps, obj_tol = STACK_CASES["sweep_cap"]
     runs = _optimize(a, seed, 4, max_sweeps, obj_tol)
     assert all(r.sweeps == max_sweeps and not r.converged for r in runs)
 
 
+def _skew(rng, n):
+    return _horizontal(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradient_and_hessian_match_finite_differences(seed):
+    # B = U*AU at U = I; f(X) = sum |diag(e^-X B e^X)|^2 along horizontal X
+    rng = np.random.default_rng(seed)
+    n = 5
+    b = random_contraction(n, 300 + seed)
+    x, y = _skew(rng, n), _skew(rng, n)
+    grad, hess = _gradient(b), _Hessian(b)
+
+    def f(s, t=0.0):
+        u = _retract(np.eye(n, dtype=complex), s * x + t * y)
+        return _diag_objective(adjoint(u) @ b @ u)
+
+    def inner(p, q):
+        return np.vdot(p, q).real
+
+    h = 1e-4
+    assert abs((f(h) - f(-h)) / (2 * h) - inner(grad, x)) <= 1e-7
+    assert abs((f(h) - 2 * f(0.0) + f(-h)) / h ** 2 - inner(x, hess(x))) <= 1e-5
+    mixed = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
+    assert abs(mixed - inner(y, hess(x))) <= 1e-5
+    assert abs(inner(y, hess(x)) - inner(x, hess(y))) <= 1e-14
+    # horizontal: skew-Hermitian with a zero diagonal
+    for z in (grad, hess(x)):
+        assert np.array_equal(z, -z.conj().T) and not np.diagonal(z).any()
+
+
+def test_preconditioner_inverts_the_plane_blocks_of_the_hessian():
+    # at a maximum the plane blocks of -Hess are positive; on a direction in
+    # one plane (j, k), the preconditioner undoes that block exactly
+    a = random_contraction(6, 9)
+    (out,) = _optimize(a, 0, 1, 200, 1e-12)
+    hess = _Hessian(out.rotated)
+    rng = np.random.default_rng(1)
+    checked = 0
+    for j, k in zip(*np.triu_indices(6, 1)):
+
+        def plane(z):
+            x = np.zeros((6, 6), dtype=complex)
+            x[j, k], x[k, j] = z, -np.conj(z)
+            return x
+
+        w1, w2 = -hess(plane(1.0))[j, k], -hess(plane(1j))[j, k]
+        block2 = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
+        assert abs(block2[0, 1] - block2[1, 0]) <= 1e-14 * hess.scale
+        if np.linalg.eigvalsh(block2).min() < 0.02 * hess.scale:
+            continue  # near the floor the preconditioner is not the inverse
+        x = plane(complex(*rng.standard_normal(2)))
+        r = np.zeros_like(x)
+        r[[j, k], [k, j]] = -hess(x)[[j, k], [k, j]]
+        assert np.abs(hess.precondition(r) - x).max() <= 1e-12 * np.abs(x).max()
+        checked += 1
+    assert checked >= 5
+
+
+def _gauss32(seed):
+    """The benchmark's gauss32 input: a complex Gaussian 32x32 of norm 1."""
+    rng = np.random.default_rng([seed, 1])
+    z = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    return z / np.linalg.norm(z, 2)
+
+
+def _check_outcome(a, out):
+    """The finish keeps B = U*AU, U unitary and the history monotone."""
+    u, b = out.basis, out.rotated
+    n = a.shape[0]
+    # B is recomputed from A after each step, never rotated in place
+    assert np.array_equal(adjoint(u) @ a @ u, b)
+    assert operator_norm(adjoint(u) @ u - np.eye(n)) < 1e-12
+    hist = np.asarray(out.history)
+    assert (np.diff(hist) >= 0.0).all()
+    assert out.sweeps == len(hist) - 1 and out.objective == hist[-1]
+    assert out.objective == _diag_objective(b)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gauss32_stops_by_tolerance_at_a_small_gradient(seed):
+    # at the sweep cap of 200 alone, seeds 5, 8 and 10 stopped unconverged
+    a, _ = _pow2_scaled(_gauss32(seed))
+    (out,) = _optimize(a, seed, 1, 200, 1e-12)
+    assert out.stop_reason == "tolerance" and out.converged
+    assert out.stationarity <= 1e-8
+    _check_outcome(a, out)
+
+
+def test_gauss32_seed_8_reaches_the_long_run_optimum():
+    # sweeps alone stop at the cap with frobenius_exact 1.4263554; 328 sweeps
+    # reach 1.4261525
+    rep = nearest_normal(_gauss32(8), seed=8, restarts=1)
+    assert rep.converged and rep.restart_stop_reasons == ("tolerance",)
+    assert abs(rep.frobenius_exact - 1.4261525) < 1e-7
+
+
+def test_finish_counts_against_the_sweep_cap():
+    a, seed, _, obj_tol = STACK_CASES["n10"]
+    fro2 = float(np.linalg.norm(a) ** 2)
+    switched = _run_sweeps(_starts(a, seed, 1), 200, obj_tol, fro2)[0]
+    assert switched.stop_reason == "switch"
+    (done,) = _optimize(a, seed, 1, 200, obj_tol)
+    assert done.converged and done.sweeps > switched.sweeps + 1
+    _check_outcome(a, done)
+    cap = switched.sweeps + 1
+    (capped,) = _optimize(a, seed, 1, cap, obj_tol)
+    assert capped.stop_reason == "cap" and not capped.converged
+    assert capped.sweeps == cap and capped.history == done.history[: cap + 1]
+    _check_outcome(a, capped)
+
+
+def test_panel_matches_the_per_index_bound_bitwise():
+    a = random_contraction(6, 61) * 3.0
+    ps = (1, 1.5, 2, 3, math.inf)
+    rep = nearest_normal(a, ps, seed=0, restarts=1)
+    assert rep.lower_bounds == {p: commutator_lower_bound(a, p) for p in ps}
+
+
 def test_per_start_counters():
     a = random_contraction(6, 12)
     rep = nearest_normal(a, seed=1, restarts=3, max_sweeps=60)
-    assert len(rep.restart_objectives) == len(rep.restart_sweeps) == len(rep.restart_pivots) == 3
+    assert (len(rep.restart_objectives) == len(rep.restart_sweeps) == len(rep.restart_pivots)
+            == len(rep.restart_stop_reasons) == len(rep.restart_stationarity) == 3)
+    assert set(rep.restart_stop_reasons) <= {"tolerance", "cap"}
     best = rep.restart_objectives.index(max(rep.restart_objectives))
     assert rep.objective == max(rep.restart_objectives)
     assert rep.sweeps == rep.restart_sweeps[best]
