@@ -439,6 +439,11 @@ def cmd_truncate(args) -> None:
 # ---------------------------------------------------------------- pseudospec
 
 def cmd_pseudospec(args) -> None:
+    # both feed the grid and the pool before pseudospectrum() sees them
+    if not (args.eps > 0 and math.isfinite(args.eps)):
+        raise ValueError(f"eps must be positive, got {args.eps}")
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     a, _ = fileio.load_matrix(args.matrix)
     nrm = operator_norm(a)
     center = args.center if args.center is not None else 0j

@@ -27,6 +27,9 @@ from .errors import NotNormal
 RECONSTRUCT_TOL = 1e-9
 NORMAL_TOL = 1e-8
 CLUSTER_TOL = 1e-8
+# ||M|| <= ||M||_F, so a Frobenius norm under this fraction of a tolerance
+# clears it without an SVD; the margin covers the rounding of both norms
+FRO_PRETEST = 1.0 - 1e-10
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -160,6 +163,15 @@ class SpectralDecomp:
         return cols @ adjoint(cols)
 
 
+def _operator_norm_over(m: np.ndarray, tol: float) -> float | None:
+    """||M|| when it exceeds tol, else None; the SVD runs only when the
+    Frobenius norm does not already clear tol."""
+    if npl.norm(m) <= FRO_PRETEST * tol:
+        return None
+    nrm = operator_norm(m)
+    return nrm if nrm > tol else None
+
+
 def _cluster_edges(values: np.ndarray, width: float) -> list[tuple[int, int]]:
     """Half-open index ranges of consecutive values closer than width."""
     edges = []
@@ -185,9 +197,9 @@ def normal_spectral_decomp(a: np.ndarray, cluster_tol: float | None = None) -> S
     """
     a, e = _pow2_scaled(a)
     scale = operator_norm(a)
-    defect = normality_defect(a)
     tol = NORMAL_TOL * scale ** 2
-    if defect > tol:
+    defect = _operator_norm_over(self_commutator(a), tol)
+    if defect is not None:
         raise NotNormal(_scale(defect, 2 * e), _scale(tol, 2 * e))
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL * scale
@@ -209,8 +221,8 @@ def normal_spectral_decomp(a: np.ndarray, cluster_tol: float | None = None) -> S
     # diag(U* A U); a three-operand einsum would run as a naive n^3 loop
     lam = np.einsum("ij,ij->j", u.conj(), a @ u)
     dec = SpectralDecomp(eigenvalues=lam, basis=u)
-    residual = operator_norm(a - dec.reconstruct())
-    if residual > RECONSTRUCT_TOL * max(scale, 1e-300):
+    residual = _operator_norm_over(a - dec.reconstruct(), RECONSTRUCT_TOL * max(scale, 1e-300))
+    if residual is not None:
         raise ArithmeticError(
             f"spectral factorization residual {residual:.3g} exceeds "
             f"{RECONSTRUCT_TOL:.0e} * ||A||; eigenvalue clusters too tangled"

@@ -388,6 +388,51 @@ def test_main_runs_a_handler_replaced_after_the_parser_is_built(tmp_path, monkey
     assert calls == [4]
 
 
+_OPTIMIZER_ARGV = {
+    "nearest": ("--report", "r.json"),
+    "scatter": ("--shift", "2,4", "--out", "s.csv"),
+    "truncate": ("--coeffs", "0,0,1", "--K", 4, "--grid", "2,3", "--out", "t.csv"),
+}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-sweeps", -3), ("--obj-tol", "nan"), ("--obj-tol", "inf"), ("--obj-tol", -1e-12),
+])
+@pytest.mark.parametrize("sub", list(_OPTIMIZER_ARGV))
+def test_bad_optimizer_arguments_exit_2(tmp_path, capsys, sub, flag, value):
+    mat = tmp_path / "a.json"
+    save_matrix(mat, shift_example(4))
+    *head, out = _OPTIMIZER_ARGV[sub]
+    argv = [sub, *head, tmp_path / out, "--seed", 0, f"{flag}={value}"]
+    if sub == "nearest":
+        argv += ["--matrix", mat]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+    assert not (tmp_path / out).exists()
+
+
+def test_zero_sweeps_and_zero_tolerance_run(tmp_path):
+    mat = tmp_path / "a.json"
+    save_matrix(mat, shift_example(4))
+    for flag, value in (("--max-sweeps", 0), ("--obj-tol", 0)):
+        assert run("nearest", "--matrix", mat, "--seed", 0, "--restarts", 1, flag, value,
+                   "--report", tmp_path / "r.json") == 0
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--threads", 0, "threads"), ("--threads", -2, "threads"), ("--eps", "nan", "eps"),
+])
+def test_bad_pseudospec_arguments_exit_2(tmp_path, capsys, flag, value, name):
+    mat = tmp_path / "n.json"
+    save_matrix(mat, np.diag([0j, 1 + 0j]))
+    argv = {"--eps": 0.3, "--threads": 1, flag: value}
+    assert run("pseudospec", "--matrix", mat, "--resolution", 11,
+               *[x for kv in argv.items() for x in kv], "--out", tmp_path / "ps.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
+
+
 def test_bad_arguments_exit_2():
     assert run("gallery", "shift", "--m", "3", "--out", "/tmp/x.json") == 2  # odd m
     assert run("nope-command") == 2

@@ -116,6 +116,33 @@ def test_normal_spectral_decomp_handles_clustered_real_parts():
     assert operator_norm(dec.reconstruct() - a) < 1e-9
 
 
+def _triangular_blocks(eps):
+    """Block-diagonal [[d1, eps], [0, d2]] blocks: ||[A*, A]|| is about
+    2 eps, ||[A*, A]||_F about 2 eps times the square root of the count."""
+    ds = [(1.0, -1.0), (0.9, -0.8), (0.7, -0.6), (0.5, -0.4),
+          (0.3, -0.2), (0.95, -0.9), (0.85, -0.7), (0.6, -0.5)]
+    a = np.zeros((16, 16), dtype=complex)
+    for k, (d1, d2) in enumerate(ds):
+        a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[d1, eps], [0.0, d2]]
+    return a
+
+
+def test_normality_check_falls_back_to_the_operator_norm():
+    # the Frobenius pre-test fails, the operator norm passes: accepted
+    a = _triangular_blocks(1.9e-9)
+    c, tol = self_commutator(a), 1e-8 * operator_norm(a) ** 2
+    assert np.linalg.norm(c) > tol >= operator_norm(c)
+    dec = normal_spectral_decomp(a)
+    assert operator_norm(dec.reconstruct() - a) <= 1e-9 * operator_norm(a)
+    # just over the tolerance it still raises, with the exact defect
+    a = _triangular_blocks(5.05e-9)
+    c = self_commutator(a)
+    assert 1e-8 < operator_norm(c) < 1.02e-8
+    with pytest.raises(NotNormal) as exc:
+        normal_spectral_decomp(a)
+    assert exc.value.defect == pytest.approx(operator_norm(c), rel=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_normal_spectral_decomp_random_roundtrip(seed):
     n = 3 + 4 * seed

@@ -17,6 +17,7 @@ from almostnormal import (
     self_commutator,
     shift_example,
 )
+from almostnormal import nearest
 from almostnormal.core import _pow2_scaled
 from almostnormal.nearest import (
     _diag_objective,
@@ -74,6 +75,21 @@ def test_seed_required():
         nearest_normal(SHIFT2)  # keyword-only, no default
     with pytest.raises(ValueError):
         nearest_normal(SHIFT2, seed=0, restarts=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_sweeps": -1}, {"obj_tol": math.nan}, {"obj_tol": math.inf}, {"obj_tol": -1e-12},
+])
+def test_optimizer_arguments_are_validated(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        nearest_normal(SHIFT2, seed=0, **kwargs)
+
+
+def test_zero_sweeps_and_zero_tolerance_are_valid():
+    rep = nearest_normal(SHIFT2, seed=0, restarts=1, max_sweeps=0)
+    assert rep.sweeps == 0 and rep.restart_stop_reasons == ("cap",)
+    rep = nearest_normal(SHIFT2, seed=0, restarts=1, obj_tol=0.0)
+    assert rep.frobenius_exact == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
 def test_objective_history_monotone():
@@ -325,6 +341,22 @@ def test_gauss32_seed_8_reaches_the_long_run_optimum():
     rep = nearest_normal(_gauss32(8), seed=8, restarts=1)
     assert rep.converged and rep.restart_stop_reasons == ("tolerance",)
     assert abs(rep.frobenius_exact - 1.4261525) < 1e-7
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gauss32_switches_early_without_giving_up_certificate(seed, monkeypatch):
+    # the Jacobi tail is linear from the second sweep, so the gain threshold
+    # alone sets the switch; the finish reaches the maximum the late switch
+    # reaches
+    a, _ = _pow2_scaled(_gauss32(seed))
+    fro2 = float(np.linalg.norm(a) ** 2)
+    (rounds,) = _run_sweeps(_starts(a, seed, 1), 200, 1e-12, fro2)
+    assert rounds.stop_reason == "switch" and rounds.sweeps <= 15
+    early = nearest_normal(_gauss32(seed), seed=seed, restarts=1)
+    monkeypatch.setattr(nearest, "SWITCH_GAIN", 1e-6)
+    late = nearest_normal(_gauss32(seed), seed=seed, restarts=1)
+    assert late.restart_sweeps[0] > early.restart_sweeps[0]
+    assert early.frobenius_exact == pytest.approx(late.frobenius_exact, rel=1e-12)
 
 
 def test_finish_counts_against_the_sweep_cap():
