@@ -439,7 +439,7 @@ def cmd_truncate(args) -> None:
 # ---------------------------------------------------------------- pseudospec
 
 def cmd_pseudospec(args) -> None:
-    # both feed the grid and the pool before pseudospectrum() sees them
+    # eps sets the default grid, and pseudospectrum() runs threads < 1 as one
     if not (args.eps > 0 and math.isfinite(args.eps)):
         raise ValueError(f"eps must be positive, got {args.eps}")
     if args.threads is not None and args.threads < 1:

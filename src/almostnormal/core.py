@@ -224,7 +224,7 @@ def normal_spectral_decomp(a: np.ndarray, cluster_tol: float | None = None) -> S
     residual = _operator_norm_over(a - dec.reconstruct(), RECONSTRUCT_TOL * max(scale, 1e-300))
     if residual is not None:
         raise ArithmeticError(
-            f"spectral factorization residual {residual:.3g} exceeds "
+            f"spectral factorization residual {_scale(residual, e):.3g} exceeds "
             f"{RECONSTRUCT_TOL:.0e} * ||A||; eigenvalue clusters too tangled"
         )
     return SpectralDecomp(eigenvalues=_ldexp(lam, e), basis=u) if e else dec

@@ -66,9 +66,9 @@ from .gallery import _haar
 # before it: the Jacobi tail has turned linear.  Quadratically converging
 # starts shrink their gain faster than that and finish in the rounds.  On
 # complex Gaussian n = 32 inputs the tail is linear from the second sweep,
-# so SWITCH_GAIN alone sets the switch: at 1e-3 a start leaves after 9-14
-# sweeps instead of crawling 29-111 sweeps down to 1e-6, and reaches the same
-# maximum.  At 3e-3 and above the finish starts far enough out to reach a
+# so SWITCH_GAIN alone sets the switch.  A lower value only adds linear
+# sweeps (9-14 at 1e-3, 29-111 at 1e-6) before a finish that reaches the
+# same maximum; from 3e-3 up the finish starts far enough out to reach a
 # different, sometimes lower, local maximum.
 SWITCH_GAIN = 1e-3
 SWITCH_RATIO = 4.0

@@ -134,6 +134,13 @@ def test_normality_check_falls_back_to_the_operator_norm():
     assert np.linalg.norm(c) > tol >= operator_norm(c)
     dec = normal_spectral_decomp(a)
     assert operator_norm(dec.reconstruct() - a) <= 1e-9 * operator_norm(a)
+    # between the two: normal enough, but no basis reconstructs A to 1e-9;
+    # the message gives the residual of A itself, not of its scaled copy
+    a = _triangular_blocks(2.1e-9)
+    with pytest.raises(ArithmeticError, match="residual") as exc:
+        normal_spectral_decomp(a)
+    assert not isinstance(exc.value, NotNormal)
+    assert float(str(exc.value).split()[3]) > 1e-9 * operator_norm(a)
     # just over the tolerance it still raises, with the exact defect
     a = _triangular_blocks(5.05e-9)
     c = self_commutator(a)
