@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .core import (
     CLUSTER_TOL,
-    NORMAL_TOL,
     NormReport,
     RECONSTRUCT_TOL,
     SpectralDecomp,

@@ -21,7 +21,6 @@ from .core import (
     normality_defect,
     operator_norm,
     self_commutator,
-    NORMAL_TOL,
 )
 from .errors import DomainError, NotNormal
 from .experiments import (

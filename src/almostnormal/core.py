@@ -5,9 +5,10 @@ handful of operations here.  Matrices are plain complex numpy arrays; a
 value is accepted as a matrix iff it is square with finite entries.
 
 Tolerances are relative to the operator norm scale of the input:
-  reconstruct_tol  ||A - U diag(l) U*||   <= 1e-9 * ||A||
-  normal_tol       ||[A*, A]||            <= 1e-8 * ||A||^2 to admit A as normal
-  cluster_tol      eigenvalue clustering width, 1e-8 * ||A||
+  RECONSTRUCT_TOL  ||A - U diag(l) U*||   <= 1e-9 * ||A|| to admit A as normal
+  CLUSTER_TOL      eigenvalue clustering width, 1e-8 * ||A||
+A normality defect ||[A*, A]|| over 4 * RECONSTRUCT_TOL * ||A||^2 rejects A
+before any eigensolver runs: no basis can reconstruct it there.
 
 Entry points that square the input scale it first by a power of two
 (_pow2_scaled) and scale the results back; both steps are exact in binary
@@ -25,8 +26,10 @@ import numpy.linalg as npl
 from .errors import NotNormal
 
 RECONSTRUCT_TOL = 1e-9
-NORMAL_TOL = 1e-8
 CLUSTER_TOL = 1e-8
+# angles t of the splits cos t X + sin t Y tried in turn; t > 0 separates
+# eigenvalues whose real parts sit just over the cluster width
+SPLIT_ANGLES = (0.0, 0.3, 1.0)
 # ||M|| <= ||M||_F, so a Frobenius norm under this fraction of a tolerance
 # clears it without an SVD; the margin covers the rounding of both norms
 FRO_PRETEST = 1.0 - 1e-10
@@ -138,8 +141,9 @@ class SpectralDecomp:
     """A = basis @ diag(eigenvalues) @ basis*, with basis unitary.
 
     Only defined for (numerically) normal matrices.  eigenvalues are complex,
-    ordered by ascending real part with ties broken by ascending imaginary
-    part inside each real-part cluster.
+    ordered by ascending Re(exp(-it) l) with ties broken by ascending
+    Im(exp(-it) l) inside each cluster, t the first of SPLIT_ANGLES whose
+    basis reconstructs A.  Mostly t = 0: real part, then imaginary part.
     """
 
     eigenvalues: np.ndarray
@@ -172,62 +176,55 @@ def _operator_norm_over(m: np.ndarray, tol: float) -> float | None:
     return nrm if nrm > tol else None
 
 
-def _cluster_edges(values: np.ndarray, width: float) -> list[tuple[int, int]]:
-    """Half-open index ranges of consecutive values closer than width."""
-    edges = []
-    start = 0
-    for k in range(1, values.size):
-        if values[k] - values[k - 1] > width:
-            edges.append((start, k))
-            start = k
-    edges.append((start, values.size))
-    return edges
-
-
-def normal_spectral_decomp(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomp:
+def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     """Unitary diagonalization of a normal matrix.
 
-    Writes A = X + iY with X, Y Hermitian, diagonalizes X, then diagonalizes
-    Y restricted to each eigenvalue cluster of X (cluster width
-    cluster_tol, default 1e-8 * ||A||).  Raises NotNormal when
-    ||[A*, A]|| exceeds 1e-8 * ||A||^2.
+    Writes A = X + iY with X, Y Hermitian.  For each angle t of
+    SPLIT_ANGLES in turn, diagonalizes cos t X + sin t Y, then
+    diagonalizes -sin t X + cos t Y restricted to each eigenvalue cluster
+    of the first (cluster width 1e-8 * ||A||); t = 0 uses X and Y
+    themselves.  The first basis U with ||A - U diag(l) U*|| at most
+    1e-9 * ||A|| is returned, l = diag(U* A U).  Raises NotNormal when no
+    angle gives such a basis, or at once when ||[A*, A]|| exceeds
+    4e-9 * ||A||^2, where no basis can.
 
     The work runs on 2^-e A (see _pow2_scaled), so the eigenvalues of
     2^k A are 2^k times those of A and the basis is the same.
     """
     a, e = _pow2_scaled(a)
     scale = operator_norm(a)
-    tol = NORMAL_TOL * scale ** 2
-    defect = _operator_norm_over(self_commutator(a), tol)
+    tol = RECONSTRUCT_TOL * scale
+    # T = U diag(l) U* is normal with ||T|| <= ||A||, so the paper's
+    # inequality gives ||[A*, A]|| <= 4 ||A|| ||A - T|| for every basis
+    comm = self_commutator(a)
+    bound = 4 * RECONSTRUCT_TOL * scale ** 2
+    defect = _operator_norm_over(comm, bound)
     if defect is not None:
-        raise NotNormal(_scale(defect, 2 * e), _scale(tol, 2 * e))
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL * scale
-    else:
-        cluster_tol = _scale(cluster_tol, -e)
+        raise NotNormal(_scale(defect, 2 * e), _scale(bound, 2 * e))
 
     x = hermitian_part(a)
     y = (a - adjoint(a)) / 2j
-    xw, u = npl.eigh(x)
-    u = u.copy()
-    for lo, hi in _cluster_edges(xw, cluster_tol):
-        if hi - lo < 2:
-            continue
-        block = u[:, lo:hi]
-        yb = hermitian_part(adjoint(block) @ y @ block)
-        _, w = npl.eigh(yb)
-        u[:, lo:hi] = block @ w
-
-    # diag(U* A U); a three-operand einsum would run as a naive n^3 loop
-    lam = np.einsum("ij,ij->j", u.conj(), a @ u)
-    dec = SpectralDecomp(eigenvalues=lam, basis=u)
-    residual = _operator_norm_over(a - dec.reconstruct(), RECONSTRUCT_TOL * max(scale, 1e-300))
-    if residual is not None:
-        raise ArithmeticError(
-            f"spectral factorization residual {_scale(residual, e):.3g} exceeds "
-            f"{RECONSTRUCT_TOL:.0e} * ||A||; eigenvalue clusters too tangled"
-        )
-    return SpectralDecomp(eigenvalues=_ldexp(lam, e), basis=u) if e else dec
+    best = math.inf
+    for t in SPLIT_ANGLES:
+        c, s = math.cos(t), math.sin(t)
+        first, second = (c * x + s * y, c * y - s * x) if t else (x, y)
+        vals, u = npl.eigh(first)
+        # clusters: runs of consecutive eigenvalues closer than the width
+        cuts = [0, *(np.flatnonzero(np.diff(vals) > CLUSTER_TOL * scale) + 1), vals.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi - lo < 2:
+                continue
+            block = u[:, lo:hi]
+            yb = hermitian_part(adjoint(block) @ second @ block)
+            _, w = npl.eigh(yb)
+            u[:, lo:hi] = block @ w
+        # diag(U* A U); a three-operand einsum would run as a naive n^3 loop
+        lam = np.einsum("ij,ij->j", u.conj(), a @ u)
+        residual = _operator_norm_over(a - (u * lam) @ adjoint(u), tol)
+        if residual is None:
+            return SpectralDecomp(eigenvalues=_ldexp(lam, e), basis=u)
+        best = min(best, residual)
+    raise NotNormal(_scale(operator_norm(comm), 2 * e), _scale(tol, e), _scale(best, e))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,18 @@ class DomainError(Exception):
 class NotNormal(DomainError):
     """Raised when an operation requires a normal matrix and the input is not.
 
-    Carries the measured normality defect ||[A*, A]|| (operator norm).
+    Carries the measured normality defect ||[A*, A]|| (operator norm) and,
+    when a spectral decomposition was tried, the best residual
+    ||A - U diag(l) U*|| it reached; tolerance bounds the last of the two.
     """
 
-    def __init__(self, defect: float, tolerance: float | None = None):
+    def __init__(self, defect: float, tolerance: float | None = None, residual: float | None = None):
         self.defect = float(defect)
         self.tolerance = tolerance
+        self.residual = residual
         msg = f"matrix is not normal: defect ||[A*,A]|| = {self.defect:.6g}"
+        if residual is not None:
+            msg += f", best residual ||A - U diag(l) U*|| = {residual:.6g}"
         if tolerance is not None:
             msg += f" exceeds tolerance {tolerance:.6g}"
         super().__init__(msg)

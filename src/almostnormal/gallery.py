@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as npl
 
-from .core import as_cmatrix, operator_norm
+from .core import operator_norm
 
 _VERIFY_SLACK = 1e-12
 

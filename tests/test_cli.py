@@ -19,6 +19,7 @@ from almostnormal import (
 )
 from almostnormal import cli
 from almostnormal.cli import main
+from util import tangled_normal, triangular_blocks
 
 
 def run(*argv) -> int:
@@ -163,6 +164,28 @@ def test_partition_rejects_non_normal(tmp_path):
     assert run("partition", "--matrix", mat, "--side", 0.5, "--report", tmp_path / "r.json") == 3
 
 
+@pytest.mark.parametrize("sub, argv", [
+    (("partition",), ("--side", 0.5, "--report")),
+    (("surgery", "graph"), ("--eps", 0.25, "--out")),
+])
+def test_defect_over_the_reconstruction_bound_exits_3(tmp_path, capsys, sub, argv):
+    # defect 4.2e-9 ||A||^2: no basis reconstructs A to 1e-9 ||A||
+    mat = tmp_path / "blocks.json"
+    save_matrix(mat, triangular_blocks(2.1e-9))
+    assert run(*sub, "--matrix", mat, *argv, tmp_path / "out.json") == 3
+    assert "defect ||[A*,A]|| = 4.2e-09" in capsys.readouterr().err
+
+
+def test_partition_accepts_tangled_real_parts(tmp_path):
+    mat, rep = tmp_path / "tangled.json", tmp_path / "part.json"
+    a, _ = tangled_normal(64, 1.2e-8, 0)
+    save_matrix(mat, a)
+    assert run("partition", "--matrix", mat, "--side", 0.5, "--report", rep) == 0
+    doc = read_json(rep)
+    assert sum(doc["ranks"]) == 64
+    assert doc["error_actual"] <= doc["error_bound"]
+
+
 def test_partition_uncovered_spectrum(tmp_path):
     mat = tmp_path / "n.json"
     save_matrix(mat, np.diag([0j, 5 + 0j]))
@@ -282,6 +305,15 @@ def test_pseudospec_csv(tmp_path, capsys):
     assert any("d_eps=" in c for c in comments)
     evaluated = capsys.readouterr().out.splitlines()[-1]
     assert evaluated.startswith("sigma_min at ") and evaluated.endswith(" of 1681 grid points")
+
+
+def test_pseudospec_reference_is_empty_for_a_non_normal_matrix(tmp_path):
+    mat, out = tmp_path / "blocks.json", tmp_path / "ps.csv"
+    save_matrix(mat, triangular_blocks(2.1e-9))
+    assert run("pseudospec", "--matrix", mat, "--eps", 0.3, "--resolution", 11, "--out", out) == 0
+    _, _, comments = read_csv(out)
+    config = json.loads(next(c for c in comments if c.startswith("config="))[len("config="):])
+    assert config["reference"] == []
 
 
 def test_scatter_shift_family(tmp_path):

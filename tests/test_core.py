@@ -20,7 +20,14 @@ from almostnormal import (
     schatten_norm,
     self_commutator,
 )
-from util import assert_close_multiset, haar_unitary, random_contraction, random_normal_with_spectrum
+from util import (
+    assert_close_multiset,
+    haar_unitary,
+    random_contraction,
+    random_normal_with_spectrum,
+    tangled_normal,
+    triangular_blocks,
+)
 
 SHIFT2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -116,38 +123,48 @@ def test_normal_spectral_decomp_handles_clustered_real_parts():
     assert operator_norm(dec.reconstruct() - a) < 1e-9
 
 
-def _triangular_blocks(eps):
-    """Block-diagonal [[d1, eps], [0, d2]] blocks: ||[A*, A]|| is about
-    2 eps, ||[A*, A]||_F about 2 eps times the square root of the count."""
-    ds = [(1.0, -1.0), (0.9, -0.8), (0.7, -0.6), (0.5, -0.4),
-          (0.3, -0.2), (0.95, -0.9), (0.85, -0.7), (0.6, -0.5)]
-    a = np.zeros((16, 16), dtype=complex)
-    for k, (d1, d2) in enumerate(ds):
-        a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[d1, eps], [0.0, d2]]
-    return a
-
-
 def test_normality_check_falls_back_to_the_operator_norm():
     # the Frobenius pre-test fails, the operator norm passes: accepted
-    a = _triangular_blocks(1.9e-9)
-    c, tol = self_commutator(a), 1e-8 * operator_norm(a) ** 2
+    a = triangular_blocks(1.9e-9)
+    c, tol = self_commutator(a), 4e-9 * operator_norm(a) ** 2
     assert np.linalg.norm(c) > tol >= operator_norm(c)
     dec = normal_spectral_decomp(a)
     assert operator_norm(dec.reconstruct() - a) <= 1e-9 * operator_norm(a)
-    # between the two: normal enough, but no basis reconstructs A to 1e-9;
-    # the message gives the residual of A itself, not of its scaled copy
-    a = _triangular_blocks(2.1e-9)
-    with pytest.raises(ArithmeticError, match="residual") as exc:
-        normal_spectral_decomp(a)
-    assert not isinstance(exc.value, NotNormal)
-    assert float(str(exc.value).split()[3]) > 1e-9 * operator_norm(a)
-    # just over the tolerance it still raises, with the exact defect
-    a = _triangular_blocks(5.05e-9)
+    # just over 4e-9 ||A||^2 no basis reconstructs A to 1e-9 ||A||, so it
+    # raises before any eigensolver, with the exact defect
+    a = triangular_blocks(2.1e-9)
     c = self_commutator(a)
-    assert 1e-8 < operator_norm(c) < 1.02e-8
+    assert 4e-9 < operator_norm(c) < 4.4e-9
     with pytest.raises(NotNormal) as exc:
         normal_spectral_decomp(a)
     assert exc.value.defect == pytest.approx(operator_norm(c), rel=1e-12)
+    assert exc.value.residual is None
+
+
+def test_normal_spectral_decomp_rejects_by_residual_under_the_defect_bound():
+    # a triangular block with a small gap: the defect 6e-10 is under the
+    # pre-test's bound, but every basis leaves a residual of 1.5e-9; the
+    # work runs on A/2, so these also check that the numbers are scaled back
+    a = np.diag([1.0, -1.0, 0.1, -0.1]).astype(complex)
+    a[2, 3] = 3e-9
+    with pytest.raises(NotNormal) as exc:
+        normal_spectral_decomp(a)
+    assert exc.value.defect == pytest.approx(normality_defect(a), rel=1e-12)
+    assert exc.value.residual == pytest.approx(1.5e-9, rel=1e-6)
+    assert exc.value.tolerance == pytest.approx(1e-9, rel=1e-12)
+    assert "best residual" in str(exc.value)
+
+
+@pytest.mark.parametrize("g", (1.2e-8, 3e-8))
+@pytest.mark.parametrize("n", (16, 64))
+def test_normal_spectral_decomp_accepts_tangled_real_parts(n, g):
+    # real parts just over the cluster width: eigh(Re A) cannot separate
+    # the eigenvectors, a combination with Im A can
+    for seed in range(10):
+        a, lam = tangled_normal(n, g, seed)
+        dec = normal_spectral_decomp(a)
+        assert operator_norm(dec.reconstruct() - a) <= 1e-9 * operator_norm(a)
+        assert_close_multiset(dec.eigenvalues, lam, 1e-8)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -189,13 +206,28 @@ def test_normal_spectral_decomp_power_of_two_homogeneity(n, seed, k):
     deck = normal_spectral_decomp(ak)
     assert np.array_equal(deck.basis, dec.basis)
     assert np.array_equal(deck.eigenvalues, _ldexp(dec.eigenvalues, k))
-    # a caller's cluster width scales with the matrix
-    tol = normal_spectral_decomp(a, cluster_tol=1e-6)
-    tolk = normal_spectral_decomp(ak, cluster_tol=math.ldexp(1e-6, k))
-    assert np.array_equal(tolk.basis, tol.basis)
-    assert np.array_equal(tolk.eigenvalues, _ldexp(tol.eigenvalues, k))
     with pytest.raises(NotNormal):  # and a non-normal matrix stays rejected
         normal_spectral_decomp(_ldexp(SHIFT2, k))
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(min_value=math.log(5e-9), max_value=math.log(1e-6)),
+    st.integers(min_value=2, max_value=64),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=-900, max_value=900),
+)
+def test_tangled_normal_is_accepted_at_every_scale(log_g, n, seed, k):
+    a, lam = tangled_normal(n, math.exp(log_g), seed)
+    dec = normal_spectral_decomp(a)
+    scale = operator_norm(a)
+    assert operator_norm(dec.reconstruct() - a) <= 1e-9 * scale
+    assert_close_multiset(dec.eigenvalues, lam, 1e-8 * scale)
+    ak = _ldexp(a, k)
+    assume(np.array_equal(_ldexp(ak, -k), a))  # 2^k A is exact (no subnormals)
+    deck = normal_spectral_decomp(ak)
+    assert np.array_equal(deck.basis, dec.basis)
+    assert np.array_equal(deck.eigenvalues, _ldexp(dec.eigenvalues, k))
 
 
 def test_spectral_decomp_projection():

@@ -57,6 +57,28 @@ def random_normal_with_spectrum(n: int, seed: int, radius: float = 1.0):
     return a, lam, u
 
 
+def tangled_normal(n: int, g: float, seed: int):
+    """(A, eigenvalues): A = U diag(g j + i y_j) U* with Haar U and y_j
+    uniform in (-1, 1).  For g just over the decomposition's cluster width
+    the real parts are too close for an eigensolver of Re A to separate
+    their eigenvectors, yet too far apart to be split as one cluster."""
+    rng = np.random.default_rng(seed)
+    lam = g * np.arange(n) + 1j * rng.uniform(-1.0, 1.0, n)
+    u = haar_unitary(n, rng)
+    return (u * lam) @ u.conj().T, lam
+
+
+def triangular_blocks(eps: float) -> np.ndarray:
+    """Block-diagonal [[d1, eps], [0, d2]] blocks: ||[A*, A]|| is about
+    2 eps, ||[A*, A]||_F about 2 eps times the square root of the count."""
+    ds = [(1.0, -1.0), (0.9, -0.8), (0.7, -0.6), (0.5, -0.4),
+          (0.3, -0.2), (0.95, -0.9), (0.85, -0.7), (0.6, -0.5)]
+    a = np.zeros((16, 16), dtype=complex)
+    for k, (d1, d2) in enumerate(ds):
+        a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[d1, eps], [0.0, d2]]
+    return a
+
+
 def reference_matrix_json(a, metadata=None) -> str:
     """The per-cell matrix JSON encoder that fileio.save_matrix vectorized:
     the codec tests require save_matrix to write exactly this text."""
