@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 
-from almostnormal import nearest_normal, norm_report, shift_example
+from almostnormal import nearest_normal, normality_defect, shift_example
 
 print(f"{'m':>4} {'defect':>8} {'cm_frob':>8} {'dist_F':>8} "
       f"{'sqrt(m/4)':>10} {'dist_op':>8} {'lower_op':>9}")
 for m in (2, 4, 8, 16, 32, 64):
     a = shift_example(m)
-    rep = norm_report(a)
     near = nearest_normal(a, seed=0, restarts=2)
-    print(f"{m:>4} {rep.normality_defect:>8.4f} {math.sqrt(m):>8.4f} "
+    print(f"{m:>4} {normality_defect(a):>8.4f} {math.sqrt(m):>8.4f} "
           f"{near.frobenius_exact:>8.4f} {math.sqrt(m / 4):>10.4f} "
           f"{near.distances[math.inf]:>8.4f} {near.lower_bounds[math.inf]:>9.4f}")
 

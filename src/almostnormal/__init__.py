@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from .core import (
     CLUSTER_TOL,
-    NormReport,
     RECONSTRUCT_TOL,
     SpectralDecomp,
     adjoint,
     as_cmatrix,
-    commutator,
     hermitian_part,
-    norm_report,
     normal_spectral_decomp,
     normality_defect,
     operator_norm,
@@ -50,7 +47,6 @@ from .experiments import (
 from .fileio import (
     ARTIFACT_VERSION,
     load_matrix,
-    read_csv,
     save_matrix,
     write_csv,
     write_report,

@@ -62,55 +62,37 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _complex_list_arg(text: str) -> list[complex]:
-    """Semicolon-separated complex values: 're,im;re,im;...'."""
-    return [_complex_arg(tok) for tok in text.split(";") if tok.strip()]
+def _list_arg(kind: str, convert, sep: str = ","):
+    """argparse type: the nonempty list of convert(token) over the tokens
+    of the text split at sep."""
+
+    def parse(text: str) -> list:
+        try:
+            out = [convert(tok.strip()) for tok in text.split(sep) if tok.strip()]
+        except (ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot parse {kind} list {text!r}: {exc}") from None
+        if not out:
+            raise argparse.ArgumentTypeError(f"empty {kind} list")
+        return out
+
+    return parse
+
+
+def _schatten_index(tok: str):
+    """'inf' (or 'infinity', 'oo') as math.inf; integral values as int."""
+    if tok.lower() in ("inf", "infinity", "oo"):
+        return math.inf
+    val = float(tok)
+    return int(val) if val == int(val) else val
+
+
+_complex_list_arg = _list_arg("complex", _complex_arg, ";")
+_real_coeff_list_arg = _list_arg("coefficient", _complex_arg)
 
 
 def _coeff_list_arg(text: str) -> list[complex]:
     """Symbol coefficients: '0,0,1' (reals) or '1,0;0,0;1,0' (complex)."""
-    if ";" in text:
-        return _complex_list_arg(text)
-    try:
-        return [complex(float(tok), 0.0) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse coefficients {text!r}")
-
-
-def _float_list_arg(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse float list {text!r}")
-
-
-def _int_list_arg(text: str) -> list[int]:
-    try:
-        out = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse int list {text!r}")
-    if not out:
-        raise argparse.ArgumentTypeError("empty int list")
-    return out
-
-
-def _p_list_arg(text: str) -> list:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.lower() in ("inf", "infinity", "oo"):
-            out.append(math.inf)
-            continue
-        try:
-            val = float(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad Schatten index {tok!r}")
-        out.append(int(val) if val == int(val) else val)
-    if not out:
-        raise argparse.ArgumentTypeError("empty p list")
-    return out
+    return (_complex_list_arg if ";" in text else _real_coeff_list_arg)(text)
 
 
 # ---------------------------------------------------------------- config echo
@@ -184,8 +166,6 @@ def cmd_gallery_pair(args) -> None:
 
 
 def cmd_gallery_perturbed(args) -> None:
-    if args.delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {args.delta}")
     a = perturbed_normal(args.dim, args.delta, args.seed)
     cfg = _config(args)
     fileio.save_matrix(args.out, a, metadata=_meta(cfg))
@@ -261,6 +241,10 @@ def _warn_unconverged(sub: str, rows, max_sweeps: int) -> None:
 
 # ---------------------------------------------------------------- partition
 
+# region kind in a cover or report -> (region class, name of its size field)
+REGION_KINDS = {"disc": (OpenDisc, "radius"), "square": (OpenSquare, "side")}
+
+
 def _cover_from_file(path) -> Cover:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -271,34 +255,25 @@ def _cover_from_file(path) -> Cover:
         if not isinstance(item, dict):
             raise ValueError(f"region {i}: expected an object, got {item!r}")
         kind = item.get("kind")
-        if kind not in ("disc", "square"):
+        if kind not in REGION_KINDS:
             raise ValueError(f"region {i}: unknown kind {kind!r} (want disc|square)")
+        cls, size = REGION_KINDS[kind]
         try:
             center = complex(float(item["center"][0]), float(item["center"][1]))
-            size = float(item["radius" if kind == "disc" else "side"])
+            regions.append(cls(center, float(item[size])))
         except (TypeError, IndexError) as exc:
             raise ValueError(f"region {i}: bad center or size: {exc}") from None
-        if kind == "disc":
-            regions.append(OpenDisc(center=center, radius=size))
-        else:
-            regions.append(OpenSquare(center=center, side=size))
     if not regions:
         raise ValueError("cover has no regions")
     return Cover(tuple(regions))
 
 
 def _region_doc(region) -> dict:
-    if isinstance(region, OpenDisc):
-        return {
-            "kind": "disc",
-            "center": [region.center.real, region.center.imag],
-            "radius": region.radius,
-            "diameter": region.diameter(),
-        }
+    kind, size = next((k, f) for k, (cls, f) in REGION_KINDS.items() if isinstance(region, cls))
     return {
-        "kind": "square",
+        "kind": kind,
         "center": [region.center.real, region.center.imag],
-        "side": region.side,
+        size: getattr(region, size),
         "diameter": region.diameter(),
     }
 
@@ -320,7 +295,7 @@ def cmd_partition(args) -> None:
         labels=roi.labels,
         assignment=roi.assignment,
         ranks=roi.ranks,
-        multiplicity=cover.multiplicity(dec.eigenvalues),
+        multiplicity=roi.multiplicity,
         max_diameter=cover.max_diameter(),
         error_bound=fsa.error_bound,
         error_actual=fsa.error_actual,
@@ -438,11 +413,9 @@ def cmd_truncate(args) -> None:
 # ---------------------------------------------------------------- pseudospec
 
 def cmd_pseudospec(args) -> None:
-    # eps sets the default grid, and pseudospectrum() runs threads < 1 as one
+    # eps sets the default grid, so it is checked before the grid is built
     if not (args.eps > 0 and math.isfinite(args.eps)):
         raise ValueError(f"eps must be positive, got {args.eps}")
-    if args.threads is not None and args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     a, _ = fileio.load_matrix(args.matrix)
     nrm = operator_norm(a)
     center = args.center if args.center is not None else 0j
@@ -574,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     # nearest
     ne = sub.add_parser("nearest", help="witness distance to the normal matrices")
     ne.add_argument("--matrix", required=True, help="input matrix (JSON or CSV)")
-    ne.add_argument("--p", type=_p_list_arg, default=[1, 2, math.inf],
+    ne.add_argument("--p", type=_list_arg("p", _schatten_index), default=[1, 2, math.inf],
                     help="Schatten indices, e.g. '1,2,inf'")
     ne.add_argument("--seed", type=int, required=True)
     _add_optimizer_args(ne, restarts=4)
@@ -640,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     tu.add_argument("--coeffs", type=_coeff_list_arg, required=True,
                     help="symbol coefficients c_-d..c_d")
     tu.add_argument("--K", type=int, required=True)
-    tu.add_argument("--grid", type=_float_list_arg, required=True,
+    tu.add_argument("--grid", type=_list_arg("float", float), required=True,
                     help="ascending cutoff levels, e.g. '4,8,12,16'")
     tu.add_argument("--seed", type=int, required=True)
     _add_optimizer_args(tu, restarts=2)
@@ -666,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scatter", help="defect versus witness distance over an ensemble")
     grp = sc.add_mutually_exclusive_group(required=True)
     grp.add_argument("--spec", help="ensemble spec JSON (list of {kind, params, seed})")
-    grp.add_argument("--shift", type=_int_list_arg,
+    grp.add_argument("--shift", type=_list_arg("int", int),
                      help="shift-family dims, e.g. '2,4,8,16'")
     sc.add_argument("--seed", type=int, required=True)
     _add_optimizer_args(sc, restarts=2)

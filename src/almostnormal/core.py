@@ -1,4 +1,4 @@
-"""Dense complex matrix substrate: norms, commutators, spectral factorizations.
+"""Dense complex matrix substrate: norms, self-commutator, spectral factorizations.
 
 Everything downstream (partitions, surgery, optimization) is built on the
 handful of operations here.  Matrices are plain complex numpy arrays; a
@@ -86,26 +86,10 @@ def operator_norm(a: np.ndarray) -> float:
     return float(npl.norm(a, 2))
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """XY - YX.
-
-    When x == y* exactly the result is Hermitian in exact arithmetic, so it
-    is replaced by its Hermitian part to remove rounding skew.
-    """
-    x = as_cmatrix(x)
-    y = as_cmatrix(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    c = x @ y - y @ x
-    if np.array_equal(x, adjoint(y)):
-        c = hermitian_part(c)
-    return c
-
-
 def self_commutator(a: np.ndarray) -> np.ndarray:
-    """[A*, A], symmetrized."""
+    """[A*, A], replaced by its Hermitian part to remove rounding skew."""
     a = as_cmatrix(a)
-    return commutator(adjoint(a), a)
+    return hermitian_part(adjoint(a) @ a - a @ adjoint(a))
 
 
 def normality_defect(a: np.ndarray) -> float:
@@ -226,22 +210,3 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
         best = min(best, residual)
     raise NotNormal(_scale(operator_norm(comm), 2 * e), _scale(tol, e), _scale(best, e))
 
-
-@dataclass(frozen=True)
-class NormReport:
-    """Norm panel for one matrix."""
-
-    operator_norm: float
-    frobenius: float
-    schatten: dict
-    normality_defect: float
-
-
-def norm_report(a: np.ndarray, p_list=(1, 2, math.inf)) -> NormReport:
-    a = as_cmatrix(a)
-    return NormReport(
-        operator_norm=operator_norm(a),
-        frobenius=float(npl.norm(a)),
-        schatten=schatten_norms(a, p_list),
-        normality_defect=normality_defect(a),
-    )

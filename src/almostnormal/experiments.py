@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .core import adjoint, as_cmatrix, hermitian_part, operator_norm, schatten_norm, self_commutator
+from .core import as_cmatrix, operator_norm, schatten_norm, self_commutator
 from .errors import EmptyTruncation
 from .gallery import EnsembleSpec, laurent_multiplication, materialize
 from .nearest import nearest_normal
@@ -129,9 +129,8 @@ def verify_truncation_bounds(model: TruncationModel, lam: float) -> TruncationCh
     ambient constants ||A|| and ||[G, A]|| come from the model.
     """
     lam = float(lam)
-    k = int(np.searchsorted(model.g, lam, side="left"))
-    if k == 0:
-        raise EmptyTruncation(lam)
+    al = truncate(model, lam)
+    k = al.shape[0]
     n1 = int(counting_functions(model.g, [lam]).n1[0])
 
     a = model.a
@@ -140,9 +139,7 @@ def verify_truncation_bounds(model: TruncationModel, lam: float) -> TruncationCh
     lhs2 = max(lhs2_a, lhs2_astar)
     rhs2 = (model.norm_a ** 2 + (math.pi ** 2 / 6.0) * model.norm_comm ** 2) * n1
 
-    al = a[:k, :k]
-    comm = hermitian_part(adjoint(al) @ al - al @ adjoint(al))
-    lhs3 = schatten_norm(comm, 1)
+    lhs3 = schatten_norm(self_commutator(al), 1)
     c_a = 2.0 * model.norm_a ** 2 + (math.pi ** 2 / 3.0) * model.norm_comm ** 2
     rhs3 = c_a * n1
 
@@ -159,8 +156,8 @@ def truncation_scaling(
     *,
     seed: int,
     restarts: int = 2,
-    max_sweeps: int = 80,
-    obj_tol: float = 1e-10,
+    max_sweeps: int = 200,
+    obj_tol: float = 1e-12,
 ) -> list[dict]:
     """Scaling table: trace-norm witness distance of A_lambda against N(lambda).
 
@@ -270,11 +267,15 @@ def pseudospectrum(
     the shift and of |z - w|, so a ruled-out point would also have computed
     sigma_min >= eps: members and their sigma_min are bitwise those of an
     SVD at every grid point.  Each stride's points are split into a multiple
-    of `threads` near-equal parts run on a pool of that many threads.
+    of `threads` near-equal parts run on a pool of that many threads
+    (default one; fewer than one raises ValueError).
     """
     a = as_cmatrix(a)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps}")
+    parts = 1 if threads is None else int(threads)
+    if parts < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     zs = grid.points()
     res = grid.resolution
     z2 = zs.reshape(res, res)
@@ -284,7 +285,6 @@ def pseudospectrum(
     smin = np.full(zs.size, np.inf)
     settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
     evaluated = 0
-    parts = max(1, int(threads or 1))
     work = functools.partial(_sigma_min_batch, a)
     with ThreadPoolExecutor(max_workers=parts) as pool:
         for stride in PRUNE_STRIDES:
@@ -335,8 +335,8 @@ def f_scatter(
     *,
     seed: int,
     restarts: int = 2,
-    max_sweeps: int = 80,
-    obj_tol: float = 1e-10,
+    max_sweeps: int = 200,
+    obj_tol: float = 1e-12,
 ) -> list[dict]:
     """Defect-versus-distance scatter rows over an ensemble of gallery matrices.
 

@@ -148,19 +148,3 @@ def write_csv(path, columns, rows, comments=()) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
 
-
-def read_csv(path) -> tuple[list[str], list[list[str]], list[str]]:
-    """Read back a write_csv table: (columns, string rows, comment lines)."""
-    comments = []
-    body = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for line in lines:
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        elif line.strip():
-            body.append(line)
-    rows = list(csv.reader(body))
-    if not rows:
-        raise ValueError("no header row in CSV input")
-    return rows[0], rows[1:], comments

@@ -76,20 +76,6 @@ class Cover:
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
         return np.stack([r.contains(pts) for r in self.regions], axis=1)
 
-    def multiplicity(self, points) -> int:
-        """Largest number of regions containing any single supplied point."""
-        pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        if pts.size == 0:
-            return 0
-        return int(self.membership(pts).sum(axis=1).max())
-
-    def uncovered(self, points) -> np.ndarray:
-        pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        if pts.size == 0:
-            return pts
-        hit = self.membership(pts).any(axis=1)
-        return pts[~hit]
-
     def max_diameter(self) -> float:
         return max(r.diameter() for r in self.regions)
 
@@ -129,12 +115,14 @@ class ResolutionOfIdentity:
 
     labels[j] is a point of region j (the centroid of its assigned
     eigenvalues, or the region's center when nothing was assigned).
-    assignment[k] is the index of the region that claimed eigenvalue k.
+    assignment[k] is the index of the region that claimed eigenvalue k, and
+    multiplicity the most regions containing any one eigenvalue.
     The dense projections are built from the decomposition on first read.
     """
 
     labels: np.ndarray
     assignment: np.ndarray
+    multiplicity: int
     cover: Cover
     decomposition: SpectralDecomp
 
@@ -182,8 +170,9 @@ def resolution_of_identity(dec: SpectralDecomp, cover: Cover) -> ResolutionOfIde
     """
     lam = dec.eigenvalues
     table = cover.membership(lam)
-    if not table.any(axis=1).all():
-        raise UncoveredSpectrum(lam[~table.any(axis=1)])
+    hits = table.sum(axis=1)
+    if not hits.all():
+        raise UncoveredSpectrum(lam[hits == 0])
     assignment = np.argmax(table, axis=1)
 
     labels = np.empty(len(cover), dtype=complex)
@@ -194,7 +183,8 @@ def resolution_of_identity(dec: SpectralDecomp, cover: Cover) -> ResolutionOfIde
         else:
             labels[j] = region.center
     return ResolutionOfIdentity(
-        labels=labels, assignment=assignment, cover=cover, decomposition=dec
+        labels=labels, assignment=assignment, multiplicity=int(hits.max()), cover=cover,
+        decomposition=dec,
     )
 
 
@@ -212,16 +202,15 @@ def finite_spectrum_approx(dec: SpectralDecomp, cover: Cover) -> FiniteSpectrumA
     """T = sum_j z_j P_j from the resolution of identity of the cover.
 
     error_bound = sqrt(multiplicity on the spectrum) * max region diameter;
-    error_actual = ||A - T|| in operator norm.  T keeps the eigenbasis of A,
-    so that norm is exactly the largest eigenvalue displacement, and
-    error_actual is computed as that displacement.
+    error_actual = the largest eigenvalue displacement.  T keeps the basis U
+    of dec, so that is exactly ||U diag(l) U* - T||, and U diag(l) U* is
+    within the decomposition's residual (at most 1e-9 * ||A||) of A.
     """
     roi = resolution_of_identity(dec, cover)
     approx = SpectralDecomp(eigenvalues=roi.labels[roi.assignment], basis=dec.basis)
-    k = cover.multiplicity(dec.eigenvalues)
     return FiniteSpectrumApprox(
         matrix=approx.reconstruct(),
-        error_bound=math.sqrt(k) * cover.max_diameter(),
+        error_bound=math.sqrt(roi.multiplicity) * cover.max_diameter(),
         error_actual=float(np.abs(approx.eigenvalues - dec.eigenvalues).max()),
         resolution=roi,
     )

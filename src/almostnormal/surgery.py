@@ -141,7 +141,9 @@ def _move(dec: SpectralDecomp, new_eigs, bound: float) -> SurgeryResult:
     """U diag(new_eigs) U* on the basis of dec, and how far the spectrum moved.
 
     moved_count is the number of eigenvalues that changed; perturbation_norm
-    is max |new - old|, which is exactly ||A_out - A|| since the basis is kept.
+    is max |new - old|.  The basis U is kept, so that is exactly
+    ||A_out - U diag(old) U*||, and U diag(old) U* is within the
+    decomposition's residual (at most 1e-9 * ||A||) of A.
     """
     lam = dec.eigenvalues
     new = np.array(new_eigs, dtype=complex)
@@ -161,7 +163,7 @@ def transport(dec: SpectralDecomp, phi) -> SurgeryResult:
     """U diag(phi(lambda)) U* for any vectorized plane map phi.
 
     A general map has no a priori bound, so bound is inf; perturbation_norm
-    is the exact distance moved.
+    is the distance moved, as _move states it.
     """
     return _move(dec, phi(dec.eigenvalues), math.inf)
 

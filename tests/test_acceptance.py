@@ -26,7 +26,6 @@ from almostnormal import (
     normal_spectral_decomp,
     operator_norm,
     pseudospectrum,
-    read_csv,
     remove_arc,
     remove_region,
     resolution_of_identity,
@@ -40,7 +39,7 @@ from almostnormal import (
 from almostnormal.cli import main as cli_main
 from almostnormal.core import SpectralDecomp, adjoint
 from almostnormal.partition import OpenDisc
-from util import random_contraction, random_normal_with_spectrum
+from util import random_contraction, random_normal_with_spectrum, read_csv
 
 
 def report(num: int, ok: bool, detail: str) -> None:

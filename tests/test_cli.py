@@ -13,13 +13,12 @@ from almostnormal import (
     RadialCollapse,
     load_matrix,
     normal_spectral_decomp,
-    read_csv,
     save_matrix,
     shift_example,
 )
 from almostnormal import cli
 from almostnormal.cli import main
-from util import tangled_normal, triangular_blocks
+from util import read_csv, tangled_normal, triangular_blocks
 
 
 def run(*argv) -> int:
@@ -395,6 +394,24 @@ def test_empty_shift_list_is_a_usage_error(tmp_path, capsys):
     assert run("scatter", "--shift", ",", "--seed", 0, "--out", out) == 2
     assert "empty int list" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("truncate", "--coeffs", "0,0,1", "--K", 4, "--grid", ",", "--seed", 1, "--out", "o"),
+     "empty float list"),
+    (("truncate", "--coeffs", ",", "--K", 4, "--grid", "2,3", "--seed", 1, "--out", "o"),
+     "empty coefficient list"),
+    (("pseudospec", "--matrix", "m.json", "--eps", 0.1, "--reference", ";", "--out", "o"),
+     "empty complex list"),
+    (("nearest", "--matrix", "m.json", "--seed", 0, "--p", "1e400", "--report", "o"),
+     "cannot parse p list"),
+])
+def test_bad_lists_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("m.json", np.diag([0j, 1 + 0j]))
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_complex_argument_error_names_the_form(tmp_path, capsys):

@@ -11,9 +11,7 @@ from almostnormal import (
     NotNormal,
     adjoint,
     as_cmatrix,
-    commutator,
     hermitian_part,
-    norm_report,
     normal_spectral_decomp,
     normality_defect,
     operator_norm,
@@ -61,13 +59,24 @@ def test_operator_norm_values():
 
 
 def test_commutator_hand_value():
-    x = SHIFT2
-    y = SHIFT2.T.conj()
-    # [X, X*] = diag(1, -1) by direct multiplication
-    c = commutator(x, y)
+    # [X, X*] = diag(1, -1) by direct multiplication, as the self-commutator
+    # of X*; it is symmetrized, so exactly Hermitian
+    c = self_commutator(SHIFT2.T.conj())
     assert np.allclose(c, np.diag([1.0, -1.0]), atol=1e-15)
-    # symmetrized path: commutator(X, X*) must be exactly Hermitian
     assert np.array_equal(c, adjoint(c))
+
+
+@pytest.mark.parametrize("view", [
+    lambda z: z, lambda z: z.T, lambda z: z[::-1, ::-1], lambda z: z.real.copy(),
+    lambda z: np.asfortranarray(z),
+], ids=["c-order", "transposed", "reversed", "real", "fortran"])
+def test_self_commutator_is_exactly_hermitian_on_any_layout(view):
+    rng = np.random.default_rng(11)
+    a = view(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+    c = self_commutator(a)
+    m = np.array(a, dtype=complex, order="C")
+    assert np.array_equal(c, adjoint(c))
+    assert np.allclose(c, m.conj().T @ m - m @ m.conj().T, rtol=0, atol=1e-13)
 
 
 def test_self_commutator_shift():
@@ -238,14 +247,6 @@ def test_spectral_decomp_projection():
     assert np.trace(proj).real == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(proj @ proj, proj, atol=1e-12)
     assert np.allclose(proj, adjoint(proj), atol=1e-12)
-
-
-def test_norm_report_fields():
-    rep = norm_report(SHIFT2)
-    assert rep.operator_norm == pytest.approx(1.0, abs=1e-14)
-    assert rep.normality_defect == pytest.approx(1.0, abs=1e-14)
-    assert rep.frobenius == pytest.approx(1.0, abs=1e-14)
-    assert set(rep.schatten) == {1, 2, math.inf}
 
 
 @st.composite

@@ -151,6 +151,13 @@ def test_pseudospectrum_threads_bitwise_equal():
     assert np.array_equal(serial.sigma_min, threaded.sigma_min)
 
 
+@pytest.mark.parametrize("threads", (0, -3))
+def test_pseudospectrum_rejects_fewer_than_one_thread(threads):
+    grid = GridSpec(center=0j, half_width=2.0, resolution=11)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        pseudospectrum(np.eye(2), 0.5, grid, threads=threads)
+
+
 def _every_point_svd(a, eps, grid):
     zs = grid.points()
     smin = _sigma_min_batch(a, zs)

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from almostnormal import load_matrix, read_csv, save_matrix, write_csv, write_report
+from almostnormal import load_matrix, save_matrix, write_csv, write_report
 from almostnormal.fileio import format_float
 
-from util import reference_matrix_json
+from util import read_csv, reference_matrix_json
 
 # signed zeros, the smallest subnormal and normal, and the ends of the range
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,

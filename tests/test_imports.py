@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import almostnormal
@@ -37,3 +39,35 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def references(source: str) -> set[str]:
+    """Names a module reads, reads as an attribute, or imports."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_exported_function_has_a_caller_outside_tests():
+    # a caller is a package module other than __init__ (the defining one
+    # counts: a pipeline there uses it), or a demo or benchmark script that
+    # names it (a word match in its text)
+    refs = set().union(*(
+        references(path.read_text()) for path in PACKAGE.glob("*.py") if path.stem != "__init__"
+    ))
+    root = Path(__file__).resolve().parents[1]
+    scripts = "\n".join(
+        path.read_text() for folder in ("demos", "perfbench") for path in (root / folder).glob("*.py")
+    )
+    uncalled = [
+        name for name, value in vars(almostnormal).items()
+        if inspect.isfunction(value) and name not in refs
+        and not re.search(rf"\b{name}\b", scripts)
+    ]
+    assert uncalled == []

@@ -28,7 +28,7 @@ from almostnormal import (
     square_cover,
     transport,
 )
-from util import check_oscillator, random_normal_with_spectrum
+from util import check_oscillator, random_normal_with_spectrum, tangled_normal
 
 DISC = OpenDisc(center=0j, radius=1.0)
 
@@ -201,6 +201,24 @@ def test_every_spectrum_move_is_measured_on_its_eigenvalues(n, seed, center, rad
     fsa = finite_spectrum_approx(dec, square_cover(lam, side))
     roi = fsa.resolution
     assert fsa.error_actual == np.abs(roi.labels[roi.assignment] - lam).max()
+
+
+def test_reported_moves_are_the_distance_from_a_within_the_residual():
+    # the basis reconstructs this input only to within 1e-9 ||A||, so the
+    # displacement is the distance from U diag(l) U*, not exactly from A
+    a, _ = tangled_normal(16, 3e-8, 3)
+    dec = normal_spectral_decomp(a)
+    nrm = operator_norm(a)
+    slack = 1e-9 * nrm + 64 * np.finfo(float).eps * nrm
+    moves = [
+        transport(dec, Affine(a=1.0, b=0.1)),
+        remove_region(dec, OpenDisc(center=0j, radius=0.5), mu=0j),
+    ]
+    for res in moves:
+        assert res.perturbation_norm > 0
+        assert abs(operator_norm(a - res.output) - res.perturbation_norm) <= slack
+    fsa = finite_spectrum_approx(dec, square_cover(dec.eigenvalues, 0.25))
+    assert abs(operator_norm(a - fsa.matrix) - fsa.error_actual) <= slack
 
 
 def test_oscillator_values():

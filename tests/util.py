@@ -3,6 +3,7 @@ reference implementations the tests compare the package against."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -77,6 +78,23 @@ def triangular_blocks(eps: float) -> np.ndarray:
     for k, (d1, d2) in enumerate(ds):
         a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[d1, eps], [0.0, d2]]
     return a
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]], list[str]]:
+    """Read back a fileio.write_csv table: (columns, string rows, comment lines)."""
+    comments = []
+    body = []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    for line in lines:
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif line.strip():
+            body.append(line)
+    rows = list(csv.reader(body))
+    if not rows:
+        raise ValueError("no header row in CSV input")
+    return rows[0], rows[1:], comments
 
 
 def reference_matrix_json(a, metadata=None) -> str:
