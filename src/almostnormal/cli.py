@@ -103,12 +103,9 @@ def _config(args: argparse.Namespace, **resolved) -> dict:
     return fileio._sanitize(cfg)
 
 
-def _config_line(cfg: dict) -> str:
-    return "config=" + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-
-
 def _comments(cfg: dict, extra=()) -> list[str]:
-    return [f"version={ARTIFACT_VERSION}", _config_line(cfg), *extra]
+    config = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return [f"version={ARTIFACT_VERSION}", f"config={config}", *extra]
 
 
 def _meta(cfg: dict, **extra) -> dict:
@@ -229,12 +226,18 @@ def cmd_nearest(args) -> None:
     )
 
 
-def _warn_unconverged(sub: str, rows, max_sweeps: int) -> None:
+def _write_table(args, columns, rows) -> None:
+    """The optimizer rows of truncate or scatter as a CSV, and a warning
+    on stderr when some row's optimizer hit the sweep cap."""
+    fileio.write_csv(
+        args.out, columns, [[r[c] for c in columns] for r in rows],
+        comments=_comments(_config(args)),
+    )
     missed = sum(not r["converged"] for r in rows)
     if missed:
         print(
-            f"warning: {sub}: {missed} of {len(rows)} rows did not converge, "
-            f"cap --max-sweeps {max_sweeps}",
+            f"warning: {args.command}: {missed} of {len(rows)} rows did not converge, "
+            f"cap --max-sweeps {args.max_sweeps}",
             file=sys.stderr,
         )
 
@@ -263,8 +266,6 @@ def _cover_from_file(path) -> Cover:
             regions.append(cls(center, float(item[size])))
         except (TypeError, IndexError) as exc:
             raise ValueError(f"region {i}: bad center or size: {exc}") from None
-    if not regions:
-        raise ValueError("cover has no regions")
     return Cover(tuple(regions))
 
 
@@ -399,11 +400,7 @@ def cmd_truncate(args) -> None:
         max_sweeps=args.max_sweeps,
         obj_tol=args.obj_tol,
     )
-    fileio.write_csv(
-        args.out, TRUNCATE_COLUMNS, [[r[c] for c in TRUNCATE_COLUMNS] for r in rows],
-        comments=_comments(_config(args)),
-    )
-    _warn_unconverged("truncate", rows, args.max_sweeps)
+    _write_table(args, TRUNCATE_COLUMNS, rows)
     n_pass = sum(r["passed"] for r in rows)
     print(f"wrote {args.out} ({len(rows)} levels, {n_pass}/{len(rows)} passed)")
     if n_pass != len(rows):
@@ -485,11 +482,7 @@ def cmd_scatter(args) -> None:
         max_sweeps=args.max_sweeps,
         obj_tol=args.obj_tol,
     )
-    fileio.write_csv(
-        args.out, SCATTER_COLUMNS, [[r[c] for c in SCATTER_COLUMNS] for r in rows],
-        comments=_comments(_config(args)),
-    )
-    _warn_unconverged("scatter", rows, args.max_sweeps)
+    _write_table(args, SCATTER_COLUMNS, rows)
     print(f"wrote {args.out} ({len(rows)} scatter rows)")
 
 

@@ -93,8 +93,10 @@ def self_commutator(a: np.ndarray) -> np.ndarray:
 
 
 def normality_defect(a: np.ndarray) -> float:
-    """||[A*, A]|| in operator norm.  Zero iff A is normal."""
-    return operator_norm(self_commutator(a))
+    """||[A*, A]|| in operator norm, from 2^-e A scaled back by 4^e (see
+    _pow2_scaled).  Zero iff A is normal."""
+    a, e = _pow2_scaled(a)
+    return _scale(operator_norm(self_commutator(a)), 2 * e)
 
 
 def schatten_norm(a: np.ndarray, p) -> float:

@@ -7,6 +7,12 @@ arguments (ValueError).  The command line maps them to exit code 3.
 from __future__ import annotations
 
 
+def _shown(points) -> str:
+    """The first five points, then ", ..." when there are more."""
+    shown = ", ".join(f"{z:.6g}" for z in points[:5])
+    return shown + ", ..." if len(points) > 5 else shown
+
+
 class DomainError(Exception):
     """Base class for violated mathematical preconditions."""
 
@@ -36,10 +42,7 @@ class UncoveredSpectrum(DomainError):
 
     def __init__(self, points):
         self.points = list(points)
-        shown = ", ".join(f"{z:.6g}" for z in self.points[:5])
-        if len(self.points) > 5:
-            shown += ", ..."
-        super().__init__(f"spectrum points not covered by any region: {shown}")
+        super().__init__(f"spectrum points not covered by any region: {_shown(self.points)}")
 
 
 class SpectrumOffContour(DomainError):
@@ -48,10 +51,9 @@ class SpectrumOffContour(DomainError):
     def __init__(self, points, tolerance: float):
         self.points = list(points)
         self.tolerance = float(tolerance)
-        shown = ", ".join(f"{z:.6g}" for z in self.points[:5])
         super().__init__(
             f"eigenvalues in the disc lie farther than {tolerance:.3g} "
-            f"from the chord: {shown}"
+            f"from the chord: {_shown(self.points)}"
         )
 
 

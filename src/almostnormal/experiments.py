@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .core import as_cmatrix, operator_norm, schatten_norm, self_commutator
+from .core import as_cmatrix, normality_defect, operator_norm, schatten_norm, self_commutator
 from .errors import EmptyTruncation
 from .gallery import EnsembleSpec, laurent_multiplication, materialize
 from .nearest import nearest_normal
@@ -70,7 +70,6 @@ def laurent_truncation_model(coeffs, big_k: int) -> TruncationModel:
 
 @dataclass(frozen=True)
 class CountingReport:
-    lambda_grid: np.ndarray
     n: np.ndarray
     n1: np.ndarray
 
@@ -99,7 +98,7 @@ def counting_functions(g, lambda_grid) -> CountingReport:
     prefix = np.maximum.accumulate(counts)
     pos = np.searchsorted(cands, grid, side="right") - 1
     n1 = np.where(pos >= 0, prefix[np.clip(pos, 0, None)], 0).astype(int)
-    return CountingReport(lambda_grid=grid, n=n, n1=n1)
+    return CountingReport(n=n, n1=n1)
 
 
 def truncate(model: TruncationModel, lam: float) -> np.ndarray:
@@ -221,8 +220,6 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PseudospectrumReport:
-    epsilon: float
-    grid: GridSpec
     members: np.ndarray
     sigma_min: np.ndarray
     d_eps: float
@@ -318,8 +315,6 @@ def pseudospectrum(
     else:
         d_eps = float(np.abs(members[:, None] - ref[None, :]).min(axis=1).max())
     return PseudospectrumReport(
-        epsilon=float(eps),
-        grid=grid,
         members=members,
         sigma_min=smin[mask],
         d_eps=d_eps,
@@ -351,7 +346,7 @@ def f_scatter(
         raw = materialize(spec)
         nrm = operator_norm(raw)
         a = raw / nrm if nrm > 1.0 else raw
-        defect = operator_norm(self_commutator(a))
+        defect = normality_defect(a)
         rep = nearest_normal(
             a,
             p_list=(math.inf,),

@@ -488,11 +488,6 @@ def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> list:
     return _solve(a, _starts(a, seed, restarts), max_sweeps, obj_tol, fro2)
 
 
-def _best(runs) -> SweepOutcome:
-    # the earliest start wins a tie
-    return max(runs, key=lambda r: r.objective)
-
-
 def _commutator_floors(a, p_list) -> dict:
     """{p: ||[A*, A]||_p / (4 ||A||)} for a power-of-two scaled A, from one
     SVD of A and one of [A*, A].  Zero for the zero matrix."""
@@ -557,7 +552,8 @@ def nearest_normal(
     """
     a, e = _pow2_scaled(a)
     runs = _optimize(a, seed, restarts, max_sweeps, obj_tol)
-    out = _best(runs)
+    # the earliest start wins a tie
+    out = max(runs, key=lambda r: r.objective)
     u = out.basis
     diag = np.diagonal(out.rotated).copy()
     witness = (u * diag) @ adjoint(u)

@@ -256,10 +256,10 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, Gr
     whose landing point satisfies f(x + shift) = y (f the oscillator with
     r = ||A||), then the whole matrix is scaled by r / (r + eps).  The
     output is normal, has norm at most ||A||, and differs from A by at most
-    2*eps + eps*(1 + ||A||).
+    2*eps + eps*(1 + ||A||).  Raises ArithmeticError where rounding breaks
+    that bound: f's slope, about 2*pi*||A|| / eps, magnifies the rounding of
+    each landing point.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive, got {eps}")
     lam = dec.eigenvalues
     r = float(np.abs(lam).max())
     f = Oscillator(eps=eps, r=r)
@@ -272,6 +272,11 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, Gr
     landed = x + shifts
     bound = 2.0 * eps + eps * (1.0 + r)
     res = _move(dec, scale * (landed + 1j * f(landed)), bound)
+    if res.perturbation_norm > bound:
+        raise ArithmeticError(
+            f"graph approximation at eps = {eps:.6g} with ||A|| = {r:.6g} moved the "
+            f"spectrum by {res.perturbation_norm:.6g}, over its bound {bound:.6g}"
+        )
     report = GraphReport(
         eps=float(eps),
         r=r,

@@ -39,7 +39,7 @@ from almostnormal import (
 from almostnormal.cli import main as cli_main
 from almostnormal.core import SpectralDecomp, adjoint
 from almostnormal.partition import OpenDisc
-from util import random_contraction, random_normal_with_spectrum, read_csv
+from util import brute_force_two_by_two, random_contraction, random_normal_with_spectrum, read_csv
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -329,43 +329,6 @@ def test_criterion_10_pseudospectrum_matches_neighborhood():
     report(10, ok, f"20 normals, eps=0.3, grid 101x101: {violations} membership "
                    f"mismatches beyond one grid step of the eps shell")
     assert ok
-
-
-def brute_force_two_by_two(a: np.ndarray, grid: int = 2000, rounds: int = 12) -> float:
-    """Independent 2-parameter basis scan; no package code on this path."""
-    a11, a12, a21, a22 = (complex(a[0, 0]), complex(a[0, 1]),
-                          complex(a[1, 0]), complex(a[1, 1]))
-    fro2 = abs(a11) ** 2 + abs(a12) ** 2 + abs(a21) ** 2 + abs(a22) ** 2
-
-    def scan(t_lo, t_hi, p_lo, p_hi, nt, np_, chunk=200):
-        ts = np.linspace(t_lo, t_hi, nt)
-        ps = np.linspace(p_lo, p_hi, np_)
-        e = np.exp(1j * ps)[None, :]
-        best_val, best_t, best_p = -1.0, 0.0, 0.0
-        for s0 in range(0, nt, chunk):
-            tb = ts[s0:s0 + chunk][:, None]
-            c, s = np.cos(tb), np.sin(tb)
-            cs = c * s
-            cross = cs * (e * a12 + np.conj(e) * a21)
-            d1 = c * c * a11 + cross + s * s * a22
-            d2 = s * s * a11 - cross + c * c * a22
-            vals = np.abs(d1) ** 2 + np.abs(d2) ** 2
-            k = int(np.argmax(vals))
-            i, j = divmod(k, np_)
-            if vals[i, j] > best_val:
-                best_val = float(vals[i, j])
-                best_t = float(ts[s0 + i])
-                best_p = float(ps[j])
-        return best_val, best_t, best_p
-
-    val, bt, bp = scan(0.0, math.pi, 0.0, 2.0 * math.pi, grid, grid)
-    dt = math.pi / (grid - 1)
-    dp = 2.0 * math.pi / (grid - 1)
-    for _ in range(rounds):
-        v, bt, bp = scan(bt - 2 * dt, bt + 2 * dt, bp - 2 * dp, bp + 2 * dp, 41, 41)
-        val = max(val, v)
-        dt, dp = 4 * dt / 40, 4 * dp / 40
-    return math.sqrt(max(fro2 - val, 0.0))
 
 
 def test_criterion_11_two_by_two_oracle():

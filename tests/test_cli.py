@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from almostnormal import (
     RadialCollapse,
     load_matrix,
     normal_spectral_decomp,
+    perturbed_normal,
     save_matrix,
     shift_example,
 )
@@ -274,6 +276,35 @@ def test_surgery_graph(tmp_path):
     assert doc["perturbation_norm"] <= doc["bound"] + 1e-9
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_surgery_graph_refuses_a_bound_it_cannot_keep(tmp_path, capsys, eps):
+    # f's slope, about 2 pi ||A|| / eps, magnifies the rounding of each
+    # landing point past the printed bound
+    mat = tmp_path / "n.json"
+    save_matrix(mat, perturbed_normal(16, 0.0, 3))
+    out = tmp_path / "out.json"
+    rep = tmp_path / "rep.json"
+    assert run(
+        "surgery", "graph", "--matrix", mat, "--eps", eps, "--out", out, "--report", rep,
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: graph approximation at eps = {eps:g} with ||A|| = ")
+    assert "over its bound" in err
+    assert not out.exists() and not rep.exists()
+
+
+def test_surgery_graph_far_from_unit_scale(tmp_path):
+    # [A*, A] of this input overflows unless its defect is taken scaled
+    mat = tmp_path / "n.json"
+    save_matrix(mat, 2.0 ** 520 * perturbed_normal(8, 0.0, 3))
+    rep = tmp_path / "rep.json"
+    assert run(
+        "surgery", "graph", "--matrix", mat, "--eps", math.ldexp(0.05, 520),
+        "--out", tmp_path / "out.json", "--report", rep,
+    ) == 0
+    assert math.isfinite(read_json(rep)["output_defect"])
+
+
 def test_truncate_csv(tmp_path):
     out = tmp_path / "scale.csv"
     assert run(
@@ -361,6 +392,7 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
         (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "center": [0, None]}]}, None),
         (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "radius": None}]}, None),
         (_GOOD_MATRIX, {"regions": 3}, None),
+        (_GOOD_MATRIX, {"regions": []}, None),
         (None, None, [{"kind": "shift_example", "params": [1]}]),
         (None, None, [{"kind": "shift_example", "params": {"m": 2}, "seed": [1]}]),
         (None, None, [{"kind": "shift_example", "params": {"m": [2]}}]),
@@ -368,6 +400,7 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
     ],
     ids=["matrix-null-cell", "matrix-data-5", "matrix-dim-null", "matrix-metadata-list",
          "cover-region-3", "cover-center-null", "cover-radius-null", "cover-regions-3",
+         "cover-regions-empty",
          "spec-params-list", "spec-seed-list", "spec-param-list", "spec-coeffs-string"],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from almostnormal import (
     schatten_norm,
     self_commutator,
 )
+from almostnormal.gallery import _haar
 from util import (
     assert_close_multiset,
-    haar_unitary,
     random_contraction,
     random_normal_with_spectrum,
     tangled_normal,
@@ -125,7 +126,7 @@ def test_normal_spectral_decomp_handles_clustered_real_parts():
     # resolve the cluster through the imaginary part
     lam = np.array([1.0 + 1.0j, 1.0 - 1.0j, 1.0 + 0.5j, -2.0 + 0.0j])
     rng = np.random.default_rng(11)
-    u = haar_unitary(4, rng)
+    u = _haar(4, rng)
     a = (u * lam) @ adjoint(u)
     dec = normal_spectral_decomp(a)
     assert_close_multiset(dec.eigenvalues, lam, 1e-10)
@@ -191,7 +192,7 @@ def test_normal_spectral_decomp_far_from_unit_scale(c):
     # at 1e160 the self-commutator overflows and at 1e-160 the normality
     # tolerance underflows unless the input is rescaled first
     lam = np.array([1.0, 0.5j, -0.3, 0.7])
-    u = haar_unitary(4, np.random.default_rng(3))
+    u = _haar(4, np.random.default_rng(3))
     dec = normal_spectral_decomp((u * lam) @ adjoint(u) * c)
     assert_close_multiset(dec.eigenvalues / c, lam, 1e-12)
     assert np.isfinite(dec.eigenvalues).all()
@@ -260,6 +261,17 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_defect_bounded_by_twice_norm_squared(a):
     assert normality_defect(a) <= 2.0 * operator_norm(a) ** 2 + 1e-12
+
+
+@settings(max_examples=40)
+@given(small_matrices(), st.integers(min_value=-500, max_value=500))
+def test_normality_defect_power_of_two_homogeneity(a, k):
+    base = normality_defect(a)
+    want = math.ldexp(base, 2 * k)
+    assume(base == 0.0 or min(base, want) >= sys.float_info.min)  # normal doubles
+    assert normality_defect(_ldexp(a, k)) == want
+    # at 2^520 the entries of [A*, A] itself would overflow
+    assert not math.isnan(normality_defect(_ldexp(a, 520)))
 
 
 @settings(max_examples=40)

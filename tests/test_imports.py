@@ -71,3 +71,39 @@ def test_every_exported_function_has_a_caller_outside_tests():
         and not re.search(rf"\b{name}\b", scripts)
     ]
     assert uncalled == []
+
+
+def function_bodies(source: str) -> dict[str, str]:
+    """{AST dump of the body: name} for each function whose body, without
+    its docstring, has at least 3 statements."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) >= 3:
+                found[ast.dump(ast.Module(body=body, type_ignores=[]))] = node.name
+    return found
+
+
+def test_function_bodies_ignores_names_docstrings_and_short_bodies():
+    body = "    a = x\n    b = a\n    return b\n"
+    copy = function_bodies(f"def g(x: int):\n    'doc'\n{body}")
+    assert copy.keys() == function_bodies(f"def f(x):\n{body}").keys()
+    assert function_bodies("def f(x):\n    a = x\n    return a\n") == {}
+
+
+def test_no_test_or_demo_function_copies_a_package_function():
+    package = {
+        body: f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for body, name in function_bodies(path.read_text()).items()
+    }
+    root = Path(__file__).resolve().parents[1]
+    copies = [
+        (f"{folder}/{path.stem}.{name}", package[body])
+        for folder in ("tests", "demos")
+        for path in sorted((root / folder).glob("*.py"))
+        for body, name in function_bodies(path.read_text()).items()
+        if body in package
+    ]
+    assert copies == []

@@ -32,7 +32,7 @@ from almostnormal.nearest import (
     _solve,
     _starts,
 )
-from util import random_contraction, random_normal_with_spectrum
+from util import brute_force_two_by_two, random_contraction, random_normal_with_spectrum
 
 SHIFT2 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -420,42 +420,11 @@ def test_zero_matrix_certifies_zero_distance():
     assert all(v == 0.0 for v in rep.lower_bounds.values())
 
 
-def brute_force_two_by_two(a: np.ndarray, grid: int = 400, rounds: int = 12) -> float:
-    """Independent check: scan U = [[c, -s e^{-ip}], [s e^{ip}, c]] directly."""
-    a11, a12, a21, a22 = complex(a[0, 0]), complex(a[0, 1]), complex(a[1, 0]), complex(a[1, 1])
-    fro2 = abs(a11) ** 2 + abs(a12) ** 2 + abs(a21) ** 2 + abs(a22) ** 2
-
-    def objective(theta, phi):
-        c, s = np.cos(theta), np.sin(theta)
-        e = np.exp(1j * phi)
-        d1 = c * c * a11 + c * s * e * a12 + c * s * np.conj(e) * a21 + s * s * a22
-        d2 = s * s * a11 - c * s * e * a12 - c * s * np.conj(e) * a21 + c * c * a22
-        return np.abs(d1) ** 2 + np.abs(d2) ** 2
-
-    t_lo, t_hi = 0.0, math.pi
-    p_lo, p_hi = 0.0, 2.0 * math.pi
-    best = -1.0
-    bt = bp = 0.0
-    for _ in range(rounds):
-        ts = np.linspace(t_lo, t_hi, grid)
-        ps = np.linspace(p_lo, p_hi, grid)
-        vals = objective(ts[:, None], ps[None, :])
-        k = int(np.argmax(vals))
-        i, j = divmod(k, grid)
-        if vals[i, j] > best:
-            best, bt, bp = float(vals[i, j]), float(ts[i]), float(ps[j])
-        dt = (t_hi - t_lo) / (grid - 1)
-        dp = (p_hi - p_lo) / (grid - 1)
-        t_lo, t_hi = bt - 2 * dt, bt + 2 * dt
-        p_lo, p_hi = bp - 2 * dp, bp + 2 * dp
-    return math.sqrt(max(fro2 - best, 0.0))
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_two_by_two_matches_brute_force(seed):
     a = random_contraction(2, 500 + seed)
     rep = nearest_normal(a, seed=seed, restarts=2)
-    bf = brute_force_two_by_two(a)
+    bf = brute_force_two_by_two(a, grid=400)
     assert abs(rep.frobenius_exact - bf) < 1e-6
 
 

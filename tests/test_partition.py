@@ -152,6 +152,15 @@ def test_resolution_uncovered_raises():
     assert np.allclose(err.value.points, [10 + 0j])
 
 
+def test_uncovered_message_marks_the_points_it_leaves_out():
+    dec = normal_spectral_decomp(np.diag(np.arange(10, 17) + 0j))
+    cover = Cover(regions=(OpenDisc(center=0j, radius=1.0),))
+    with pytest.raises(UncoveredSpectrum) as err:
+        resolution_of_identity(dec, cover)
+    assert len(err.value.points) == 7
+    assert str(err.value).endswith(": 10+0j, 11+0j, 12+0j, 13+0j, 14+0j, ...")
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_resolution_projection_invariants(seed):
     a, lam, _ = random_normal_with_spectrum(6, seed)

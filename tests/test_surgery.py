@@ -164,6 +164,14 @@ def test_remove_arc_rejects_off_chord_spectrum():
     assert np.allclose(err.value.points, [0.3j])
 
 
+def test_off_chord_message_marks_the_points_it_leaves_out():
+    dec = SpectralDecomp(eigenvalues=0.1j * np.arange(1, 8), basis=np.eye(7, dtype=complex))
+    with pytest.raises(SpectrumOffContour) as err:
+        remove_arc(dec, DISC, e_minus=-1 + 0j, e_plus=1 + 0j)
+    assert len(err.value.points) == 7
+    assert str(err.value).endswith(": 0+0.1j, 0+0.2j, 0+0.3j, 0+0.4j, 0+0.5j, ...")
+
+
 def test_remove_arc_random_on_chord():
     rng = np.random.default_rng(11)
     basis = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
@@ -287,5 +295,5 @@ def test_graph_normal_approx_zero_matrix():
 
 def test_graph_normal_approx_validation():
     dec = normal_spectral_decomp(np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps must be positive, got 0.0"):
         graph_normal_approx(dec, 0.0)

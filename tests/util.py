@@ -10,6 +10,8 @@ import math
 import numpy as np
 import numpy.linalg as npl
 
+from almostnormal.gallery import _haar
+
 
 def assert_close_multiset(got, want, tol: float) -> None:
     """Greedy nearest matching of two complex multisets within tol."""
@@ -20,13 +22,6 @@ def assert_close_multiset(got, want, tol: float) -> None:
         i = min(range(len(got)), key=lambda k: abs(got[k] - w))
         assert abs(got[i] - w) <= tol, f"no match for {w}: nearest {got[i]}"
         got.pop(i)
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = npl.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def random_contraction(n: int, seed: int) -> np.ndarray:
@@ -53,7 +48,7 @@ def random_normal_with_spectrum(n: int, seed: int, radius: float = 1.0):
             continue
         lam[count] = z
         count += 1
-    u = haar_unitary(n, rng)
+    u = _haar(n, rng)
     a = (u * lam) @ u.conj().T
     return a, lam, u
 
@@ -65,7 +60,7 @@ def tangled_normal(n: int, g: float, seed: int):
     their eigenvectors, yet too far apart to be split as one cluster."""
     rng = np.random.default_rng(seed)
     lam = g * np.arange(n) + 1j * rng.uniform(-1.0, 1.0, n)
-    u = haar_unitary(n, rng)
+    u = _haar(n, rng)
     return (u * lam) @ u.conj().T, lam
 
 
@@ -78,6 +73,43 @@ def triangular_blocks(eps: float) -> np.ndarray:
     for k, (d1, d2) in enumerate(ds):
         a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[d1, eps], [0.0, d2]]
     return a
+
+
+def brute_force_two_by_two(a: np.ndarray, grid: int = 2000, rounds: int = 12) -> float:
+    """Independent 2-parameter basis scan; no package code on this path."""
+    a11, a12, a21, a22 = (complex(a[0, 0]), complex(a[0, 1]),
+                          complex(a[1, 0]), complex(a[1, 1]))
+    fro2 = abs(a11) ** 2 + abs(a12) ** 2 + abs(a21) ** 2 + abs(a22) ** 2
+
+    def scan(t_lo, t_hi, p_lo, p_hi, nt, np_, chunk=200):
+        ts = np.linspace(t_lo, t_hi, nt)
+        ps = np.linspace(p_lo, p_hi, np_)
+        e = np.exp(1j * ps)[None, :]
+        best_val, best_t, best_p = -1.0, 0.0, 0.0
+        for s0 in range(0, nt, chunk):
+            tb = ts[s0:s0 + chunk][:, None]
+            c, s = np.cos(tb), np.sin(tb)
+            cs = c * s
+            cross = cs * (e * a12 + np.conj(e) * a21)
+            d1 = c * c * a11 + cross + s * s * a22
+            d2 = s * s * a11 - cross + c * c * a22
+            vals = np.abs(d1) ** 2 + np.abs(d2) ** 2
+            k = int(np.argmax(vals))
+            i, j = divmod(k, np_)
+            if vals[i, j] > best_val:
+                best_val = float(vals[i, j])
+                best_t = float(ts[s0 + i])
+                best_p = float(ps[j])
+        return best_val, best_t, best_p
+
+    val, bt, bp = scan(0.0, math.pi, 0.0, 2.0 * math.pi, grid, grid)
+    dt = math.pi / (grid - 1)
+    dp = 2.0 * math.pi / (grid - 1)
+    for _ in range(rounds):
+        v, bt, bp = scan(bt - 2 * dt, bt + 2 * dt, bp - 2 * dp, bp + 2 * dp, 41, 41)
+        val = max(val, v)
+        dt, dp = 4 * dt / 40, 4 * dp / 40
+    return math.sqrt(max(fro2 - val, 0.0))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]], list[str]]:
