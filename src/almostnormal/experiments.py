@@ -40,10 +40,6 @@ class TruncationModel:
         self.g.setflags(write=False)
         self.a.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]
-
 
 def truncation_model(g, a) -> TruncationModel:
     """Sort g ascending (stable) and carry A along; store the ambient norms."""

@@ -145,15 +145,21 @@ def _plane_rotations(a, b, c, d, floor: float):
 class SweepOutcome:
     basis: np.ndarray
     rotated: np.ndarray
-    objective: float
     # one entry before the first sweep, then one per sweep or trust-region step
     history: tuple
-    sweeps: int
     pivots: int
-    # "tolerance" or "cap"; "switch" only between the rounds and the finish
+    # "tolerance" or "cap"
     stop_reason: str
     # ||grad|| / ||A||_F^2 at the returned basis
     stationarity: float
+
+    @property
+    def objective(self) -> float:
+        return self.history[-1]
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.history) - 1
 
     @property
     def converged(self) -> bool:
@@ -179,10 +185,6 @@ def _gradient(b: np.ndarray) -> np.ndarray:
     D' = conj(diag B), entrywise 2 (conj(d_j) - conj(d_k)) B_jk."""
     dc = np.diagonal(b).conj()
     return _horizontal((dc[None, :] - dc[:, None]) * b * 2.0)
-
-
-def _stationarity(b: np.ndarray, fro2: float) -> float:
-    return float(npl.norm(_gradient(b))) / fro2
 
 
 class _Hessian:
@@ -258,8 +260,9 @@ def _round_tables(active, rounds, n: int) -> list:
     return tables
 
 
-def _run_sweeps(w, max_sweeps: int, obj_tol: float, fro2: float) -> list:
-    """Round-robin sweeps over every start at once; one SweepOutcome each.
+def _run_sweeps(w, max_sweeps: int, obj_tol: float, fro2: float) -> tuple:
+    """Round-robin sweeps over every start at once; returns per start the
+    objective history, the rotations applied and the stop reason.
 
     w is the C-contiguous (r, 2n, n) stack of [U*AU; U] per start, so one
     column update rotates both, and it is rotated in place.  Each round
@@ -324,19 +327,7 @@ def _run_sweeps(w, max_sweeps: int, obj_tol: float, fro2: float) -> list:
             if active.size == 0:
                 break
             tables = _round_tables(active, rounds, n)
-    return [
-        SweepOutcome(
-            basis=w[k, n:],
-            rotated=w[k, :n],
-            objective=history[k][-1],
-            history=tuple(history[k]),
-            sweeps=len(history[k]) - 1,
-            pivots=int(pivots[k]),
-            stop_reason=stop[k] or "cap",
-            stationarity=_stationarity(w[k, :n], fro2),
-        )
-        for k in range(r)
-    ]
+    return history, pivots.tolist(), [reason or "cap" for reason in stop]
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -393,8 +384,10 @@ def _retract(u: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return u @ ((v * np.exp(-1j * lam)) @ adjoint(v))
 
 
-def _finish(a, out: SweepOutcome, max_sweeps: int, obj_tol: float, fro2: float) -> SweepOutcome:
-    """Riemannian trust-region finish for a start that left the rounds.
+def _finish(a, u, b, history: list, max_sweeps: int, obj_tol: float, fro2: float) -> tuple:
+    """Riemannian trust-region finish for a start that left the rounds at
+    basis u with b = u*Au: extends its history and returns (U, B, stop
+    reason), never writing into u or b.
 
     Each step maximizes the second-order model over the trust region by
     truncated CG, retracts U <- U e^eta and recomputes B = U*AU from A, so
@@ -406,8 +399,6 @@ def _finish(a, out: SweepOutcome, max_sweeps: int, obj_tol: float, fro2: float) 
     that then grew: a wider region may hold more.
     """
     n = a.shape[0]
-    u, b = out.basis.copy(), out.rotated.copy()
-    history = list(out.history)
     f = history[-1]
     reg = RHO_REG * fro2
     grad, hess = _gradient(b), _Hessian(b)
@@ -436,25 +427,27 @@ def _finish(a, out: SweepOutcome, max_sweeps: int, obj_tol: float, fro2: float) 
         if predicted < obj_tol * fro2 and not grows:
             reason = "tolerance"
             break
-    return SweepOutcome(
-        basis=u,
-        rotated=b,
-        objective=f,
-        history=tuple(history),
-        sweeps=len(history) - 1,
-        pivots=out.pivots,
-        stop_reason=reason,
-        stationarity=_stationarity(b, fro2),
-    )
+    return u, b, reason
 
 
 def _solve(a, w, max_sweeps: int, obj_tol: float, fro2: float) -> list:
     """The rounds for every start of the stack w, then the trust-region
     finish for each start that switched; one SweepOutcome per start."""
-    return [
-        _finish(a, out, max_sweeps, obj_tol, fro2) if out.stop_reason == "switch" else out
-        for out in _run_sweeps(w, max_sweeps, obj_tol, fro2)
-    ]
+    n = w.shape[2]
+    runs = []
+    for k, (history, pivots, reason) in enumerate(zip(*_run_sweeps(w, max_sweeps, obj_tol, fro2))):
+        u, b = w[k, n:], w[k, :n]
+        if reason == "switch":
+            u, b, reason = _finish(a, u, b, history, max_sweeps, obj_tol, fro2)
+        runs.append(SweepOutcome(
+            basis=u,
+            rotated=b,
+            history=tuple(history),
+            pivots=pivots,
+            stop_reason=reason,
+            stationarity=float(npl.norm(_gradient(b))) / fro2,
+        ))
+    return runs
 
 
 def _starts(a, seed, restarts) -> np.ndarray:
@@ -476,6 +469,8 @@ def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> list:
     """One SweepOutcome per start: the identity, then seeded Haar bases."""
     if seed is None:
         raise ValueError("a seed is required; all randomness flows from it")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if max_sweeps < 0:

@@ -151,8 +151,6 @@ def _clamp_into(region: Region, z: complex) -> complex:
     c = region.center
     if isinstance(region, OpenDisc):
         d = z - c
-        if abs(d) == 0:
-            return c
         return c + d * ((1 - 1e-12) * region.radius / abs(d))
     h = region.side / 2.0 * (1 - 1e-12)
     re = min(max(z.real, c.real - h), c.real + h)

@@ -230,10 +230,6 @@ class Oscillator:
     def amplitude(self) -> float:
         return self.r + self.eps
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (-self.amplitude, self.amplitude)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return self.amplitude * np.cos(2.0 * math.pi * x / self.eps)

@@ -447,6 +447,21 @@ def test_bad_lists_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("nearest", "--matrix", "m.json", "--restarts", 1, "--report", "o"),
+    ("nearest", "--matrix", "m.json", "--restarts", 2, "--report", "o"),
+    ("scatter", "--shift", "2,4", "--out", "o"),
+    ("truncate", "--coeffs", "0,0,1", "--K", 4, "--grid", "2,3", "--out", "o"),
+], ids=["nearest-one-start", "nearest-two-starts", "scatter", "truncate"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the identity start never reads the seed, so a single start must check it too
+    monkeypatch.chdir(tmp_path)
+    save_matrix("m.json", shift_example(4))
+    assert run(*argv, "--seed", -1) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_complex_argument_error_names_the_form(tmp_path, capsys):
     assert run("surgery", "remove-disc", "--matrix", tmp_path / "m.json", "--center", "1,x",
                "--radius", 0.1, "--out", tmp_path / "o.json") == 2

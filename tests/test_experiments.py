@@ -34,7 +34,6 @@ def test_truncation_model_sorts_and_freezes():
     assert model.g.tolist() == [0.0, 1.0, 2.0]
     # permutation carries A along: old row 1 and old col 2 land at (0, 1)
     assert model.a[0, 1] == a[1, 2]
-    assert model.dim == 3
     with pytest.raises(ValueError):
         model.g[0] = 5.0
     with pytest.raises(ValueError):

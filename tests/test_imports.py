@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
+import runpy
 from pathlib import Path
 
 import almostnormal
@@ -107,3 +109,19 @@ def test_no_test_or_demo_function_copies_a_package_function():
         if body in package
     ]
     assert copies == []
+
+
+def test_every_tracer_target_is_a_package_function():
+    # perfbench/tracer.py looks its targets up by name when it installs, so
+    # a renamed function would otherwise fail only in a traced benchmark run;
+    # run_path executes the script without writing its bytecode
+    root = Path(__file__).resolve().parents[1]
+    targets = runpy.run_path(str(root / "perfbench" / "tracer.py"))["TARGETS"]
+    missing = []
+    for short, funcs in targets.items():
+        mod = importlib.import_module(f"almostnormal.{short}")
+        if short == "cli":
+            funcs = [name for name in vars(mod) if name.startswith("cmd_")]
+            assert funcs, "cli has no cmd_* handler"
+        missing += [f"{short}.{name}" for name in funcs if not callable(getattr(mod, name, None))]
+    assert missing == []

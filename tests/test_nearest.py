@@ -240,7 +240,7 @@ def test_stack_cases_cover_uneven_stops_and_the_cap():
     # the identity start of n10 leaves the rounds for the trust-region finish
     a, seed, max_sweeps, obj_tol = STACK_CASES["n10"]
     fro2 = float(np.linalg.norm(a) ** 2)
-    assert _run_sweeps(_starts(a, seed, 1), max_sweeps, obj_tol, fro2)[0].stop_reason == "switch"
+    assert _run_sweeps(_starts(a, seed, 1), max_sweeps, obj_tol, fro2)[2] == ["switch"]
     a, seed, max_sweeps, obj_tol = STACK_CASES["sweep_cap"]
     runs = _optimize(a, seed, 4, max_sweeps, obj_tol)
     assert all(r.sweeps == max_sweeps and not r.converged for r in runs)
@@ -350,8 +350,8 @@ def test_gauss32_switches_early_without_giving_up_certificate(seed, monkeypatch)
     # reaches
     a, _ = _pow2_scaled(_gauss32(seed))
     fro2 = float(np.linalg.norm(a) ** 2)
-    (rounds,) = _run_sweeps(_starts(a, seed, 1), 200, 1e-12, fro2)
-    assert rounds.stop_reason == "switch" and rounds.sweeps <= 15
+    (history,), _, reasons = _run_sweeps(_starts(a, seed, 1), 200, 1e-12, fro2)
+    assert reasons == ["switch"] and len(history) - 1 <= 15
     early = nearest_normal(_gauss32(seed), seed=seed, restarts=1)
     monkeypatch.setattr(nearest, "SWITCH_GAIN", 1e-6)
     late = nearest_normal(_gauss32(seed), seed=seed, restarts=1)
@@ -362,12 +362,13 @@ def test_gauss32_switches_early_without_giving_up_certificate(seed, monkeypatch)
 def test_finish_counts_against_the_sweep_cap():
     a, seed, _, obj_tol = STACK_CASES["n10"]
     fro2 = float(np.linalg.norm(a) ** 2)
-    switched = _run_sweeps(_starts(a, seed, 1), 200, obj_tol, fro2)[0]
-    assert switched.stop_reason == "switch"
+    (history,), _, reasons = _run_sweeps(_starts(a, seed, 1), 200, obj_tol, fro2)
+    assert reasons == ["switch"]
+    switched_sweeps = len(history) - 1
     (done,) = _optimize(a, seed, 1, 200, obj_tol)
-    assert done.converged and done.sweeps > switched.sweeps + 1
+    assert done.converged and done.sweeps > switched_sweeps + 1
     _check_outcome(a, done)
-    cap = switched.sweeps + 1
+    cap = switched_sweeps + 1
     (capped,) = _optimize(a, seed, 1, cap, obj_tol)
     assert capped.stop_reason == "cap" and not capped.converged
     assert capped.sweeps == cap and capped.history == done.history[: cap + 1]

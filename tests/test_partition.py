@@ -19,6 +19,7 @@ from almostnormal import (
     resolution_of_identity,
     square_cover,
 )
+from almostnormal.partition import _clamp_into
 from util import random_normal_with_spectrum
 
 
@@ -38,6 +39,17 @@ def test_open_square_strict_containment():
     assert not bool(s.contains(1 + 0j))        # edge
     assert not bool(s.contains(1 + 1j))        # corner
     assert abs(s.diameter() - 2 * math.sqrt(2)) < 1e-15
+
+
+@pytest.mark.parametrize("region, inside, boundary, outside", [
+    (OpenDisc(center=1 + 1j, radius=0.5), 1.2 + 0.9j, 1 + 1.5j, 3 - 2j),
+    (OpenSquare(center=0.5 - 0.5j, side=2.0), 0.1 + 0.1j, 1.5 + 0.5j, 4 + 4j),
+], ids=["disc", "square"])
+def test_clamp_into_moves_only_points_not_strictly_inside(region, inside, boundary, outside):
+    assert _clamp_into(region, inside) == inside
+    for z in (boundary, outside):
+        assert not bool(region.contains(z))
+        assert bool(region.contains(_clamp_into(region, z)))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

@@ -232,7 +232,6 @@ def test_reported_moves_are_the_distance_from_a_within_the_residual():
 def test_oscillator_values():
     f = Oscillator(eps=0.5, r=1.0)
     assert f.amplitude == 1.5
-    assert f.domain == (-1.5, 1.5)
     assert abs(f(0.0) - 1.5) < 1e-15
     assert abs(f(0.25) + 1.5) < 1e-15               # half period flips sign
     assert abs(f(0.125)) < 1e-12                    # quarter period hits zero
