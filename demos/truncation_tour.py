@@ -20,8 +20,8 @@ print()
 print(f"{'lambda':>7} {'N':>4} {'N1':>4} {'lhs2':>8} {'rhs2':>8} {'lhs3':>8} {'rhs3':>8}")
 for lam in (2.0, 4.0, 8.0, 12.0, 16.0):
     c = verify_truncation_bounds(model, lam)
-    print(f"{lam:>7} {c.n:>4} {c.n1:>4} {c.lhs2:>8.4f} {c.rhs2:>8.4f} "
-          f"{c.lhs3:>8.4f} {c.rhs3:>8.4f}")
+    print(f"{lam:>7} {c['N']:>4} {c['N1']:>4} {c['lhs2']:>8.4f} {c['rhs2']:>8.4f} "
+          f"{c['lhs3']:>8.4f} {c['rhs3']:>8.4f}")
 
 print()
 rows = truncation_scaling(model, np.arange(2.0, 17.0, 2.0), seed=0,

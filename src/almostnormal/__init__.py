@@ -29,11 +29,9 @@ from .errors import (
     UncoveredSpectrum,
 )
 from .experiments import (
-    CountingReport,
     GridSpec,
     PseudospectrumReport,
     SCATTER_COLUMNS,
-    TruncationCheck,
     TruncationModel,
     counting_functions,
     f_scatter,

@@ -25,6 +25,7 @@ from .core import (
 from .errors import DomainError, NotNormal
 from .experiments import (
     SCATTER_COLUMNS,
+    TRUNCATE_COLUMNS,
     GridSpec,
     laurent_truncation_model,
     pseudospectrum,
@@ -384,12 +385,6 @@ def cmd_surgery_graph(args) -> None:
 
 # ---------------------------------------------------------------- truncate
 
-TRUNCATE_COLUMNS = (
-    "lambda", "N", "N1", "lhs2", "rhs2", "lhs3", "rhs3", "passed",
-    "dist1_witness", "ratio",
-)
-
-
 def cmd_truncate(args) -> None:
     model = laurent_truncation_model(args.coeffs, args.K)
     rows = truncation_scaling(
@@ -464,8 +459,8 @@ def _specs_from_file(path) -> list[EnsembleSpec]:
         params, seed = item.get("params") or {}, item.get("seed")
         if not isinstance(params, dict):
             raise ValueError(f"spec {i}: 'params' must be an object, got {params!r}")
-        if not (seed is None or isinstance(seed, int)):
-            raise ValueError(f"spec {i}: 'seed' must be an integer, got {seed!r}")
+        if not (seed is None or isinstance(seed, int) and seed >= 0):
+            raise ValueError(f"spec {i}: 'seed' must be a non-negative integer, got {seed!r}")
         specs.append(EnsembleSpec(kind=str(item["kind"]), params=dict(params), seed=seed))
     return specs
 

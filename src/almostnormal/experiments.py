@@ -64,15 +64,9 @@ def laurent_truncation_model(coeffs, big_k: int) -> TruncationModel:
     return truncation_model(np.real(np.diagonal(g)), a)
 
 
-@dataclass(frozen=True)
-class CountingReport:
-    n: np.ndarray
-    n1: np.ndarray
-
-
-def counting_functions(g, lambda_grid) -> CountingReport:
-    """N(lambda) = #{j : g_j < lambda} and the unit-window supremum
-    N1(lambda) = max_{mu <= lambda} (N(mu) - N(mu - 1)).
+def counting_functions(g, lambda_grid) -> tuple[np.ndarray, np.ndarray]:
+    """(N, N1) over the grid: N(lambda) = #{j : g_j < lambda} and the
+    unit-window supremum N1(lambda) = max_{mu <= lambda} (N(mu) - N(mu - 1)).
 
     The supremum is exact: a unit window holding the most points can slide
     until its left edge touches some g_i, so it suffices to evaluate at
@@ -84,6 +78,8 @@ def counting_functions(g, lambda_grid) -> CountingReport:
         raise ValueError("g must be sorted ascending")
     if grid.size and (np.diff(grid) < 0).any():
         raise ValueError("lambda grid must be sorted ascending")
+    if np.isnan(grid).any():
+        raise ValueError("lambda grid must not contain NaN")
 
     n = np.searchsorted(g, grid, side="left").astype(int)
 
@@ -94,31 +90,23 @@ def counting_functions(g, lambda_grid) -> CountingReport:
     prefix = np.maximum.accumulate(counts)
     pos = np.searchsorted(cands, grid, side="right") - 1
     n1 = np.where(pos >= 0, prefix[np.clip(pos, 0, None)], 0).astype(int)
-    return CountingReport(n=n, n1=n1)
+    return n, n1
 
 
 def truncate(model: TruncationModel, lam: float) -> np.ndarray:
     """Restriction of A to span{e_j : g_j < lambda}, at its reduced dimension."""
-    k = int(np.searchsorted(model.g, float(lam), side="left"))
+    lam = float(lam)
+    if math.isnan(lam):
+        raise ValueError("truncation level must be a number, got nan")
+    k = int(np.searchsorted(model.g, lam, side="left"))
     if k == 0:
         raise EmptyTruncation(lam)
     return model.a[:k, :k].copy()
 
 
-@dataclass(frozen=True)
-class TruncationCheck:
-    lam: float
-    n: int
-    n1: int
-    lhs2: float
-    rhs2: float
-    lhs3: float
-    rhs3: float
-    passed: bool
-
-
-def verify_truncation_bounds(model: TruncationModel, lam: float) -> TruncationCheck:
-    """Evaluate both truncation inequalities at level lambda.
+def verify_truncation_bounds(model: TruncationModel, lam: float) -> dict:
+    """Evaluate both truncation inequalities at level lambda, as the
+    TRUNCATE_COLUMNS of its truncate row up to "passed".
 
     lhs2 is the worse of the two leakage branches (B = A and B = A*); the
     ambient constants ||A|| and ||[G, A]|| come from the model.
@@ -126,7 +114,7 @@ def verify_truncation_bounds(model: TruncationModel, lam: float) -> TruncationCh
     lam = float(lam)
     al = truncate(model, lam)
     k = al.shape[0]
-    n1 = int(counting_functions(model.g, [lam]).n1[0])
+    n1 = int(counting_functions(model.g, [lam])[1][0])
 
     a = model.a
     lhs2_a = float(npl.norm(a[k:, :k]) ** 2)
@@ -140,9 +128,10 @@ def verify_truncation_bounds(model: TruncationModel, lam: float) -> TruncationCh
 
     slack = 1e-9
     passed = lhs2 <= rhs2 * (1 + slack) + 1e-12 and lhs3 <= rhs3 * (1 + slack) + 1e-12
-    return TruncationCheck(
-        lam=lam, n=k, n1=n1, lhs2=lhs2, rhs2=rhs2, lhs3=lhs3, rhs3=rhs3, passed=passed
-    )
+    return {
+        "lambda": lam, "N": k, "N1": n1,
+        "lhs2": lhs2, "rhs2": rhs2, "lhs3": lhs3, "rhs3": rhs3, "passed": passed,
+    }
 
 
 def truncation_scaling(
@@ -156,38 +145,17 @@ def truncation_scaling(
 ) -> list[dict]:
     """Scaling table: trace-norm witness distance of A_lambda against N(lambda).
 
-    One row per grid level: the TruncationCheck fields (lam as "lambda", n
-    as "N", n1 as "N1"), the witness distance dist1_witness, the normalized
-    ratio dist1_witness / N, and whether the optimizer converged.
+    One row per grid level: the verify_truncation_bounds columns, the
+    witness distance dist1_witness, the normalized ratio dist1_witness / N,
+    and whether the optimizer converged.
     """
-    rows = []
-    for idx, lam in enumerate(lambda_grid):
-        check = verify_truncation_bounds(model, lam)
-        block = truncate(model, lam)
-        rep = nearest_normal(
-            block,
-            p_list=(1,),
-            seed=int(seed) + idx,
-            restarts=restarts,
-            max_sweeps=max_sweeps,
-            obj_tol=obj_tol,
-        )
+    rows, blocks = [], []
+    for lam in lambda_grid:
+        rows.append(verify_truncation_bounds(model, lam))
+        blocks.append(truncate(model, lam))
+    for row, rep in zip(rows, _witnesses(blocks, 1, seed, restarts, max_sweeps, obj_tol)):
         dist1 = rep.distances[1]
-        rows.append(
-            {
-                "lambda": float(lam),
-                "N": check.n,
-                "N1": check.n1,
-                "lhs2": check.lhs2,
-                "rhs2": check.rhs2,
-                "lhs3": check.lhs3,
-                "rhs3": check.rhs3,
-                "passed": check.passed,
-                "dist1_witness": dist1,
-                "ratio": dist1 / check.n,
-                "converged": rep.converged,
-            }
-        )
+        row.update(dist1_witness=dist1, ratio=dist1 / row["N"], converged=rep.converged)
     return rows
 
 
@@ -318,7 +286,28 @@ def pseudospectrum(
     )
 
 
+# the CSV columns of the truncate and scatter tables, in order
+TRUNCATE_COLUMNS = (
+    "lambda", "N", "N1", "lhs2", "rhs2", "lhs3", "rhs3", "passed",
+    "dist1_witness", "ratio",
+)
 SCATTER_COLUMNS = ("defect", "dist_op_witness", "dist_frob_exact", "lower_bound_op")
+
+
+def _witnesses(blocks, p, seed, restarts, max_sweeps, obj_tol) -> list:
+    """nearest_normal in the Schatten index p for each block in turn,
+    block k seeded with seed + k."""
+    return [
+        nearest_normal(
+            block,
+            p_list=(p,),
+            seed=int(seed) + k,
+            restarts=restarts,
+            max_sweeps=max_sweeps,
+            obj_tol=obj_tol,
+        )
+        for k, block in enumerate(blocks)
+    ]
 
 
 def f_scatter(
@@ -335,22 +324,17 @@ def f_scatter(
     floor dist_op_witness >= defect / 4 is asserted (a violation would mean
     a broken optimizer or norm, and raises).
     """
-    rows = []
-    for idx, spec in enumerate(specs):
+    specs, members = list(specs), []
+    for spec in specs:
         if not isinstance(spec, EnsembleSpec):
             raise ValueError(f"expected EnsembleSpec, got {type(spec).__name__}")
         raw = materialize(spec)
         nrm = operator_norm(raw)
-        a = raw / nrm if nrm > 1.0 else raw
+        members.append(raw / nrm if nrm > 1.0 else raw)
+    reps = _witnesses(members, math.inf, seed, restarts, max_sweeps, obj_tol)
+    rows = []
+    for idx, (spec, a, rep) in enumerate(zip(specs, members, reps)):
         defect = normality_defect(a)
-        rep = nearest_normal(
-            a,
-            p_list=(math.inf,),
-            seed=int(seed) + idx,
-            restarts=restarts,
-            max_sweeps=max_sweeps,
-            obj_tol=obj_tol,
-        )
         dist_op = rep.distances[math.inf]
         floor = defect / 4.0
         if dist_op < floor - 1e-9:

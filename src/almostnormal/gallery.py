@@ -90,6 +90,13 @@ def _verify_pair_bounds(m, diag_a, sub, a, b):
             )
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int; ValueError unless it is a non-negative integer."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed)
+
+
 def perturbed_normal(dim: int, delta: float, seed: int) -> np.ndarray:
     """Random normal matrix (spectrum uniform in the unit disc, Haar basis)
     plus delta times a normalized Gaussian perturbation, scaled so the
@@ -98,7 +105,7 @@ def perturbed_normal(dim: int, delta: float, seed: int) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not (delta >= 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_check_seed(seed))
     radii = np.sqrt(rng.uniform(0.0, 1.0, dim))
     angles = rng.uniform(0.0, 2.0 * math.pi, dim)
     eigs = radii * np.exp(1j * angles)

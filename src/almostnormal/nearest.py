@@ -59,7 +59,7 @@ from .core import (
     schatten_norms,
     self_commutator,
 )
-from .gallery import _haar
+from .gallery import _check_seed, _haar
 
 # A start leaves the rounds for the trust-region finish once a sweep gains
 # less than SWITCH_GAIN * ||A||_F^2 and more than 1/SWITCH_RATIO of the sweep
@@ -469,8 +469,7 @@ def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> list:
     """One SweepOutcome per start: the identity, then seeded Haar bases."""
     if seed is None:
         raise ValueError("a seed is required; all randomness flows from it")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if max_sweeps < 0:
@@ -546,6 +545,8 @@ def nearest_normal(
     entries past about 2^511 while every distance and bound stays finite.
     """
     a, e = _pow2_scaled(a)
+    # the floors check p before any start runs
+    lower = {p: _scale(v, e) for p, v in _commutator_floors(a, p_list).items()}
     runs = _optimize(a, seed, restarts, max_sweeps, obj_tol)
     # the earliest start wins a tie
     out = max(runs, key=lambda r: r.objective)
@@ -556,7 +557,6 @@ def nearest_normal(
     frob_exact = float(npl.norm(out.rotated - np.diag(diag)))
     diff = a - witness
     distances = {p: _scale(v, e) for p, v in schatten_norms(diff, p_list).items()}
-    lower = {p: _scale(v, e) for p, v in _commutator_floors(a, p_list).items()}
     return DistanceReport(
         witness=_ldexp(witness, e),
         basis=u,

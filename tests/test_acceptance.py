@@ -289,18 +289,18 @@ def test_criterion_09_truncation_inequalities():
         model = laurent_truncation_model([0, 0, 1], big_k)
         for lam in np.arange(1.0, big_k / 2 + 0.25, 0.5):
             check = verify_truncation_bounds(model, lam)
-            if not check.passed:
+            if not check["passed"]:
                 violations += 1
-            if check.lhs2 > check.rhs2 + 1e-12 or check.lhs3 > check.rhs3 + 1e-12:
+            if check["lhs2"] > check["rhs2"] + 1e-12 or check["lhs3"] > check["rhs3"] + 1e-12:
                 violations += 1
             if lam >= 1.5:
                 # truncated shift: S1 norm of the symmetrized commutator is 2,
                 # against the bound (2 + pi^2/3) * N1 with N1 = 2
-                trace_norm_err = max(trace_norm_err, abs(check.lhs3 - 2.0))
-                if check.n1 != 2:
+                trace_norm_err = max(trace_norm_err, abs(check["lhs3"] - 2.0))
+                if check["N1"] != 2:
                     violations += 1
                 want_rhs = (2.0 + math.pi ** 2 / 3.0) * 2.0
-                if abs(check.rhs3 - want_rhs) > 1e-12:
+                if abs(check["rhs3"] - want_rhs) > 1e-12:
                     violations += 1
     ok = violations == 0 and trace_norm_err <= 1e-12
     report(9, ok, f"shift symbol K in (16, 32), lambda grid to K/2: {violations} "

@@ -20,6 +20,7 @@ from almostnormal import (
 )
 from almostnormal import cli
 from almostnormal.cli import main
+from almostnormal.fileio import format_float
 from util import read_csv, tangled_normal, triangular_blocks
 
 
@@ -253,12 +254,25 @@ def test_surgery_transport_variants(tmp_path):
     phi = RadialCollapse(disc=OpenDisc(center=0j, radius=1.0))
     assert read_json(rep)["perturbation_norm"] == np.abs(phi(lam) - lam).max()
 
+    # the push from anchor 0 lands 0.5 on the unit circle and leaves 2 alone
+    assert run(
+        "surgery", "transport", "--matrix", mat, "--map", "boundary-push",
+        "--center", "0,0", "--radius", 1, "--anchor", "0,0", "--out", out, "--report", rep,
+    ) == 0
+    b, _ = load_matrix(out)
+    assert np.allclose(sorted(np.diagonal(b).real), [1.0, 2.0])
+    assert read_json(rep)["perturbation_norm"] == pytest.approx(0.5)
+
     # missing map parameters are argument errors
     assert run(
         "surgery", "transport", "--matrix", mat, "--map", "affine", "--out", out,
     ) == 2
     assert run(
         "surgery", "transport", "--matrix", mat, "--map", "boundary-push", "--out", out,
+    ) == 2
+    assert run(
+        "surgery", "transport", "--matrix", mat, "--map", "radial-collapse",
+        "--center", "0,0", "--out", out,
     ) == 2
 
 
@@ -337,6 +351,17 @@ def test_pseudospec_csv(tmp_path, capsys):
     assert evaluated.startswith("sigma_min at ") and evaluated.endswith(" of 1681 grid points")
 
 
+def test_pseudospec_reference_sets_d_eps(tmp_path):
+    mat, out = tmp_path / "n.json", tmp_path / "ps.csv"
+    save_matrix(mat, np.diag([0j, 1 + 0j]))
+    assert run("pseudospec", "--matrix", mat, "--eps", 0.3, "--resolution", 21,
+               "--reference", "2,0", "--out", out) == 0
+    _, rows, comments = read_csv(out)
+    pts = np.array([float(r[0]) + 1j * float(r[1]) for r in rows])
+    want = np.abs(pts - 2.0).max()
+    assert f"d_eps={format_float(want)}" in comments
+
+
 def test_pseudospec_reference_is_empty_for_a_non_normal_matrix(tmp_path):
     mat, out = tmp_path / "blocks.json", tmp_path / "ps.csv"
     save_matrix(mat, triangular_blocks(2.1e-9))
@@ -393,6 +418,9 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
         (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "radius": None}]}, None),
         (_GOOD_MATRIX, {"regions": 3}, None),
         (_GOOD_MATRIX, {"regions": []}, None),
+        (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "kind": "hexagon"}]}, None),
+        (None, None, []),
+        (None, None, [{"params": {"m": 2}}]),
         (None, None, [{"kind": "shift_example", "params": [1]}]),
         (None, None, [{"kind": "shift_example", "params": {"m": 2}, "seed": [1]}]),
         (None, None, [{"kind": "shift_example", "params": {"m": [2]}}]),
@@ -400,7 +428,7 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
     ],
     ids=["matrix-null-cell", "matrix-data-5", "matrix-dim-null", "matrix-metadata-list",
          "cover-region-3", "cover-center-null", "cover-radius-null", "cover-regions-3",
-         "cover-regions-empty",
+         "cover-regions-empty", "cover-kind-unknown", "spec-empty", "spec-kind-missing",
          "spec-params-list", "spec-seed-list", "spec-param-list", "spec-coeffs-string"],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
@@ -438,6 +466,8 @@ def test_empty_shift_list_is_a_usage_error(tmp_path, capsys):
      "empty complex list"),
     (("nearest", "--matrix", "m.json", "--seed", 0, "--p", "1e400", "--report", "o"),
      "cannot parse p list"),
+    (("truncate", "--coeffs", "0,0,1", "--K", 4, "--grid", "nan", "--seed", 0, "--out", "o"),
+     "truncation level must be a number, got nan"),
 ])
 def test_bad_lists_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -452,7 +482,8 @@ def test_bad_lists_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message
     ("nearest", "--matrix", "m.json", "--restarts", 2, "--report", "o"),
     ("scatter", "--shift", "2,4", "--out", "o"),
     ("truncate", "--coeffs", "0,0,1", "--K", 4, "--grid", "2,3", "--out", "o"),
-], ids=["nearest-one-start", "nearest-two-starts", "scatter", "truncate"])
+    ("gallery", "perturbed", "--dim", 3, "--delta", 0.1, "--out", "o"),
+], ids=["nearest-one-start", "nearest-two-starts", "scatter", "truncate", "gallery-perturbed"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     # the identity start never reads the seed, so a single start must check it too
     monkeypatch.chdir(tmp_path)
@@ -460,6 +491,16 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     assert run(*argv, "--seed", -1) == 2
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_negative_spec_seed_names_the_member(tmp_path, capsys):
+    spec, out = tmp_path / "spec.json", tmp_path / "s.csv"
+    spec.write_text(json.dumps(
+        [{"kind": "perturbed_normal", "params": {"dim": 3, "delta": 0.5}, "seed": -1}]
+    ))
+    assert run("scatter", "--spec", spec, "--seed", 0, "--out", out) == 2
+    assert "spec 0: 'seed' must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_complex_argument_error_names_the_form(tmp_path, capsys):

@@ -21,8 +21,7 @@ from almostnormal import (
     truncation_scaling,
     verify_truncation_bounds,
 )
-from almostnormal.cli import TRUNCATE_COLUMNS
-from almostnormal.experiments import _sigma_min_batch
+from almostnormal.experiments import TRUNCATE_COLUMNS, _sigma_min_batch
 from almostnormal.gallery import perturbed_normal
 from util import random_contraction
 
@@ -44,21 +43,26 @@ def test_truncation_model_sorts_and_freezes():
 
 def test_counting_functions_oracle():
     g = [0.0, 1.0, 1.0, 2.0, 2.0]
-    rep = counting_functions(g, [0.5, 1.0, 1.5, 2.5])
-    assert rep.n.tolist() == [1, 1, 3, 5]
+    n, _ = counting_functions(g, [0.5, 1.0, 1.5, 2.5])
+    assert n.tolist() == [1, 1, 3, 5]
     # unit half-open windows (mu - 1, mu]... largest count up to each level
-    rep1 = counting_functions(g, [0.5, 1.5, 2.5])
-    assert rep1.n1.tolist() == [1, 2, 2]
+    _, n1 = counting_functions(g, [0.5, 1.5, 2.5])
+    assert n1.tolist() == [1, 2, 2]
 
 
 def test_counting_functions_empty_and_validation():
-    rep = counting_functions([], [0.5, 1.0])
-    assert rep.n.tolist() == [0, 0]
-    assert rep.n1.tolist() == [0, 0]
+    n, n1 = counting_functions([], [0.5, 1.0])
+    assert n.tolist() == [0, 0]
+    assert n1.tolist() == [0, 0]
     with pytest.raises(ValueError):
         counting_functions([1.0, 0.0], [0.5])
     with pytest.raises(ValueError):
         counting_functions([0.0, 1.0], [1.0, 0.5])
+    # no g satisfies g < nan, yet searchsorted would place nan past every g
+    with pytest.raises(ValueError, match="NaN"):
+        counting_functions([0.0, 1.0], [math.nan])
+    # N(inf) = n is a valid count
+    assert counting_functions([0.0, 1.0], [math.inf])[0].tolist() == [2]
 
 
 def test_truncate_block():
@@ -70,6 +74,8 @@ def test_truncate_block():
         truncate(model, 0.0)
     with pytest.raises(EmptyTruncation):
         truncate(model, -1.0)
+    with pytest.raises(ValueError, match="nan"):
+        truncate(model, math.nan)
 
 
 def test_truncated_shift_commutator_trace_norm():
@@ -77,10 +83,10 @@ def test_truncated_shift_commutator_trace_norm():
     # so the symmetrized commutator has trace norm exactly 2
     model = laurent_truncation_model([0, 0, 1], 8)
     check = verify_truncation_bounds(model, 4.0)
-    assert abs(check.lhs3 - 2.0) < 1e-12
-    assert check.passed
-    assert check.rhs3 == pytest.approx((2.0 + math.pi ** 2 / 3.0) * check.n1)
-    assert check.lhs2 <= check.rhs2
+    assert abs(check["lhs3"] - 2.0) < 1e-12
+    assert check["passed"]
+    assert check["rhs3"] == pytest.approx((2.0 + math.pi ** 2 / 3.0) * check["N1"])
+    assert check["lhs2"] <= check["rhs2"]
 
 
 def test_verify_truncation_empty():
@@ -91,7 +97,8 @@ def test_verify_truncation_empty():
 
 def test_truncation_scaling_rows_and_csv():
     model = laurent_truncation_model([0, 0, 1], 8)
-    rows = truncation_scaling(model, [2.0, 4.0, 6.0], seed=3, restarts=1, max_sweeps=30)
+    # an iterator: the grid is read in one pass
+    rows = truncation_scaling(model, iter([2.0, 4.0, 6.0]), seed=3, restarts=1, max_sweeps=30)
     assert len(rows) == 3
     for r in rows:
         # each row carries every column of the truncate CSV
@@ -210,7 +217,7 @@ def test_f_scatter_rows_and_csv():
         EnsembleSpec(kind="shift_example", params={"m": 4}),
         EnsembleSpec(kind="perturbed_normal", params={"dim": 4, "delta": 0.2}, seed=3),
     ]
-    rows = f_scatter(specs, seed=0, restarts=1, max_sweeps=40)
+    rows = f_scatter(iter(specs), seed=0, restarts=1, max_sweeps=40)
     assert len(rows) == 2
     for r in rows:
         assert set(r) == {*SCATTER_COLUMNS, "converged"}

@@ -1,4 +1,4 @@
-"""Static checks on the package source."""
+"""Static checks on the package source, and on the benchmark tracer's hooks into it."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import inspect
 import re
 import runpy
 from pathlib import Path
+
+import numpy as np
 
 import almostnormal
 
@@ -125,3 +127,33 @@ def test_every_tracer_target_is_a_package_function():
             assert funcs, "cli has no cmd_* handler"
         missing += [f"{short}.{name}" for name in funcs if not callable(getattr(mod, name, None))]
     assert missing == []
+
+
+def test_every_tracer_count_callback_reads_live_fields(tmp_path, monkeypatch):
+    # the count callbacks read result fields by name (roi.cover, r.moved_count,
+    # rep.members, ...), so one tiny run of each command under the installed
+    # tracer must record counts at every target that has a callback
+    root = Path(__file__).resolve().parents[1]
+    script = runpy.run_path(str(root / "perfbench" / "tracer.py"))
+    counted = {f"{short}.{name}" for short, funcs in script["TARGETS"].items()
+               for name, counts in funcs.items() if counts is not None}
+    cli = importlib.import_module("almostnormal.cli")
+    monkeypatch.chdir(tmp_path)
+    almostnormal.save_matrix("n.json", np.diag([0.2 + 0.1j, -0.4 + 0j, 0.3j]))
+    commands = [
+        "nearest --matrix n.json --seed 0 --restarts 1 --report r.json",
+        "scatter --shift 2 --seed 0 --restarts 1 --out s.csv",
+        "truncate --coeffs 0,0,1 --K 2 --grid 2 --seed 0 --restarts 1 --out t.csv",
+        "partition --matrix n.json --side 1 --report p.json --approx a.json",
+        "surgery graph --matrix n.json --eps 0.1 --out g.json",
+        "surgery remove-disc --matrix n.json --center 0,0 --radius 0.5 --out d.json",
+        "pseudospec --matrix n.json --eps 0.3 --resolution 21 --threads 1 --out ps.csv",
+    ]
+    tracer = script["Tracer"]()
+    tracer.install()
+    try:
+        codes = [cli.main(command.split()) for command in commands]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(commands)
+    assert {name for _, _, name, _, _, counts in tracer.spans if counts} == counted

@@ -85,6 +85,15 @@ def test_optimizer_arguments_are_validated(kwargs):
         nearest_normal(SHIFT2, seed=0, **kwargs)
 
 
+def test_schatten_index_is_checked_before_any_start_runs(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an optimizer start ran")
+
+    monkeypatch.setattr(nearest, "_solve", unreachable)
+    with pytest.raises(ValueError, match="p >= 1"):
+        nearest_normal(shift_example(8), p_list=(0.5,), seed=0)
+
+
 def test_zero_sweeps_and_zero_tolerance_are_valid():
     rep = nearest_normal(SHIFT2, seed=0, restarts=1, max_sweeps=0)
     assert rep.sweeps == 0 and rep.restart_stop_reasons == ("cap",)
