@@ -424,17 +424,13 @@ def cmd_pseudospec(args) -> None:
             ref = ()
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     rep = pseudospectrum(a, args.eps, grid, reference=ref, threads=threads)
-    cfg = _config(
-        args,
-        center=center,
-        half_width=half_width,
-        threads=threads,
-        reference=ref,
-    )
+    # threads is echoed as given: the core count changes no number
+    cfg = _config(args, center=center, half_width=half_width, reference=ref)
     extra = [
         f"members={rep.members.size}",
         f"d_eps={fileio.format_float(rep.d_eps)}",
         f"grid_step={fileio.format_float(grid.step())}",
+        f"evaluated={rep.evaluated}",
     ]
     rows = zip(rep.members.real, rep.members.imag, rep.sigma_min)
     fileio.write_csv(args.out, ("re", "im", "sigma_min"), rows, comments=_comments(cfg, extra))

@@ -24,7 +24,7 @@ import numpy.linalg as npl
 from .core import as_cmatrix, normality_defect, operator_norm, schatten_norm, self_commutator
 from .errors import EmptyTruncation
 from .gallery import EnsembleSpec, laurent_multiplication, materialize
-from .nearest import nearest_normal
+from .nearest import _nearest_normals
 
 
 @dataclass(frozen=True)
@@ -295,19 +295,12 @@ SCATTER_COLUMNS = ("defect", "dist_op_witness", "dist_frob_exact", "lower_bound_
 
 
 def _witnesses(blocks, p, seed, restarts, max_sweeps, obj_tol) -> list:
-    """nearest_normal in the Schatten index p for each block in turn,
-    block k seeded with seed + k."""
-    return [
-        nearest_normal(
-            block,
-            p_list=(p,),
-            seed=int(seed) + k,
-            restarts=restarts,
-            max_sweeps=max_sweeps,
-            obj_tol=obj_tol,
-        )
-        for k, block in enumerate(blocks)
-    ]
+    """nearest_normal in the Schatten index p for every block, block k
+    seeded with seed + k, from one call: every start of every block shares
+    one round kernel, and each report is bitwise the one nearest_normal
+    gives for its block alone."""
+    seeds = [int(seed) + k for k in range(len(blocks))]
+    return _nearest_normals(blocks, (p,), seeds, restarts, max_sweeps, obj_tol)
 
 
 def f_scatter(

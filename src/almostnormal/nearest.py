@@ -18,8 +18,11 @@ so the gains of a round add exactly and the objective history is monotone.
 
 The starts (the identity, then seeded Haar bases) run together through one
 round kernel: each round gathers and rotates the 2x2 blocks of every start
-that has not yet stopped.  The arithmetic is elementwise, so each start's
-result is bitwise what it gives when run alone.
+that has not yet stopped.  The starts of several matrices share it too, each
+zero-padded to the largest dimension and taking its own matrix's rounds, so
+the scatter and truncation tables run one kernel for all their members.
+Pivots never touch the padding and the arithmetic is elementwise, so each
+start's result is bitwise what it gives when run alone.
 
 Near a maximum with small curvature the sweeps gain linearly and slowly.  A
 start whose sweep gains turn small and shrink by less than a factor 4 per
@@ -243,50 +246,60 @@ class _Hessian:
         return -_horizontal((cc[:, None] - cc[None, :]) * b * 2.0 + k)
 
 
-def _round_tables(active, rounds, n: int) -> list:
-    """Per round, the flat and row indices of every active start's pivots.
+def _round_tables(active, rounds, floors, n: int) -> list:
+    """Per round, the flat and row indices of every active start's pivots,
+    and each pivot's gain floor.
 
+    Round t takes start s's own round t of rounds[s] while it has one.
     Entry (s, i, j) addresses b[s, i, j] of the (r, 2n, n) stack w at
     flat index (s*2n + i)*n + j, and row i of b[s] at row s*2n + i of
     w.reshape(r*2n, n).  Entries run start-major within a round.
     """
     tables = []
-    for i, j in rounds:
-        s = np.repeat(active, i.size)
-        i, j = np.tile(i, active.size), np.tile(j, active.size)
+    for t in range(max((len(rounds[k]) for k in active), default=0)):
+        live = [k for k in active if t < len(rounds[k])]
+        i = np.concatenate([rounds[k][t][0] for k in live])
+        j = np.concatenate([rounds[k][t][1] for k in live])
+        s = np.repeat(live, [rounds[k][t][0].size for k in live])
         row_i, row_j = s * (2 * n) + i, s * (2 * n) + j
         tables.append((s, i, j, row_i, row_j, row_i * n + i, row_i * n + j,
-                       row_j * n + i, row_j * n + j))
+                       row_j * n + i, row_j * n + j, floors[s]))
     return tables
 
 
-def _run_sweeps(w, max_sweeps: int, obj_tol: float, fro2: float) -> tuple:
+def _run_sweeps(w, dims, max_sweeps: int, obj_tol: float, fro2) -> tuple:
     """Round-robin sweeps over every start at once; returns per start the
     objective history, the rotations applied and the stop reason.
 
-    w is the C-contiguous (r, 2n, n) stack of [U*AU; U] per start, so one
-    column update rotates both, and it is rotated in place.  Each round
-    gathers the 2x2 blocks of every active start in one go and rotates
-    them together; the arithmetic is elementwise, so every start gets
-    bitwise the result it gets alone.  A start drops out of the round
-    tables when its sweep gain falls under obj_tol * fro2 (stop reason
+    w is the C-contiguous (r, 2n, n) stack of [U*AU; U] per start, start k
+    holding its dims[k] x dims[k] blocks at the top left of each half and
+    zeros elsewhere, so one column update rotates both; it is rotated in
+    place.  A sweep runs as many rounds as the largest active start needs,
+    and each round gathers the 2x2 blocks of every active start in one go,
+    start k taking its own round of _round_robin(dims[k]).  Pivots never
+    touch the padding and the arithmetic is elementwise, so every start
+    gets bitwise the result it gets alone.  A start drops out of the round
+    tables when its sweep gain falls under obj_tol * fro2[k] (stop reason
     "tolerance") or when its tail turns slow and linear (stop reason
     "switch", for the trust-region finish); starts still in the rounds
     after max_sweeps stop at the "cap".
     """
     r, n = w.shape[0], w.shape[2]
     flat, rows, cols = w.reshape(-1), w.reshape(r * 2 * n, n), w.transpose(0, 2, 1)
-    rounds = _round_robin(n)
-    history = [[_diag_objective(w[k, :n])] for k in range(r)]
+    by_dim = {m: _round_robin(m) for m in set(dims)}
+    rounds = [by_dim[m] for m in dims]
+    # the objective sums each start's own diagonal: trailing zeros would
+    # change the pairwise summation
+    history = [[_diag_objective(w[k, :m, :m])] for k, m in enumerate(dims)]
     pivots = np.zeros(r, dtype=np.int64)
     stop = [None] * r
     # pivots below this gain cannot matter: even if every pivot of a sweep
     # forgoes the floor, the total stays two orders under the stop threshold
-    floor = 0.02 * obj_tol * fro2 / max(1, n * (n - 1) // 2)
+    floors = np.array([0.02 * obj_tol * f / max(1, m * (m - 1) // 2) for m, f in zip(dims, fro2)])
     active = np.arange(r)
-    tables = _round_tables(active, rounds, n)
+    tables = _round_tables(active, rounds, floors, n)
     for _ in range(max_sweeps):
-        for s, i, j, row_i, row_j, ii, ij, ji, jj in tables:
+        for s, i, j, row_i, row_j, ii, ij, ji, jj, floor in tables:
             bii, bij, bji, bjj = flat[ii], flat[ij], flat[ji], flat[jj]
             keep, _, x, y = _plane_rotations(bii, bij, bji, bjj, floor)
             # realized-gain guard: the rotated diagonal of G* block G, whose
@@ -315,18 +328,18 @@ def _run_sweeps(w, max_sweeps: int, obj_tol: float, fro2: float) -> tuple:
             pivots += np.bincount(s, minlength=r)
         for k in active:
             h = history[k]
-            h.append(_diag_objective(w[k, :n]))
+            h.append(_diag_objective(w[k, :dims[k], :dims[k]]))
             gain = h[-1] - h[-2]
-            if gain < obj_tol * fro2:
+            if gain < obj_tol * fro2[k]:
                 stop[k] = "tolerance"
-            elif (len(h) > 2 and gain < SWITCH_GAIN * fro2
+            elif (len(h) > 2 and gain < SWITCH_GAIN * fro2[k]
                   and gain * SWITCH_RATIO > h[-2] - h[-3]):
                 stop[k] = "switch"
         if any(stop[k] for k in active):
             active = np.flatnonzero([s is None for s in stop])
             if active.size == 0:
                 break
-            tables = _round_tables(active, rounds, n)
+            tables = _round_tables(active, rounds, floors, n)
     return history, pivots.tolist(), [reason or "cap" for reason in stop]
 
 
@@ -430,65 +443,75 @@ def _finish(a, u, b, history: list, max_sweeps: int, obj_tol: float, fro2: float
     return u, b, reason
 
 
-def _solve(a, w, max_sweeps: int, obj_tol: float, fro2: float) -> list:
-    """The rounds for every start of the stack w, then the trust-region
-    finish for each start that switched; one SweepOutcome per start."""
-    n = w.shape[2]
+def _solve(mats, w, max_sweeps: int, obj_tol: float) -> list:
+    """The rounds for every start of the stack w, mats[k] the matrix of
+    start k, then the trust-region finish for each start that switched;
+    one SweepOutcome per start."""
+    big, dims = w.shape[2], [a.shape[0] for a in mats]
+    fro2 = [float(npl.norm(a) ** 2) or 1.0 for a in mats]
     runs = []
-    for k, (history, pivots, reason) in enumerate(zip(*_run_sweeps(w, max_sweeps, obj_tol, fro2))):
-        u, b = w[k, n:], w[k, :n]
+    for k, (history, pivots, reason) in enumerate(zip(*_run_sweeps(w, dims, max_sweeps, obj_tol, fro2))):
+        n = dims[k]
+        u, b = w[k, big:big + n, :n], w[k, :n, :n]
+        if n < big:
+            # a padded start's blocks are copied out of the shared stack
+            u, b = u.copy(), b.copy()
         if reason == "switch":
-            u, b, reason = _finish(a, u, b, history, max_sweeps, obj_tol, fro2)
+            u, b, reason = _finish(mats[k], u, b, history, max_sweeps, obj_tol, fro2[k])
         runs.append(SweepOutcome(
             basis=u,
             rotated=b,
             history=tuple(history),
             pivots=pivots,
             stop_reason=reason,
-            stationarity=float(npl.norm(_gradient(b))) / fro2,
+            stationarity=float(npl.norm(_gradient(b))) / fro2[k],
         ))
     return runs
 
 
-def _starts(a, seed, restarts) -> np.ndarray:
-    """The (restarts, 2n, n) stack of [U*AU; U]: the identity, then seeded
-    Haar bases, each start's product taken on its own."""
-    n = a.shape[0]
-    w = np.empty((restarts, 2 * n, n), dtype=complex)
-    for k in range(restarts):
-        if k == 0:
+def _starts(mats, seeds, restarts) -> np.ndarray:
+    """The zero-padded (len(mats) * restarts, 2N, N) stack of [U*AU; U], N
+    the largest dimension, member by member: the identity, then Haar bases
+    seeded by the member's seed, each start's product taken on its own."""
+    big = max((a.shape[0] for a in mats), default=0)
+    w = np.zeros((len(mats) * restarts, 2 * big, big), dtype=complex)
+    for k in range(w.shape[0]):
+        a, seed, start = mats[k // restarts], seeds[k // restarts], k % restarts
+        n = a.shape[0]
+        if start == 0:
             u0 = np.eye(n, dtype=complex)
         else:
-            u0 = _haar(n, np.random.default_rng([int(seed), k]))
-        w[k, :n] = adjoint(u0) @ a @ u0
-        w[k, n:] = u0
+            u0 = _haar(n, np.random.default_rng([int(seed), start]))
+        w[k, :n, :n] = adjoint(u0) @ a @ u0
+        w[k, big:big + n, :n] = u0
     return w
 
 
-def _optimize(a, seed, restarts, max_sweeps, obj_tol) -> list:
-    """One SweepOutcome per start: the identity, then seeded Haar bases."""
-    if seed is None:
-        raise ValueError("a seed is required; all randomness flows from it")
-    _check_seed(seed)
+def _optimize(mats, seeds, restarts, max_sweeps, obj_tol) -> list:
+    """Per member, one SweepOutcome per start: the identity, then Haar bases
+    seeded by seeds[k] for member k."""
+    for seed in seeds:
+        if seed is None:
+            raise ValueError("a seed is required; all randomness flows from it")
+        _check_seed(seed)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     if not 0.0 <= obj_tol < math.inf:
         raise ValueError(f"obj_tol must be finite and >= 0, got {obj_tol}")
-    fro2 = float(npl.norm(a) ** 2)
-    if fro2 == 0.0:
-        fro2 = 1.0
-    return _solve(a, _starts(a, seed, restarts), max_sweeps, obj_tol, fro2)
+    starts = [a for a in mats for _ in range(restarts)]
+    runs = _solve(starts, _starts(mats, seeds, restarts), max_sweeps, obj_tol)
+    return [runs[k:k + restarts] for k in range(0, len(runs), restarts)]
 
 
 def _commutator_floors(a, p_list) -> dict:
     """{p: ||[A*, A]||_p / (4 ||A||)} for a power-of-two scaled A, from one
-    SVD of A and one of [A*, A].  Zero for the zero matrix."""
+    SVD of A and one of [A*, A].  Zero for the zero matrix, whose p are
+    checked all the same."""
     nrm = operator_norm(a)
-    if nrm == 0.0:
-        return dict.fromkeys(p_list, 0.0)
-    return {p: v / (4.0 * nrm) for p, v in schatten_norms(self_commutator(a), p_list).items()}
+    norms = schatten_norms(self_commutator(a), p_list)
+    return {p: v / (4.0 * nrm) if nrm else 0.0 for p, v in norms.items()}
 
 
 def commutator_lower_bound(a, p) -> float:
@@ -544,32 +567,44 @@ def nearest_normal(
     bound.  The objectives are squared norms, so they overflow to inf for
     entries past about 2^511 while every distance and bound stays finite.
     """
-    a, e = _pow2_scaled(a)
-    # the floors check p before any start runs
-    lower = {p: _scale(v, e) for p, v in _commutator_floors(a, p_list).items()}
-    runs = _optimize(a, seed, restarts, max_sweeps, obj_tol)
-    # the earliest start wins a tie
-    out = max(runs, key=lambda r: r.objective)
-    u = out.basis
-    diag = np.diagonal(out.rotated).copy()
-    witness = (u * diag) @ adjoint(u)
-    # ||A - witness||_F is the norm of U*AU's off-diagonal part
-    frob_exact = float(npl.norm(out.rotated - np.diag(diag)))
-    diff = a - witness
-    distances = {p: _scale(v, e) for p, v in schatten_norms(diff, p_list).items()}
-    return DistanceReport(
-        witness=_ldexp(witness, e),
-        basis=u,
-        distances=distances,
-        frobenius_exact=_scale(frob_exact, e),
-        lower_bounds=lower,
-        objective=_scale(out.objective, 2 * e),
-        objective_history=tuple(_scale(h, 2 * e) for h in out.history),
-        sweeps=out.sweeps,
-        converged=out.converged,
-        restart_objectives=tuple(_scale(r.objective, 2 * e) for r in runs),
-        restart_sweeps=tuple(r.sweeps for r in runs),
-        restart_pivots=tuple(r.pivots for r in runs),
-        restart_stop_reasons=tuple(r.stop_reason for r in runs),
-        restart_stationarity=tuple(r.stationarity for r in runs),
-    )
+    return _nearest_normals([a], p_list, [seed], restarts, max_sweeps, obj_tol)[0]
+
+
+def _nearest_normals(mats, p_list, seeds, restarts, max_sweeps, obj_tol) -> list:
+    """nearest_normal for each matrix of mats, member k seeded with seeds[k].
+
+    Every start of every member runs through one round kernel, and each
+    report is bitwise the one nearest_normal gives for its member alone.
+    """
+    scaled = [_pow2_scaled(a) for a in mats]
+    # the floors check p, and _optimize every seed, before any start runs
+    lowers = [{p: _scale(v, e) for p, v in _commutator_floors(a, p_list).items()} for a, e in scaled]
+    member_runs = _optimize([a for a, _ in scaled], seeds, restarts, max_sweeps, obj_tol)
+    reports = []
+    for (a, e), lower, runs in zip(scaled, lowers, member_runs):
+        # the earliest start wins a tie
+        out = max(runs, key=lambda r: r.objective)
+        u = out.basis
+        diag = np.diagonal(out.rotated).copy()
+        witness = (u * diag) @ adjoint(u)
+        # ||A - witness||_F is the norm of U*AU's off-diagonal part
+        frob_exact = float(npl.norm(out.rotated - np.diag(diag)))
+        diff = a - witness
+        distances = {p: _scale(v, e) for p, v in schatten_norms(diff, p_list).items()}
+        reports.append(DistanceReport(
+            witness=_ldexp(witness, e),
+            basis=u,
+            distances=distances,
+            frobenius_exact=_scale(frob_exact, e),
+            lower_bounds=lower,
+            objective=_scale(out.objective, 2 * e),
+            objective_history=tuple(_scale(h, 2 * e) for h in out.history),
+            sweeps=out.sweeps,
+            converged=out.converged,
+            restart_objectives=tuple(_scale(r.objective, 2 * e) for r in runs),
+            restart_sweeps=tuple(r.sweeps for r in runs),
+            restart_pivots=tuple(r.pivots for r in runs),
+            restart_stop_reasons=tuple(r.stop_reason for r in runs),
+            restart_stationarity=tuple(r.stationarity for r in runs),
+        ))
+    return reports

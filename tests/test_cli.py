@@ -349,6 +349,12 @@ def test_pseudospec_csv(tmp_path, capsys):
     assert any("d_eps=" in c for c in comments)
     evaluated = capsys.readouterr().out.splitlines()[-1]
     assert evaluated.startswith("sigma_min at ") and evaluated.endswith(" of 1681 grid points")
+    # the comments carry the same count, after grid_step=
+    step = next(i for i, c in enumerate(comments) if c.startswith("grid_step="))
+    assert comments[step + 1] == f"evaluated={evaluated.split()[2]}"
+    # threads is echoed as given, so the core count leaves the bytes alone
+    config = json.loads(next(c for c in comments if c.startswith("config="))[len("config="):])
+    assert config["threads"] is None
 
 
 def test_pseudospec_reference_sets_d_eps(tmp_path):

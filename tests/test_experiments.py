@@ -21,8 +21,9 @@ from almostnormal import (
     truncation_scaling,
     verify_truncation_bounds,
 )
+from almostnormal import nearest
 from almostnormal.experiments import TRUNCATE_COLUMNS, _sigma_min_batch
-from almostnormal.gallery import perturbed_normal
+from almostnormal.gallery import materialize, perturbed_normal
 from util import random_contraction
 
 
@@ -226,6 +227,35 @@ def test_f_scatter_rows_and_csv():
     # shift: defect 1, frobenius distance exactly 1 for m = 4
     assert rows[0]["defect"] == pytest.approx(1.0)
     assert rows[0]["dist_frob_exact"] == pytest.approx(1.0, abs=1e-7)
+
+
+def test_f_scatter_runs_every_member_in_one_round_kernel(monkeypatch):
+    # 19 members of dims 2-12, as in the ensemble-small benchmark workload:
+    # one kernel runs at most max_k R_k rounds per sweep, R_k the rounds of
+    # a sweep of member k, for as many sweeps as its longest start
+    specs = [EnsembleSpec(kind="shift_example", params={"m": m}) for m in (2, 4, 6, 8, 10, 12)]
+    specs += [EnsembleSpec(kind="almost_commuting_pair", params={"m": m}) for m in (2, 4, 6, 8, 10)]
+    specs += [EnsembleSpec(kind="perturbed_normal", params={"dim": d, "delta": 0.5}, seed=d)
+              for d in (3, 4, 5, 6, 8, 10)]
+    specs += [EnsembleSpec(kind="laurent_multiplication", params={"coeffs": [0, 0, 1], "K": 3}),
+              EnsembleSpec(kind="laurent_multiplication", params={"coeffs": [0.25, 0.5, 1], "K": 5})]
+    plane, run = nearest._plane_rotations, nearest._run_sweeps
+    rounds, sweeps = [], []
+
+    def counted(*args):
+        rounds.append(1)
+        return plane(*args)
+
+    def recorded(*args):
+        out = run(*args)
+        sweeps.extend(len(h) - 1 for h in out[0])
+        return out
+
+    monkeypatch.setattr(nearest, "_plane_rotations", counted)
+    monkeypatch.setattr(nearest, "_run_sweeps", recorded)
+    assert len(f_scatter(specs, seed=1)) == 19
+    per_sweep = max(len(nearest._round_robin(materialize(s).shape[0])) for s in specs)
+    assert 0 < len(rounds) <= max(sweeps) * per_sweep
 
 
 def test_f_scatter_rejects_non_spec():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,11 +20,13 @@ from almostnormal import (
 )
 from almostnormal import nearest
 from almostnormal.core import _pow2_scaled
+from almostnormal.experiments import _witnesses
 from almostnormal.nearest import (
     _diag_objective,
     _gradient,
     _Hessian,
     _horizontal,
+    _nearest_normals,
     _optimize,
     _plane_rotations,
     _retract,
@@ -86,12 +89,18 @@ def test_optimizer_arguments_are_validated(kwargs):
 
 
 def test_schatten_index_is_checked_before_any_start_runs(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("an optimizer start ran")
-
-    monkeypatch.setattr(nearest, "_solve", unreachable)
+    calls = []
+    monkeypatch.setattr(nearest, "_solve", lambda *args: calls.append(args))
+    # the zero matrix has zero floors, and its p is checked all the same
+    for a in (shift_example(8), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="p >= 1"):
+            nearest_normal(a, p_list=(0.5,), seed=0)
+    # every member's p and seed are checked before the shared kernel runs
     with pytest.raises(ValueError, match="p >= 1"):
-        nearest_normal(shift_example(8), p_list=(0.5,), seed=0)
+        _nearest_normals([SHIFT2, shift_example(8)], (0.5,), [0, 1], 2, 200, 1e-12)
+    with pytest.raises(ValueError, match="seed"):
+        _nearest_normals([SHIFT2, shift_example(8)], (1,), [0, -1], 2, 200, 1e-12)
+    assert calls == []
 
 
 def test_zero_sweeps_and_zero_tolerance_are_valid():
@@ -198,7 +207,7 @@ def test_round_robin_covers_each_pair_once_in_disjoint_rounds(n):
 def test_batched_sweeps_do_not_drift_from_the_basis():
     # odd n exercises the dummy index; every round updates b in place
     a = random_contraction(17, 170)
-    for out in _optimize(a, 3, 2, 200, 1e-12):
+    for out in _optimize([a], [3], 2, 200, 1e-12)[0]:
         u, b = out.basis, out.rotated
         assert out.pivots > 0
         assert np.abs(adjoint(u) @ a @ u - b).max() <= 1e-12 * np.linalg.norm(a)
@@ -208,8 +217,7 @@ def test_batched_sweeps_do_not_drift_from_the_basis():
 def _alone(a, seed, k, max_sweeps, obj_tol):
     """Start k of _optimize, run through the rounds and the finish with no
     other start."""
-    fro2 = float(np.linalg.norm(a) ** 2) or 1.0
-    return _solve(a, _starts(a, seed, k + 1)[k:], max_sweeps, obj_tol, fro2)[0]
+    return _solve([a], _starts([a], [seed], k + 1)[k:], max_sweeps, obj_tol)[0]
 
 
 def _same_bits(x, y) -> bool:
@@ -237,21 +245,49 @@ STACK_CASES = {
 @pytest.mark.parametrize("case", STACK_CASES)
 def test_stacked_starts_match_each_start_run_alone(case, restarts):
     a, seed, max_sweeps, obj_tol = STACK_CASES[case]
-    runs = _optimize(a, seed, restarts, max_sweeps, obj_tol)
+    runs = _optimize([a], [seed], restarts, max_sweeps, obj_tol)[0]
     assert len(runs) == restarts
     for k, run in enumerate(runs):
         assert _same_bits(run, _alone(a, seed, k, max_sweeps, obj_tol)), k
 
 
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("max_sweeps, obj_tol", [(200, 1e-12), (6, 1e-12), (0, 1e-12), (200, 0.0)])
+def test_stacked_members_of_mixed_dimension_match_each_start_run_alone(max_sweeps, obj_tol, restarts):
+    # one zero-padded stack holds every start of every member, n = 1 to 10
+    mats, seeds = zip(*((a, seed) for a, seed, _, _ in STACK_CASES.values()))
+    members = _optimize(mats, seeds, restarts, max_sweeps, obj_tol)
+    assert [len(runs) for runs in members] == [restarts] * len(mats)
+    for a, seed, runs in zip(mats, seeds, members):
+        for k, run in enumerate(runs):
+            assert _same_bits(run, _alone(a, seed, k, max_sweeps, obj_tol)), (a.shape, k)
+
+
+def _fields(rep) -> dict:
+    """Every field of a report, arrays as bytes and numbers by repr."""
+    values = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in values.items()}
+
+
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_witnesses_match_nearest_normal_member_by_member(p):
+    # members far apart in scale, dimension and stop reason share one kernel
+    blocks = [a for a, _, _, _ in STACK_CASES.values()] + [shift_example(4) * 2.0 ** -600]
+    reps = _witnesses(blocks, p, 5, 2, 200, 1e-12)
+    assert len(reps) == len(blocks)
+    for k, (a, rep) in enumerate(zip(blocks, reps)):
+        assert _fields(rep) == _fields(nearest_normal(a, (p,), seed=5 + k, restarts=2)), k
+
+
 def test_stack_cases_cover_uneven_stops_and_the_cap():
     a, seed, max_sweeps, obj_tol = STACK_CASES["uneven_stops"]
-    assert [r.sweeps for r in _optimize(a, seed, 2, max_sweeps, obj_tol)] == [2, 12]
+    assert [r.sweeps for r in _optimize([a], [seed], 2, max_sweeps, obj_tol)[0]] == [2, 12]
     # the identity start of n10 leaves the rounds for the trust-region finish
     a, seed, max_sweeps, obj_tol = STACK_CASES["n10"]
     fro2 = float(np.linalg.norm(a) ** 2)
-    assert _run_sweeps(_starts(a, seed, 1), max_sweeps, obj_tol, fro2)[2] == ["switch"]
+    assert _run_sweeps(_starts([a], [seed], 1), [a.shape[0]], max_sweeps, obj_tol, [fro2])[2] == ["switch"]
     a, seed, max_sweeps, obj_tol = STACK_CASES["sweep_cap"]
-    runs = _optimize(a, seed, 4, max_sweeps, obj_tol)
+    runs = _optimize([a], [seed], 4, max_sweeps, obj_tol)[0]
     assert all(r.sweeps == max_sweeps and not r.converged for r in runs)
 
 
@@ -290,7 +326,7 @@ def test_preconditioner_inverts_the_plane_blocks_of_the_hessian():
     # at a maximum the plane blocks of -Hess are positive; on a direction in
     # one plane (j, k), the preconditioner undoes that block exactly
     a = random_contraction(6, 9)
-    (out,) = _optimize(a, 0, 1, 200, 1e-12)
+    (out,) = _optimize([a], [0], 1, 200, 1e-12)[0]
     hess = _Hessian(out.rotated)
     rng = np.random.default_rng(1)
     checked = 0
@@ -338,7 +374,7 @@ def _check_outcome(a, out):
 def test_gauss32_stops_by_tolerance_at_a_small_gradient(seed):
     # at the sweep cap of 200 alone, seeds 5, 8 and 10 stopped unconverged
     a, _ = _pow2_scaled(_gauss32(seed))
-    (out,) = _optimize(a, seed, 1, 200, 1e-12)
+    (out,) = _optimize([a], [seed], 1, 200, 1e-12)[0]
     assert out.stop_reason == "tolerance" and out.converged
     assert out.stationarity <= 1e-8
     _check_outcome(a, out)
@@ -359,7 +395,7 @@ def test_gauss32_switches_early_without_giving_up_certificate(seed, monkeypatch)
     # reaches
     a, _ = _pow2_scaled(_gauss32(seed))
     fro2 = float(np.linalg.norm(a) ** 2)
-    (history,), _, reasons = _run_sweeps(_starts(a, seed, 1), 200, 1e-12, fro2)
+    (history,), _, reasons = _run_sweeps(_starts([a], [seed], 1), [a.shape[0]], 200, 1e-12, [fro2])
     assert reasons == ["switch"] and len(history) - 1 <= 15
     early = nearest_normal(_gauss32(seed), seed=seed, restarts=1)
     monkeypatch.setattr(nearest, "SWITCH_GAIN", 1e-6)
@@ -371,14 +407,14 @@ def test_gauss32_switches_early_without_giving_up_certificate(seed, monkeypatch)
 def test_finish_counts_against_the_sweep_cap():
     a, seed, _, obj_tol = STACK_CASES["n10"]
     fro2 = float(np.linalg.norm(a) ** 2)
-    (history,), _, reasons = _run_sweeps(_starts(a, seed, 1), 200, obj_tol, fro2)
+    (history,), _, reasons = _run_sweeps(_starts([a], [seed], 1), [a.shape[0]], 200, obj_tol, [fro2])
     assert reasons == ["switch"]
     switched_sweeps = len(history) - 1
-    (done,) = _optimize(a, seed, 1, 200, obj_tol)
+    (done,) = _optimize([a], [seed], 1, 200, obj_tol)[0]
     assert done.converged and done.sweeps > switched_sweeps + 1
     _check_outcome(a, done)
     cap = switched_sweeps + 1
-    (capped,) = _optimize(a, seed, 1, cap, obj_tol)
+    (capped,) = _optimize([a], [seed], 1, cap, obj_tol)[0]
     assert capped.stop_reason == "cap" and not capped.converged
     assert capped.sweeps == cap and capped.history == done.history[: cap + 1]
     _check_outcome(a, capped)
@@ -446,13 +482,6 @@ def seeded_inputs(draw):
     return random_contraction(n, seed), seed
 
 
-def _bits(rep):
-    return (rep.witness.tobytes(), rep.basis.tobytes(), rep.frobenius_exact,
-            rep.distances, rep.lower_bounds, np.array(rep.objective_history).tobytes(),
-            np.array(rep.restart_objectives).tobytes(), rep.restart_sweeps,
-            rep.restart_pivots, rep.converged)
-
-
 @settings(max_examples=40)
 @given(seeded_inputs())
 def test_nearest_normal_report_properties(case):
@@ -467,7 +496,7 @@ def test_nearest_normal_report_properties(case):
                *rep.lower_bounds.values(), *rep.objective_history, *rep.restart_objectives]
     assert np.isfinite(numbers).all()
     assert np.isfinite(rep.witness).all() and np.isfinite(rep.basis).all()
-    assert _bits(nearest_normal(a, seed=seed, restarts=2)) == _bits(rep)
+    assert _fields(nearest_normal(a, seed=seed, restarts=2)) == _fields(rep)
 
 
 @settings(max_examples=30)
