@@ -299,7 +299,8 @@ def _witnesses(blocks, p, seed, restarts, max_sweeps, obj_tol) -> list:
     seeded with seed + k, from one call: every start of every block shares
     one round kernel, and each report is bitwise the one nearest_normal
     gives for its block alone."""
-    seeds = [int(seed) + k for k in range(len(blocks))]
+    # a None seed reaches _optimize, which refuses it before any start runs
+    seeds = [seed if seed is None else int(seed) + k for k in range(len(blocks))]
     return _nearest_normals(blocks, (p,), seeds, restarts, max_sweeps, obj_tol)
 
 

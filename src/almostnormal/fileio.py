@@ -10,10 +10,12 @@ cells are either a real number or a quoted "re,im" pair.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 
@@ -37,14 +39,24 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_text(path, text: str) -> None:
+    """Write text to path as a new file.  An existing file is unlinked
+    first, so a hard link or an open reader keeps the old bytes, and a
+    rewrite skips the cost of truncating allocated blocks; a symlink is
+    written through.  The one place the package opens a file to write."""
+    if not os.path.islink(path):
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def save_matrix(path, a, metadata=None) -> None:
     a = as_cmatrix(a)
     data = np.stack([a.real, a.imag], -1).tolist()
     doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {}), "data": data}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_text(path, text + "\n")
 
 
 def _matrix_from_json(doc) -> tuple[np.ndarray, dict]:
@@ -128,9 +140,7 @@ def _sanitize(value):
 def write_report(path, payload: dict) -> None:
     """Deterministic JSON report: sorted keys, repr floats, sanitized inf."""
     text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_text(path, text + "\n")
 
 
 def write_csv(path, columns, rows, comments=()) -> None:
@@ -145,6 +155,5 @@ def write_csv(path, columns, rows, comments=()) -> None:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_format_cell(v) for v in row])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_text(path, buf.getvalue())
 

@@ -345,6 +345,7 @@ def test_criterion_11_two_by_two_oracle():
 
 
 def test_criterion_12_byte_determinism(tmp_path):
+    """Reruns on the same machine with the same BLAS thread count give identical bytes."""
     normal_mat = tmp_path / "normal.json"
     save_matrix(normal_mat, np.diag([0.1 + 0.2j, -0.4 + 0j, 0.5 - 0.3j]))
     chord_mat = tmp_path / "chord.json"

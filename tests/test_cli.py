@@ -509,6 +509,14 @@ def test_negative_spec_seed_names_the_member(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert run("gallery", "shift", "--m", 4, "--out", out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert out.is_dir()
+
+
 def test_complex_argument_error_names_the_form(tmp_path, capsys):
     assert run("surgery", "remove-disc", "--matrix", tmp_path / "m.json", "--center", "1,x",
                "--radius", 0.1, "--out", tmp_path / "o.json") == 2

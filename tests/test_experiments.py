@@ -258,6 +258,27 @@ def test_f_scatter_runs_every_member_in_one_round_kernel(monkeypatch):
     assert 0 < len(rounds) <= max(sweeps) * per_sweep
 
 
+def _refuse_optimizer(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(nearest, "_solve", refused)
+
+
+def test_truncation_scaling_without_a_seed_raises_before_optimizing(monkeypatch):
+    _refuse_optimizer(monkeypatch)
+    model = laurent_truncation_model([0, 0, 1], 8)
+    with pytest.raises(ValueError, match="a seed is required"):
+        truncation_scaling(model, [2.0, 4.0], seed=None)
+
+
+def test_f_scatter_without_a_seed_raises_before_optimizing(monkeypatch):
+    _refuse_optimizer(monkeypatch)
+    specs = [EnsembleSpec(kind="shift_example", params={"m": 4})]
+    with pytest.raises(ValueError, match="a seed is required"):
+        f_scatter(specs, seed=None)
+
+
 def test_f_scatter_rejects_non_spec():
     with pytest.raises(ValueError):
         f_scatter([{"kind": "shift_example"}], seed=0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -66,6 +67,47 @@ def test_save_is_deterministic(tmp_path):
     save_matrix(p1, a, metadata={"z": 1, "a": 2})
     save_matrix(p2, a, metadata={"a": 2, "z": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# each writer at version k; version 1 is longer than version 0, so bytes
+# left over from a longer old file would show
+_WRITERS = {
+    "save_matrix": lambda path, k: save_matrix(path, np.eye(k + 1) / 3, metadata={"k": k}),
+    "write_report": lambda path, k: write_report(path, {"k": k, "x": [1 / 3] * (k + 1)}),
+    "write_csv": lambda path, k: write_csv(path, ["k", "x"], [[k, 1 / 3]] * (k + 1),
+                                           comments=[f"version {k}"]),
+}
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+def test_rewrite_gives_the_bytes_of_a_fresh_write(tmp_path, write):
+    fresh, path = tmp_path / "fresh", tmp_path / "out"
+    write(fresh, 0)
+    write(path, 1)
+    write(path, 0)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+def test_rewrite_replaces_the_file_instead_of_truncating_it(tmp_path, write):
+    path, link = tmp_path / "out", tmp_path / "old"
+    write(path, 1)
+    old = path.read_bytes()
+    os.link(path, link)
+    write(path, 0)
+    assert link.read_bytes() == old
+    assert path.read_bytes() != old
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+def test_symlinked_output_is_written_through(tmp_path, write):
+    fresh, target, path = tmp_path / "fresh", tmp_path / "target", tmp_path / "out"
+    write(fresh, 0)
+    write(target, 1)
+    path.symlink_to(target)
+    write(path, 0)
+    assert path.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
 
 
 def test_load_rejects_dim_mismatch(tmp_path):

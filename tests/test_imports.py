@@ -113,6 +113,65 @@ def test_no_test_or_demo_function_copies_a_package_function():
     assert copies == []
 
 
+def _opens_to_write(call: ast.Call) -> bool:
+    """open(path, mode) or path.open(mode) with a mode holding w, a, x or +
+    (a mode that is not a literal counts), or a .write_text / .write_bytes call."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        index = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        index = 1 if isinstance(func.value, ast.Name) and func.value.id == "io" else 0
+    else:
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None and len(call.args) > index:
+        mode = call.args[index]
+    if mode is None:
+        return False
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+
+
+def file_writes(source: str) -> list[str]:
+    """For each call that opens a file to write, the name of the innermost
+    function holding it ("<module>" at top level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _opens_to_write(child):
+                found.append(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_file_writes_finds_only_opens_to_write():
+    source = (
+        "open('a.txt')\n"
+        "def f(p, m):\n"
+        "    open(p, 'r'); io.open(p, mode='rb'); p.open()\n"
+        "    open(p, 'w'); io.open(p, 'ab'); p.open('x'); open(p, 'r+'); open(p, m)\n"
+        "    def g(p):\n"
+        "        p.write_text('t'); p.write_bytes(b'b')\n"
+    )
+    assert file_writes(source) == ["f"] * 5 + ["g"] * 2
+
+
+def test_only_fileio_write_text_opens_a_file_to_write():
+    # every artifact goes through one writer, which replaces an existing
+    # file instead of truncating it in place
+    found = [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in file_writes(path.read_text())
+    ]
+    assert found == ["fileio._write_text"]
+
+
 def test_every_tracer_target_is_a_package_function():
     # perfbench/tracer.py looks its targets up by name when it installs, so
     # a renamed function would otherwise fail only in a traced benchmark run;
