@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -39,16 +40,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_text(path, text: str) -> None:
-    """Write text to path as a new file.  An existing file is unlinked
-    first, so a hard link or an open reader keeps the old bytes, and a
-    rewrite skips the cost of truncating allocated blocks; a symlink is
-    written through.  The one place the package opens a file to write."""
-    if not os.path.islink(path):
-        with contextlib.suppress(OSError):
+def _write_text(path, *parts: str) -> None:
+    """Write the parts to path as a new file.  A writable regular file there is
+    unlinked first: a rewrite skips truncating its blocks, and a hard link or
+    open reader keeps the old bytes.  The one place the package opens to write."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
             os.unlink(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def save_matrix(path, a, metadata=None) -> None:
@@ -56,7 +56,7 @@ def save_matrix(path, a, metadata=None) -> None:
     data = np.stack([a.real, a.imag], -1).tolist()
     doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {}), "data": data}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    _write_text(path, text + "\n")
+    _write_text(path, text, "\n")
 
 
 def _matrix_from_json(doc) -> tuple[np.ndarray, dict]:
@@ -140,7 +140,7 @@ def _sanitize(value):
 def write_report(path, payload: dict) -> None:
     """Deterministic JSON report: sorted keys, repr floats, sanitized inf."""
     text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
-    _write_text(path, text + "\n")
+    _write_text(path, text, "\n")
 
 
 def write_csv(path, columns, rows, comments=()) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -108,6 +109,34 @@ def test_symlinked_output_is_written_through(tmp_path, write):
     write(path, 0)
     assert path.is_symlink()
     assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+def test_fifo_output_is_written_through(tmp_path, write):
+    fresh, path = tmp_path / "fresh", tmp_path / "out"
+    write(fresh, 0)
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write(path, 0)
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(path.lstat().st_mode)
+    assert got == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+def test_read_only_output_is_refused_as_open_refuses_it(tmp_path, write):
+    path = tmp_path / "out"
+    write(path, 1)
+    old = path.read_bytes()
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        pytest.skip("this user may write any file, read-only ones too")
+    with pytest.raises(PermissionError):
+        write(path, 0)
+    assert path.read_bytes() == old
 
 
 def test_load_rejects_dim_mismatch(tmp_path):
