@@ -191,15 +191,14 @@ class PseudospectrumReport:
 
 
 def _sigma_min_batch(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    eye = np.eye(a.shape[0], dtype=complex)
-    shifted = a[None, :, :] - zs[:, None, None] * eye[None, :, :]
-    return npl.svd(shifted, compute_uv=False)[:, -1]
+    shifted = np.multiply(zs[:, None, None], np.eye(a.shape[0], dtype=complex))
+    return npl.svd(np.subtract(a, shifted, out=shifted), compute_uv=False)[:, -1]
 
 
-# Coarse-to-fine strides of the pruned grid pass, and the most points one
-# _sigma_min_batch call shifts at once (bounds its (k, n, n) temporaries).
+# Coarse-to-fine strides of the pruned grid pass, and the most bytes of
+# shifted (k, n, n) complex stack one _sigma_min_batch call builds at once.
 PRUNE_STRIDES = (16, 8, 4, 2, 1)
-SVD_CHUNK = 1024
+SVD_CHUNK_BYTES = 1 << 20
 
 
 def _lattice(resolution: int, stride: int) -> np.ndarray:
@@ -229,7 +228,9 @@ def pseudospectrum(
     sigma_min >= eps: members and their sigma_min are bitwise those of an
     SVD at every grid point.  Each stride's points are split into a multiple
     of `threads` near-equal parts run on a pool of that many threads
-    (default one; fewer than one raises ValueError).
+    (default one; fewer than one raises ValueError), each part at most
+    SVD_CHUNK_BYTES of shifted matrices, so a thread holds O(SVD_CHUNK_BYTES)
+    at a time whatever the grid size.
     """
     a = as_cmatrix(a)
     if not (eps > 0 and math.isfinite(eps)):
@@ -247,6 +248,7 @@ def pseudospectrum(
     settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
     evaluated = 0
     work = functools.partial(_sigma_min_batch, a)
+    chunk = max(1, SVD_CHUNK_BYTES // (16 * a.shape[0] ** 2))
     with ThreadPoolExecutor(max_workers=parts) as pool:
         for stride in PRUNE_STRIDES:
             lat = _lattice(res, stride)
@@ -254,7 +256,7 @@ def pseudospectrum(
             idx = lat[rows] * res + lat[cols]
             if idx.size == 0:
                 continue
-            split = parts * -(-idx.size // (parts * SVD_CHUNK))
+            split = parts * -(-idx.size // (parts * chunk))
             chunks = np.array_split(zs[idx], min(split, idx.size))
             smin[idx] = np.concatenate(list(pool.map(work, chunks)))
             settled.flat[idx] = True

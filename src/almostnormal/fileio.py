@@ -2,10 +2,11 @@
 
 The native matrix format is JSON: {"dim": n, "metadata": {...}, "data": rows}
 where every entry is a [re, im] pair.  Floats are written with repr fidelity
-so a save/load round trip is bit exact.  Encoding is one (n, n, 2) float64
-array's tolist(); decoding is one numpy conversion of "data" plus a shape
-check.  A plain CSV reader is provided for matrices produced elsewhere;
-cells are either a real number or a quoted "re,im" pair.
+so a save/load round trip is bit exact.  Encoding is one tolist() per row
+of the (n, n, 2) float64 array, so no nested list of the whole matrix is
+built; decoding is one numpy conversion of "data" plus a shape check.  A
+plain CSV reader is provided for matrices produced elsewhere; cells are
+either a real number or a quoted "re,im" pair.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def format_float(x: float) -> str:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -53,10 +54,13 @@ def _write_text(path, *parts: str) -> None:
 
 def save_matrix(path, a, metadata=None) -> None:
     a = as_cmatrix(a)
-    data = np.stack([a.real, a.imag], -1).tolist()
-    doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {}), "data": data}
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    _write_text(path, text, "\n")
+    parts = []
+    for row in np.stack([a.real, a.imag], -1):
+        parts += (",", json.dumps(row.tolist(), separators=(",", ":"), allow_nan=False))
+    parts[0] = '{"data":['  # "data" sorts before "dim" and "metadata"
+    doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {})}
+    tail = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    _write_text(path, *parts, "],", tail[1:], "\n")
 
 
 def _matrix_from_json(doc) -> tuple[np.ndarray, dict]:

@@ -21,10 +21,10 @@ from almostnormal import (
     truncation_scaling,
     verify_truncation_bounds,
 )
-from almostnormal import nearest
+from almostnormal import experiments, nearest
 from almostnormal.experiments import TRUNCATE_COLUMNS, _sigma_min_batch
 from almostnormal.gallery import materialize, perturbed_normal
-from util import random_contraction
+from util import random_contraction, traced_peak
 
 
 def test_truncation_model_sorts_and_freezes():
@@ -156,6 +156,43 @@ def test_pseudospectrum_threads_bitwise_equal():
     threaded = pseudospectrum(a, 1.0, grid, threads=4)
     assert np.array_equal(serial.members, threaded.members)
     assert np.array_equal(serial.sigma_min, threaded.sigma_min)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_pseudospectrum_chunks_stay_in_budget_and_do_not_change_bits(monkeypatch, threads):
+    n = 16
+    a = random_contraction(n, seed=11)
+    grid = GridSpec(center=0.1j, half_width=1.2, resolution=81)
+    sizes = []
+
+    def recording(a, zs):
+        sizes.append(zs.size)
+        return _sigma_min_batch(a, zs)
+
+    monkeypatch.setattr(experiments, "_sigma_min_batch", recording)
+    runs, calls = [], []
+    for budget in (experiments.SVD_CHUNK_BYTES, 1, 1 << 62):  # default, one point, unbounded
+        monkeypatch.setattr(experiments, "SVD_CHUNK_BYTES", budget)
+        sizes.clear()
+        runs.append(pseudospectrum(a, 0.1, grid, threads=threads))
+        assert max(sizes) <= max(1, budget // (16 * n * n))
+        assert sum(sizes) == runs[-1].evaluated
+        calls.append(len(sizes))
+    assert calls[0] > calls[2]  # the default budget splits some stride
+    for rep in runs[1:]:
+        assert np.array_equal(rep.members, runs[0].members)
+        assert np.array_equal(rep.sigma_min, runs[0].sigma_min)
+        assert rep.evaluated == runs[0].evaluated
+
+
+def test_pseudospectrum_working_set_is_bounded():
+    # two threads' 1 MiB chunks and the grid arrays come to about 5 MB; chunks
+    # of 1024 points, two 1024 x 32 x 32 complex stacks a thread, reach 60 MB
+    a = random_contraction(32, seed=3)
+    grid = GridSpec(center=0j, half_width=1.2, resolution=201)
+    rep, peak = traced_peak(lambda: pseudospectrum(a, 0.1, grid, threads=2))
+    assert rep.evaluated > 4096
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("threads", (0, -3))

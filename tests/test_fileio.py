@@ -15,19 +15,31 @@ from hypothesis import strategies as st
 from almostnormal import load_matrix, save_matrix, write_csv, write_report
 from almostnormal.fileio import format_float
 
-from util import read_csv, reference_matrix_json
+from util import read_csv, reference_matrix_json, traced_peak
 
 # signed zeros, the smallest subnormal and normal, and the ends of the range
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-                1.7976931348623157e308]
+                1.7976931348623157e308, -1.7976931348623157e308]
 _ENTRIES = st.one_of(
     st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+# JSON metadata nested a few levels; hypothesis draws dict keys in no sorted order
+_METADATA = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+        | st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=8,
+    ),
+    max_size=4,
 )
 
 
 @st.composite
 def _matrices(draw):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     parts = draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
     return np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
 
@@ -47,12 +59,11 @@ def test_save_load_bit_exact(tmp_path):
     assert meta == {"tag": "case"}
 
 
-@given(a=_matrices(), transpose=st.booleans())
-def test_codec_matches_per_cell_reference_bitwise(tmp_path_factory, a, transpose):
+@given(a=_matrices(), transpose=st.booleans(), meta=_METADATA)
+def test_codec_matches_per_cell_reference_bitwise(tmp_path_factory, a, transpose, meta):
     if transpose:
         a = a.T  # a non-contiguous view
     path = tmp_path_factory.mktemp("codec") / "m.json"
-    meta = {"tag": "case", "k": 1}
     save_matrix(path, a, metadata=meta)
     assert path.read_text(encoding="utf-8") == reference_matrix_json(a, meta)
     b, got_meta = load_matrix(path)
@@ -60,6 +71,25 @@ def test_codec_matches_per_cell_reference_bitwise(tmp_path_factory, a, transpose
     # bit patterns, so signed zeros count
     assert b.tobytes() == np.ascontiguousarray(a).tobytes()
     assert got_meta == meta
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_save_refuses_non_json_metadata_and_keeps_the_old_file(tmp_path, bad):
+    path = tmp_path / "m.json"
+    save_matrix(path, np.eye(2), metadata={"k": 0})
+    old = path.read_bytes()
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_matrix(path, np.eye(3), metadata={"outer": {"x": [1.0, bad]}})
+    assert path.read_bytes() == old
+
+
+def test_save_holds_about_one_copy_of_the_text(tmp_path):
+    # the row strings and the (n, n, 2) array take about 1.4 times the 2.8 MB
+    # of text; nested lists of the whole matrix, encoded at once, near 5 times
+    a = np.random.default_rng(0).standard_normal((256, 512)).view(np.complex128)
+    path = tmp_path / "m.json"
+    _, peak = traced_peak(lambda: save_matrix(path, a, metadata={"n": 256}))
+    assert peak < 2 * path.stat().st_size
 
 
 def test_save_is_deterministic(tmp_path):
@@ -199,12 +229,14 @@ def test_write_csv_round_trip(tmp_path):
     write_csv(
         path,
         ("x", "flag", "k"),
-        [[0.1, True, 3], [float("nan") if False else 2.5, False, -1]],
+        [[0.1, True, 3], [float("nan") if False else 2.5, False, -1],
+         [np.float64(0.5), np.True_, np.int64(7)], [np.float32(0.25), np.False_, 0]],
         comments=["alpha", "beta=1"],
     )
     cols, rows, comments = read_csv(path)
     assert cols == ["x", "flag", "k"]
-    assert rows == [["0.10000000000000001", "1", "3"], ["2.5", "0", "-1"]]
+    assert rows == [["0.10000000000000001", "1", "3"], ["2.5", "0", "-1"],
+                    ["0.5", "1", "7"], ["0.25", "0", "0"]]
     assert comments == ["alpha", "beta=1"]
     # floats survive the text round trip exactly
     assert float(rows[0][0]) == 0.1

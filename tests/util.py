@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.linalg as npl
@@ -135,6 +136,16 @@ def reference_matrix_json(a, metadata=None) -> str:
     data = [[[float(z.real), float(z.imag)] for z in row] for row in a]
     doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {}), "data": data}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def traced_peak(fn) -> tuple[object, int]:
+    """(fn(), the peak bytes tracemalloc saw while it ran).  numpy reports its
+    array buffers to tracemalloc, so the peak counts them too."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def check_oscillator(f, eps: float, r: float) -> float:
