@@ -4,9 +4,9 @@ The native matrix format is JSON: {"dim": n, "metadata": {...}, "data": rows}
 where every entry is a [re, im] pair.  Floats are written with repr fidelity
 so a save/load round trip is bit exact.  Encoding is one tolist() per row
 of the (n, n, 2) float64 array, so no nested list of the whole matrix is
-built; decoding is one numpy conversion of "data" plus a shape check.  A
-plain CSV reader is provided for matrices produced elsewhere; cells are
-either a real number or a quoted "re,im" pair.
+built; decoding walks the object with the stdlib scanner, one row of "data"
+at a time.  A plain CSV reader is provided for matrices produced elsewhere;
+cells are either a real number or a quoted "re,im" pair.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import mmap
 import os
 import stat
 
@@ -63,21 +64,56 @@ def save_matrix(path, a, metadata=None) -> None:
     _write_text(path, *parts, "],", tail[1:], "\n")
 
 
-def _matrix_from_json(doc) -> tuple[np.ndarray, dict]:
-    if not isinstance(doc, dict) or "data" not in doc:
-        raise ValueError("matrix JSON must be an object with a 'data' field")
-    try:
-        data = np.array(doc["data"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"matrix data is not a grid of [re, im] pairs: {exc}") from None
-    if data.size == 0:
+def _token(text: str, i: int, allowed: str) -> tuple[str, int]:
+    """Skip JSON whitespace, then one of `allowed` and whitespace: (that one, next index)."""
+    i = json.decoder.WHITESPACE.match(text, i).end()
+    if not text.startswith(tuple(allowed), i):
+        raise json.JSONDecodeError(f"Expecting one of {allowed!r}", text, i)
+    return text[i], json.decoder.WHITESPACE.match(text, i + 1).end()
+
+
+def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
+    """The JSON array at text[i] as (n, n, 2) float64, decoded one row at a time."""
+    sep, i = _token(text, i, "[")
+    if text.startswith("]", i):
         raise ValueError("matrix data is empty")
-    if data.ndim != 3 or data.shape[1:] != (data.shape[0], 2):
-        raise ValueError(f"matrix data has shape {data.shape}, expected n x n [re, im] pairs")
-    n = len(data)
-    if doc.get("dim", n) != n:
-        raise ValueError(f"declared dim {doc['dim']} does not match data ({n} rows)")
-    meta = doc.get("metadata") or {}
+    data, k = np.empty((0, 0, 2)), 0
+    while sep != "]":
+        cells, i = decode(text, i)
+        try:
+            row = np.array(cells, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix data is not a grid of [re, im] pairs: {exc}") from None
+        if k == 0 and row.ndim:
+            data = np.empty((len(row), len(row), 2))
+        if k == len(data) or row.shape != data.shape[1:]:
+            raise ValueError(f"matrix data row {k} has shape {row.shape}, expected "
+                             f"{data.shape[1:]}: n x n [re, im] pairs")
+        data[k], k = row, k + 1
+        sep, i = _token(text, i, ",]")
+    return data[:k], i
+
+
+def _matrix_from_json(text: str) -> tuple[np.ndarray, dict]:
+    decode, doc, sep = json.JSONDecoder().raw_decode, {}, ","
+    _, i = _token(text, 0, "{")
+    while sep == ",":
+        if not text.startswith('"', i):
+            raise json.JSONDecodeError("Expecting property name", text, i)
+        key, i = decode(text, i)
+        _, i = _token(text, i, ":")
+        by_row = key == "data" and text.startswith("[", i)
+        doc[key], i = _rows(text, i, decode) if by_row else decode(text, i)
+        sep, i = _token(text, i, ",}")
+    if i < len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    data = doc.get("data")
+    if not isinstance(data, np.ndarray) or data.shape[1:] != (len(data), 2):
+        raise ValueError("matrix JSON must be an object with 'data' n x n [re, im] pairs")
+    dim = doc.get("dim", len(data))
+    if type(dim) is not int or dim != len(data):  # a bool is not a dim
+        raise ValueError(f"declared dim {dim} does not match data ({len(data)} rows)")
+    meta = {} if doc.get("metadata") is None else doc["metadata"]
     if not isinstance(meta, dict):
         raise ValueError("matrix metadata must be an object")
     return as_cmatrix(data.view(np.complex128)[..., 0]), meta
@@ -95,7 +131,7 @@ def parse_complex(text: str, what: str) -> complex:
 
 
 def _matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+    rows = [r for r in csv.reader(io.StringIO(text, newline=None)) if any(c.strip() for c in r)]
     if not rows:
         raise ValueError("matrix CSV is empty")
     n = len(rows)
@@ -110,13 +146,19 @@ def _matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
 
 def load_matrix(path) -> tuple[np.ndarray, dict]:
     """Load a matrix from JSON (native) or CSV, sniffed from content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
+    with open(path, "rb") as fh:
+        try:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # an empty file or a pipe, which cannot be mapped
+            text = fh.read().decode("utf-8")
+        else:  # decoded from the page cache, so the text is the one copy made
+            with mapped:
+                text = str(mapped, "utf-8")
+    first = next((c for c in text if not c.isspace()), None)
+    if first is None:
         raise ValueError(f"{path}: file is empty")
-    if stripped[0] == "{":
-        return _matrix_from_json(json.loads(text))
+    if first == "{":
+        return _matrix_from_json(text)
     return _matrix_from_csv(text)
 
 

@@ -188,12 +188,16 @@ def resolution_of_identity(dec: SpectralDecomp, cover: Cover) -> ResolutionOfIde
 
 @dataclass(frozen=True)
 class FiniteSpectrumApprox:
-    """Normal approximant with finitely many distinct eigenvalues."""
+    """Normal approximant with finitely many distinct eigenvalues; `matrix` is built on read."""
 
-    matrix: np.ndarray
     error_bound: float
     error_actual: float
     resolution: ResolutionOfIdentity
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        roi = self.resolution
+        return SpectralDecomp(roi.labels[roi.assignment], roi.decomposition.basis).reconstruct()
 
 
 def finite_spectrum_approx(dec: SpectralDecomp, cover: Cover) -> FiniteSpectrumApprox:
@@ -205,10 +209,8 @@ def finite_spectrum_approx(dec: SpectralDecomp, cover: Cover) -> FiniteSpectrumA
     within the decomposition's residual (at most 1e-9 * ||A||) of A.
     """
     roi = resolution_of_identity(dec, cover)
-    approx = SpectralDecomp(eigenvalues=roi.labels[roi.assignment], basis=dec.basis)
     return FiniteSpectrumApprox(
-        matrix=approx.reconstruct(),
         error_bound=math.sqrt(roi.multiplicity) * cover.max_diameter(),
-        error_actual=float(np.abs(approx.eigenvalues - dec.eigenvalues).max()),
+        error_actual=float(np.abs(roi.labels[roi.assignment] - dec.eigenvalues).max()),
         resolution=roi,
     )

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from almostnormal import load_matrix, save_matrix, write_csv, write_report
+from almostnormal.core import as_cmatrix
 from almostnormal.fileio import format_float
 
 from util import read_csv, reference_matrix_json, traced_peak
@@ -42,6 +43,57 @@ def _matrices(draw):
     n = draw(st.integers(1, 8))
     parts = draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
     return np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+
+
+_JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@st.composite
+def _matrix_texts(draw):
+    """A matrix and its metadata (None: absent or null) written in a drawn
+    JSON layout: (text, matrix, metadata, offsets of the top-level colons,
+    offset of the closing bracket of "data")."""
+    a, meta = draw(_matrices()), draw(st.none() | _METADATA)
+    doc = {"data": np.stack([a.real, a.imag], -1).tolist(), "dim": len(a), "metadata": meta}
+    if draw(st.booleans()):
+        del doc["dim"]
+    if meta is None and draw(st.booleans()):
+        del doc["metadata"]
+    layout = {"indent": draw(st.sampled_from([None, 0, 2, "\t"])),
+              "separators": draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")]))}
+    text, colons = draw(_JSON_SPACE) + "{", []
+    for k, key in enumerate(draw(st.permutations(list(doc)))):
+        text += draw(_JSON_SPACE) + ("," if k else "") + draw(_JSON_SPACE) + json.dumps(key)
+        text += draw(_JSON_SPACE)
+        colons.append(len(text))
+        text += ":" + draw(_JSON_SPACE) + json.dumps(doc[key], **layout)
+        if key == "data":
+            data_end = len(text) - 1
+    text += draw(_JSON_SPACE) + "}" + draw(_JSON_SPACE)
+    return text, a, meta, colons, data_end
+
+
+def _whole_document_decode(text: str) -> tuple[np.ndarray, dict]:
+    """The reader that decoding one row at a time replaced: json.loads of the
+    whole text, one numpy conversion of "data", and the same checks."""
+    if not text.strip():
+        raise ValueError("file is empty")
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or "data" not in doc:
+        raise ValueError("no 'data' field")
+    try:
+        data = np.array(doc["data"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not [re, im] pairs: {exc}") from None
+    if data.size == 0 or data.ndim != 3 or data.shape[1:] != (len(data), 2):
+        raise ValueError(f"data of shape {data.shape}")
+    dim = doc.get("dim", len(data))
+    if type(dim) is not int or dim != len(data):
+        raise ValueError(f"dim {dim!r}")
+    meta = {} if doc.get("metadata") is None else doc["metadata"]
+    if not isinstance(meta, dict):
+        raise ValueError("metadata is not an object")
+    return as_cmatrix(data.view(np.complex128)[..., 0]), meta
 
 
 def test_save_load_bit_exact(tmp_path):
@@ -89,6 +141,17 @@ def test_save_holds_about_one_copy_of_the_text(tmp_path):
     a = np.random.default_rng(0).standard_normal((256, 512)).view(np.complex128)
     path = tmp_path / "m.json"
     _, peak = traced_peak(lambda: save_matrix(path, a, metadata={"n": 256}))
+    assert peak < 2 * path.stat().st_size
+
+
+def test_load_holds_about_one_copy_of_the_text(tmp_path):
+    # the text and the (n, n, 2) array take about 1.4 times the 2.7 MB file;
+    # nested lists of the whole matrix, decoded at once, over 5 times
+    a = np.random.default_rng(0).standard_normal((256, 512)).view(np.complex128)
+    path = tmp_path / "m.json"
+    save_matrix(path, a, metadata={"n": 256})
+    (b, _), peak = traced_peak(lambda: load_matrix(path))
+    assert b.tobytes() == a.tobytes()
     assert peak < 2 * path.stat().st_size
 
 
@@ -203,6 +266,60 @@ def test_load_rejects_malformed_data(tmp_path, data, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"data": data}))
     with pytest.raises(ValueError, match=match):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("metadata", []), ("metadata", 0), ("metadata", ""), ("metadata", False),
+     ("metadata", [1]), ("dim", True), ("dim", 1.0), ("dim", None), ("dim", "1")],
+)
+def test_load_rejects_metadata_and_dim_of_the_wrong_type(tmp_path, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"data": [[[1.0, 0.0]]], field: value}))
+    with pytest.raises(ValueError, match=field):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("extra", [{}, {"metadata": None}])
+def test_absent_or_null_metadata_loads_as_empty(tmp_path, extra):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"data": [[[1.0, 0.0]]], **extra}))
+    assert load_matrix(path)[1] == {}
+
+
+@given(case=_matrix_texts())
+def test_load_matches_the_whole_document_decode_bitwise(tmp_path_factory, case):
+    text, a, meta, _, _ = case
+    path = tmp_path_factory.mktemp("layout") / "m.json"
+    path.write_text(text, encoding="utf-8")
+    b, got_meta = load_matrix(path)
+    want, want_meta = _whole_document_decode(text)
+    assert b.tobytes() == want.tobytes() == a.tobytes()
+    # repr, so key order and signed zeros count
+    assert repr(got_meta) == repr(want_meta) == repr({} if meta is None else meta)
+
+
+@given(case=_matrix_texts(), how=st.sampled_from(["cut", "comma", "colon", "trailing"]),
+       draw=st.data())
+def test_corrupt_text_is_refused_by_both_readers(tmp_path_factory, case, how, draw):
+    text, _, _, colons, data_end = case
+    if how == "cut":  # anywhere before the closing brace
+        k = draw.draw(st.integers(0, len(text.rstrip()) - 1))
+        bad = text[:k]
+    elif how == "comma":  # after the last row or the last field
+        k = draw.draw(st.sampled_from([data_end, len(text.rstrip()) - 1]))
+        bad = text[:k] + "," + text[k:]
+    elif how == "colon":
+        k = draw.draw(st.sampled_from(colons))
+        bad = text[:k] + text[k + 1:]
+    else:
+        bad = text + draw.draw(st.sampled_from(["0", "x", ",", "}", "{}", "[]", '""', "null"]))
+    path = tmp_path_factory.mktemp("corrupt") / "m.json"
+    path.write_text(bad, encoding="utf-8")
+    with pytest.raises(ValueError):
+        _whole_document_decode(bad)
+    with pytest.raises(ValueError):
         load_matrix(path)
 
 
