@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import mmap
 import os
 import stat
 
@@ -75,17 +74,17 @@ def _token(text: str, i: int, allowed: str) -> tuple[str, int]:
 def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
     """The JSON array at text[i] as (n, n, 2) float64, decoded one row at a time."""
     sep, i = _token(text, i, "[")
-    if text.startswith("]", i):
-        raise ValueError("matrix data is empty")
     data, k = np.empty((0, 0, 2)), 0
     while sep != "]":
-        cells, i = decode(text, i)
+        cells, i = ([], i) if k == 0 and text.startswith("]", i) else decode(text, i)
         try:
             row = np.array(cells, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix data is not a grid of [re, im] pairs: {exc}") from None
-        if k == 0 and row.ndim:
-            data = np.empty((len(row), len(row), 2))
+        if k == 0 and not row.size:  # [] or [[]]
+            raise ValueError("matrix data is empty")
+        if k == 0 and row.ndim:  # n from the first row; no more rows than fit at 5 characters a pair
+            data = np.empty((min(len(row), len(text) // (5 * len(row))), len(row), 2))
         if k == len(data) or row.shape != data.shape[1:]:
             raise ValueError(f"matrix data row {k} has shape {row.shape}, expected "
                              f"{data.shape[1:]}: n x n [re, im] pairs")
@@ -95,9 +94,10 @@ def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
 
 
 def _matrix_from_json(text: str) -> tuple[np.ndarray, dict]:
-    decode, doc, sep = json.JSONDecoder().raw_decode, {}, ","
-    _, i = _token(text, 0, "{")
-    while sep == ",":
+    decode, doc = json.JSONDecoder().raw_decode, {}
+    sep, i = _token(text, 0, "{")
+    sep, i = _token(text, i, "}") if text.startswith("}", i) else (sep, i)  # {} has no data
+    while sep != "}":
         if not text.startswith('"', i):
             raise json.JSONDecodeError("Expecting property name", text, i)
         key, i = decode(text, i)
@@ -107,9 +107,11 @@ def _matrix_from_json(text: str) -> tuple[np.ndarray, dict]:
         sep, i = _token(text, i, ",}")
     if i < len(text):
         raise json.JSONDecodeError("Extra data", text, i)
-    data = doc.get("data")
-    if not isinstance(data, np.ndarray) or data.shape[1:] != (len(data), 2):
-        raise ValueError("matrix JSON must be an object with 'data' n x n [re, im] pairs")
+    if "data" not in doc:
+        raise ValueError("matrix JSON must be an object with a 'data' field")
+    data, shape = doc["data"], getattr(doc["data"], "shape", ())  # () unless an array
+    if len(shape) != 3 or shape[1:] != (shape[0], 2):
+        raise ValueError(f"matrix data has shape {shape}, expected n x n [re, im] pairs")
     dim = doc.get("dim", len(data))
     if type(dim) is not int or dim != len(data):  # a bool is not a dim
         raise ValueError(f"declared dim {dim} does not match data ({len(data)} rows)")
@@ -131,7 +133,7 @@ def parse_complex(text: str, what: str) -> complex:
 
 
 def _matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
-    rows = [r for r in csv.reader(io.StringIO(text, newline=None)) if any(c.strip() for c in r)]
+    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
     if not rows:
         raise ValueError("matrix CSV is empty")
     n = len(rows)
@@ -146,18 +148,12 @@ def _matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
 
 def load_matrix(path) -> tuple[np.ndarray, dict]:
     """Load a matrix from JSON (native) or CSV, sniffed from content."""
-    with open(path, "rb") as fh:
-        try:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # an empty file or a pipe, which cannot be mapped
-            text = fh.read().decode("utf-8")
-        else:  # decoded from the page cache, so the text is the one copy made
-            with mapped:
-                text = str(mapped, "utf-8")
-    first = next((c for c in text if not c.isspace()), None)
-    if first is None:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    stripped = text.lstrip()
+    if not stripped:
         raise ValueError(f"{path}: file is empty")
-    if first == "{":
+    if stripped[0] == "{":
         return _matrix_from_json(text)
     return _matrix_from_csv(text)
 
