@@ -249,9 +249,17 @@ def _write_table(args, columns, rows) -> None:
 REGION_KINDS = {"disc": (OpenDisc, "radius"), "square": (OpenSquare, "side")}
 
 
-def _cover_from_file(path) -> Cover:
+def _json_file(path):
+    """The JSON document in path; nesting too deep to decode is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _cover_from_file(path) -> Cover:
+    doc = _json_file(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ValueError("cover JSON must be an object with a 'regions' list")
     regions = []
@@ -444,8 +452,7 @@ def cmd_pseudospec(args) -> None:
 # ---------------------------------------------------------------- scatter
 
 def _specs_from_file(path) -> list[EnsembleSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _json_file(path)
     if not isinstance(doc, list) or not doc:
         raise ValueError("ensemble spec JSON must be a nonempty list")
     specs = []

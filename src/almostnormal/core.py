@@ -175,40 +175,52 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     4e-9 * ||A||^2, where no basis can.
 
     The work runs on 2^-e A (see _pow2_scaled), so the eigenvalues of
-    2^k A are 2^k times those of A and the basis is the same.
+    2^k A are 2^k times those of A and the basis is the same.  Beside the
+    input it holds about five n x n arrays at once: 2^-e A, U and the
+    products of one step.  [A*, A] is dropped after its pre-test (and
+    rebuilt for the final NotNormal), X and Y are rebuilt for each angle
+    and dropped once diagonalized, and Y is built at t = 0 only when a
+    cluster of two or more eigenvalues needs it.
     """
     a, e = _pow2_scaled(a)
     scale = operator_norm(a)
     tol = RECONSTRUCT_TOL * scale
     # T = U diag(l) U* is normal with ||T|| <= ||A||, so the paper's
     # inequality gives ||[A*, A]|| <= 4 ||A|| ||A - T|| for every basis
-    comm = self_commutator(a)
     bound = 4 * RECONSTRUCT_TOL * scale ** 2
-    defect = _operator_norm_over(comm, bound)
+    defect = _operator_norm_over(self_commutator(a), bound)
     if defect is not None:
         raise NotNormal(_scale(defect, 2 * e), _scale(bound, 2 * e))
 
-    x = hermitian_part(a)
-    y = (a - adjoint(a)) / 2j
     best = math.inf
     for t in SPLIT_ANGLES:
         c, s = math.cos(t), math.sin(t)
-        first, second = (c * x + s * y, c * y - s * x) if t else (x, y)
+        first, second = hermitian_part(a), None
+        if t:
+            y = (a - adjoint(a)) / 2j
+            first, second = c * first + s * y, c * y - s * first
+            del y
         vals, u = npl.eigh(first)
+        del first
         # clusters: runs of consecutive eigenvalues closer than the width
         cuts = [0, *(np.flatnonzero(np.diff(vals) > CLUSTER_TOL * scale) + 1), vals.size]
         for lo, hi in zip(cuts, cuts[1:]):
             if hi - lo < 2:
                 continue
+            if second is None:
+                second = (a - adjoint(a)) / 2j
             block = u[:, lo:hi]
             yb = hermitian_part(adjoint(block) @ second @ block)
             _, w = npl.eigh(yb)
             u[:, lo:hi] = block @ w
+        del second
         # diag(U* A U); a three-operand einsum would run as a naive n^3 loop
         lam = np.einsum("ij,ij->j", u.conj(), a @ u)
-        residual = _operator_norm_over(a - (u * lam) @ adjoint(u), tol)
+        prod = (u * lam) @ adjoint(u)
+        residual = _operator_norm_over(np.subtract(a, prod, out=prod), tol)
         if residual is None:
             return SpectralDecomp(eigenvalues=_ldexp(lam, e), basis=u)
         best = min(best, residual)
-    raise NotNormal(_scale(operator_norm(comm), 2 * e), _scale(tol, e), _scale(best, e))
-
+        del prod
+    defect = operator_norm(self_commutator(a))
+    raise NotNormal(_scale(defect, 2 * e), _scale(tol, e), _scale(best, e))

@@ -13,9 +13,7 @@ Both inequalities are evaluated exactly as stated, no fitted constants.
 
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +188,11 @@ class PseudospectrumReport:
     evaluated: int  # grid points where sigma_min was computed
 
 
-def _sigma_min_batch(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    shifted = np.multiply(zs[:, None, None], np.eye(a.shape[0], dtype=complex))
+def _sigma_min_batch(a: np.ndarray, zs: np.ndarray, stack: np.ndarray | None = None) -> np.ndarray:
+    """sigma_min(A - zI) for each z of zs; the shifted matrices are built in
+    the first zs.size matrices of stack, or in a new array without one."""
+    out = None if stack is None else stack[: zs.size]
+    shifted = np.multiply(zs[:, None, None], np.eye(a.shape[0], dtype=complex), out=out)
     return npl.svd(np.subtract(a, shifted, out=shifted), compute_uv=False)[:, -1]
 
 
@@ -229,9 +230,17 @@ def pseudospectrum(
     SVD at every grid point.  Each stride's points are split into a multiple
     of `threads` near-equal parts run on a pool of that many threads
     (default one; fewer than one raises ValueError), each part at most
-    SVD_CHUNK_BYTES of shifted matrices, so a thread holds O(SVD_CHUNK_BYTES)
-    at a time whatever the grid size.
+    SVD_CHUNK_BYTES of shifted matrices.  The calling thread allocates
+    `threads` stacks once, each of at most SVD_CHUNK_BYTES and no more than
+    the largest part a stride can dispatch, and each part borrows a free
+    one: the shifted matrices take at most threads * SVD_CHUNK_BYTES
+    whatever the grid size, and the pool threads allocate only the SVD's
+    outputs.
     """
+    # imported here, so that importing the package starts no thread machinery
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
     a = as_cmatrix(a)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps}")
@@ -247,8 +256,20 @@ def pseudospectrum(
     smin = np.full(zs.size, np.inf)
     settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
     evaluated = 0
-    work = functools.partial(_sigma_min_batch, a)
-    chunk = max(1, SVD_CHUNK_BYTES // (16 * a.shape[0] ** 2))
+    n = a.shape[0]
+    chunk = max(1, SVD_CHUNK_BYTES // (16 * n * n))
+    # no part of a stride holds more than its share of the whole grid
+    free = SimpleQueue()
+    for _ in range(parts):
+        free.put(np.empty((min(chunk, -(-zs.size // parts)), n, n), dtype=complex))
+
+    def work(points):
+        stack = free.get()
+        try:
+            return _sigma_min_batch(a, points, stack)
+        finally:
+            free.put(stack)
+
     with ThreadPoolExecutor(max_workers=parts) as pool:
         for stride in PRUNE_STRIDES:
             lat = _lattice(res, stride)

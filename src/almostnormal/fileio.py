@@ -11,6 +11,7 @@ cells are either a real number or a quoted "re,im" pair.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import io
@@ -74,7 +75,7 @@ def _token(text: str, i: int, allowed: str) -> tuple[str, int]:
 def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
     """The JSON array at text[i] as (n, n, 2) float64, decoded one row at a time."""
     sep, i = _token(text, i, "[")
-    data, k = np.empty((0, 0, 2)), 0
+    data, k, starts = np.empty((0, 0, 2)), 0, [i]
     while sep != "]":
         cells, i = ([], i) if k == 0 and text.startswith("]", i) else decode(text, i)
         try:
@@ -90,6 +91,15 @@ def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
                              f"{data.shape[1:]}: n x n [re, im] pairs")
         data[k], k = row, k + 1
         sep, i = _token(text, i, ",]")
+        starts.append(i)
+    # np.array reads "1.5", true and null as numbers; no JSON number, NaN or
+    # Infinity holds any of these characters, and every string, true, false
+    # and null does
+    found = [p for p in (text.find(c, starts[0], i) for c in '"lru') if p >= 0]
+    if found:
+        row = bisect.bisect(starts, min(found)) - 1
+        raise ValueError(f"matrix data row {row} holds a string, true, false or null, "
+                         "not a number: n x n [re, im] pairs")
     return data[:k], i
 
 
@@ -153,9 +163,12 @@ def load_matrix(path) -> tuple[np.ndarray, dict]:
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: file is empty")
-    if stripped[0] == "{":
+    if stripped[0] != "{":
+        return _matrix_from_csv(text)
+    try:
         return _matrix_from_json(text)
-    return _matrix_from_csv(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _sanitize(value):

@@ -456,6 +456,19 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("reader", ["cover", "spec"])
+def test_deeply_nested_cover_or_spec_exits_2_naming_the_file(tmp_path, capsys, reader):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"regions": [], "x": %s}' % ("[" * 5000 + "]" * 5000))
+    if reader == "cover":
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps(_GOOD_MATRIX))
+        argv = ["partition", "--matrix", matrix, "--cover", deep, "--report", tmp_path / "r.json"]
+    else:
+        argv = ["scatter", "--spec", deep, "--seed", 0, "--out", tmp_path / "s.csv"]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
 def test_empty_shift_list_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert run("scatter", "--shift", ",", "--seed", 0, "--out", out) == 2

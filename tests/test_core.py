@@ -4,6 +4,7 @@ import math
 import sys
 
 import numpy as np
+import numpy.linalg as npl
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,12 +20,14 @@ from almostnormal import (
     schatten_norm,
     self_commutator,
 )
+from almostnormal import core
 from almostnormal.gallery import _haar
 from util import (
     assert_close_multiset,
     random_contraction,
     random_normal_with_spectrum,
     tangled_normal,
+    traced_peak,
     triangular_blocks,
 )
 
@@ -239,6 +242,118 @@ def test_tangled_normal_is_accepted_at_every_scale(log_g, n, seed, k):
     assert np.array_equal(deck.basis, dec.basis)
     assert np.array_equal(deck.eigenvalues, _ldexp(dec.eigenvalues, k))
 
+
+
+def _decomp_holding_every_matrix(a):
+    """The decomposition as it was before it dropped the matrices it does not
+    read, kept as the oracle: (SpectralDecomp or NotNormal, how it ended),
+    where how is the angle that passed, "pretest" or "residual"."""
+    a, e = core._pow2_scaled(a)
+    scale = operator_norm(a)
+    tol = core.RECONSTRUCT_TOL * scale
+    comm = self_commutator(a)
+    bound = 4 * core.RECONSTRUCT_TOL * scale ** 2
+    defect = core._operator_norm_over(comm, bound)
+    if defect is not None:
+        return NotNormal(core._scale(defect, 2 * e), core._scale(bound, 2 * e)), "pretest"
+    x = hermitian_part(a)
+    y = (a - adjoint(a)) / 2j
+    best = math.inf
+    for t in core.SPLIT_ANGLES:
+        c, s = math.cos(t), math.sin(t)
+        first, second = (c * x + s * y, c * y - s * x) if t else (x, y)
+        vals, u = npl.eigh(first)
+        cuts = [0, *(np.flatnonzero(np.diff(vals) > core.CLUSTER_TOL * scale) + 1), vals.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi - lo < 2:
+                continue
+            block = u[:, lo:hi]
+            yb = hermitian_part(adjoint(block) @ second @ block)
+            _, w = npl.eigh(yb)
+            u[:, lo:hi] = block @ w
+        lam = np.einsum("ij,ij->j", u.conj(), a @ u)
+        residual = core._operator_norm_over(a - (u * lam) @ adjoint(u), tol)
+        if residual is None:
+            return core.SpectralDecomp(eigenvalues=core._ldexp(lam, e), basis=u), t
+        best = min(best, residual)
+    tol, best = core._scale(tol, e), core._scale(best, e)
+    return NotNormal(core._scale(operator_norm(comm), 2 * e), tol, best), "residual"
+
+
+def _two_tangles(n, k, g, pairs, nudge, seed):
+    """U diag(l) U* + nudge u_0 u_{n-1}*.  k eigenvalues have real parts g
+    apart, the other n - k are g apart along the angle 0.3 (for g just over
+    the cluster width, t = 0 cannot split the first run and t = 0.3 the
+    second); the last `pairs` eigenvalues repeat the first ones, so every
+    angle meets clusters of two."""
+    rng = np.random.default_rng(seed)
+    lam = np.concatenate([
+        g * np.arange(k) + 1j * rng.uniform(-1, 1, k),
+        np.exp(0.3j) * (g * np.arange(n - k) + 1j * rng.uniform(-1, 1, n - k)),
+    ])
+    lam[n - pairs:] = lam[:pairs]
+    u = _haar(n, rng)
+    return (u * lam) @ adjoint(u) + nudge * np.outer(u[:, 0], u[:, -1].conj())
+
+
+def _assert_decomp_is_the_oracle(a):
+    want, how = _decomp_holding_every_matrix(a)
+    if isinstance(want, NotNormal):
+        with pytest.raises(NotNormal) as exc:
+            normal_spectral_decomp(a)
+        got = exc.value
+        assert (got.defect, got.tolerance, got.residual) == (
+            want.defect, want.tolerance, want.residual)
+        assert str(got) == str(want)
+    else:
+        got = normal_spectral_decomp(a)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.basis.tobytes() == want.basis.tobytes()
+    return how
+
+
+# one input for each way the decomposition ends: t = 0 with and without
+# clusters, t = 0.3, t = 1.0 (with clusters at every angle), the pre-test and
+# the residual rejections
+@pytest.mark.parametrize(
+    "params, how",
+    [
+        ((6, 6, 1.0, 0, 0.0, 0), 0.0),
+        ((6, 6, 1.0, 2, 0.0, 0), 0.0),
+        ((6, 6, 2e-8, 0, 0.0, 0), 0.3),
+        ((8, 4, 2e-8, 0, 0.0, 3), 1.0),
+        ((8, 4, 2e-8, 2, 0.0, 3), 1.0),
+        ((6, 3, 1.0, 0, 1e-2, 0), "pretest"),
+        ((4, 2, 1.0, 0, 3e-9, 0), "residual"),
+    ],
+)
+def test_decomposition_is_bitwise_the_one_that_held_every_matrix(params, how):
+    assert _assert_decomp_is_the_oracle(_two_tangles(*params)) == how
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    k=st.integers(min_value=0, max_value=10),
+    log_g=st.floats(min_value=math.log(5e-9), max_value=math.log(1e-7)),
+    pairs=st.integers(min_value=0, max_value=5),
+    nudge=st.sampled_from([0.0, 1e-10, 1e-9, 3e-9, 1e-8, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_decomposition_matches_the_oracle_on_clustered_and_non_normal_inputs(
+    n, k, log_g, pairs, nudge, seed
+):
+    a = _two_tangles(n, min(k, n), math.exp(log_g), min(pairs, n // 2), nudge, seed)
+    _assert_decomp_is_the_oracle(a)
+
+
+def test_decomposition_holds_about_five_matrices():
+    # 2^-e A, U and the three matrices of one product; the decomposition
+    # that held X, Y and [A*, A] throughout peaked at 7.6 of them
+    n = 256
+    a, _, _ = random_normal_with_spectrum(n, seed=5)
+    _, peak = traced_peak(lambda: normal_spectral_decomp(a))
+    assert peak < 5.5 * 16 * n * n
 
 def test_spectral_decomp_projection():
     a = np.diag([1.0, 2.0, 2.0, 5.0]).astype(complex)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def test_pseudospectrum_chunks_stay_in_budget_and_do_not_change_bits(monkeypatch
     grid = GridSpec(center=0.1j, half_width=1.2, resolution=81)
     sizes = []
 
-    def recording(a, zs):
+    def recording(a, zs, stack=None):
         sizes.append(zs.size)
         return _sigma_min_batch(a, zs)
 
@@ -207,6 +208,27 @@ def _every_point_svd(a, eps, grid):
     smin = _sigma_min_batch(a, zs)
     return zs[smin < eps], smin[smin < eps]
 
+
+
+def test_pool_threads_borrow_the_callers_stacks(monkeypatch):
+    # two pool threads share the two stacks the calling thread allocated,
+    # and filling a borrowed stack gives the bits of a fresh one
+    a = random_contraction(16, seed=5)
+    grid = GridSpec(center=0j, half_width=1.2, resolution=81)
+    stacks, callers = set(), set()
+
+    def recording(a, zs, stack=None):
+        stacks.add(stack.__array_interface__["data"][0])
+        callers.add(threading.get_ident())
+        return _sigma_min_batch(a, zs, stack)
+
+    monkeypatch.setattr(experiments, "_sigma_min_batch", recording)
+    rep = pseudospectrum(a, 0.1, grid, threads=2)
+    assert len(stacks) <= 2
+    assert threading.get_ident() not in callers
+    members, smin = _every_point_svd(a, 0.1, grid)
+    assert np.array_equal(rep.members, members)
+    assert np.array_equal(rep.sigma_min, smin)
 
 @pytest.mark.parametrize("resolution", (50, 67))
 @pytest.mark.parametrize("eps", (1e-3, 0.1, 1.0))

@@ -5,8 +5,11 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,16 @@ def test_no_module_imports_a_name_it_never_uses():
     }
     assert {name: names for name, names in found.items() if names} == {}
 
+
+def test_importing_the_cli_loads_no_thread_pool_or_logging():
+    # pseudospectrum imports its pool when it runs, so a command that never
+    # reaches it does not pay for concurrent.futures (which loads logging)
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    probe = "import sys, almostnormal.cli; print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 def references(source: str) -> set[str]:
     """Names a module reads, reads as an attribute, or imports."""
