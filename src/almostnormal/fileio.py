@@ -92,9 +92,9 @@ def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
         data[k], k = row, k + 1
         sep, i = _token(text, i, ",]")
         starts.append(i)
-    # np.array reads "1.5", true and null as numbers; no JSON number, NaN or
-    # Infinity holds any of these characters, and every string, true, false
-    # and null does
+    # np.array reads "1.5" as 1.5, true as 1 and null as nan; no JSON number,
+    # NaN or Infinity holds any of these characters, and every string, true,
+    # false and null does
     found = [p for p in (text.find(c, starts[0], i) for c in '"lru') if p >= 0]
     if found:
         row = bisect.bisect(starts, min(found)) - 1
