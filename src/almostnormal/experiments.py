@@ -237,7 +237,8 @@ def pseudospectrum(
     whatever the grid size, and the pool threads allocate only the SVD's
     outputs.
     """
-    # imported here, so that importing the package starts no thread machinery
+    # imported here, so that importing the package loads neither
+    # concurrent.futures nor the logging it imports
     from concurrent.futures import ThreadPoolExecutor
     from queue import SimpleQueue
 

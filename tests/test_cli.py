@@ -469,6 +469,7 @@ def test_deeply_nested_cover_or_spec_exits_2_naming_the_file(tmp_path, capsys, r
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
 
+
 def test_empty_shift_list_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert run("scatter", "--shift", ",", "--seed", 0, "--out", out) == 2

@@ -243,7 +243,6 @@ def test_tangled_normal_is_accepted_at_every_scale(log_g, n, seed, k):
     assert np.array_equal(deck.eigenvalues, _ldexp(dec.eigenvalues, k))
 
 
-
 def _decomp_holding_every_matrix(a):
     """The decomposition as it was before it dropped the matrices it does not
     read, kept as the oracle: (SpectralDecomp or NotNormal, how it ended),
@@ -349,11 +348,12 @@ def test_decomposition_matches_the_oracle_on_clustered_and_non_normal_inputs(
 
 def test_decomposition_holds_about_five_matrices():
     # 2^-e A, U and the three matrices of one product; the decomposition
-    # that held X, Y and [A*, A] throughout peaked at 7.6 of them
+    # that held X, Y and [A*, A] throughout peaked at 8.0 of them
     n = 256
     a, _, _ = random_normal_with_spectrum(n, seed=5)
     _, peak = traced_peak(lambda: normal_spectral_decomp(a))
     assert peak < 5.5 * 16 * n * n
+
 
 def test_spectral_decomp_projection():
     a = np.diag([1.0, 2.0, 2.0, 5.0]).astype(complex)

@@ -209,7 +209,6 @@ def _every_point_svd(a, eps, grid):
     return zs[smin < eps], smin[smin < eps]
 
 
-
 def test_pool_threads_borrow_the_callers_stacks(monkeypatch):
     # two pool threads share the two stacks the calling thread allocated,
     # and filling a borrowed stack gives the bits of a fresh one
@@ -229,6 +228,7 @@ def test_pool_threads_borrow_the_callers_stacks(monkeypatch):
     members, smin = _every_point_svd(a, 0.1, grid)
     assert np.array_equal(rep.members, members)
     assert np.array_equal(rep.sigma_min, smin)
+
 
 @pytest.mark.parametrize("resolution", (50, 67))
 @pytest.mark.parametrize("eps", (1e-3, 0.1, 1.0))

@@ -58,6 +58,7 @@ def test_importing_the_cli_loads_no_thread_pool_or_logging():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
 
+
 def references(source: str) -> set[str]:
     """Names a module reads, reads as an attribute, or imports."""
     refs = set()
