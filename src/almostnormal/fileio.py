@@ -1,16 +1,16 @@
 """Matrix and table serialization.
 
-The native matrix format is JSON: {"dim": n, "metadata": {...}, "data": rows}
-where every entry is a [re, im] pair.  Floats are written with repr fidelity
-so a save/load round trip is bit exact.  Encoding is one tolist() per row
-of the (n, n, 2) float64 array, so no nested list of the whole matrix is
-built; decoding walks the object with the stdlib scanner, one row of "data"
-at a time.  A plain CSV reader is provided for matrices produced elsewhere;
-cells are either a real number or a quoted "re,im" pair.
+A native matrix file is one JSON object, {"dim": n, "metadata": {...}} plus
+the entries.  Up to n = TEXT_MAX_DIM they are "data": rows of [re, im] pairs
+in repr-exact text, coded a row at a time, which a reader can check by eye.
+Larger ones, where text cost a third of a command's time, are "c128le": the
+little-endian complex128 bytes, row-major, in base64.  CSV matrices made
+elsewhere load too; a cell is a real number or a quoted "re,im" pair.
 """
 
 from __future__ import annotations
 
+import binascii
 import bisect
 import contextlib
 import csv
@@ -25,6 +25,7 @@ import numpy as np
 from .core import as_cmatrix
 
 ARTIFACT_VERSION = "almostnormal 0.1.0"
+TEXT_MAX_DIM = 64  # larger matrices are written as base64
 
 
 def format_float(x: float) -> str:
@@ -55,12 +56,16 @@ def _write_text(path, *parts: str) -> None:
 
 def save_matrix(path, a, metadata=None) -> None:
     a = as_cmatrix(a)
+    doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {})}
+    tail = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    if len(a) > TEXT_MAX_DIM:  # three rows are 48 n bytes, whole base64 quanta
+        parts = [binascii.b2a_base64(np.ascontiguousarray(a[k:k + 3], "<c16"), newline=False).decode()
+                 for k in range(0, len(a), 3)]
+        return _write_text(path, '{"c128le":"', *parts, '",', tail[1:], "\n")
     parts = []
     for row in np.stack([a.real, a.imag], -1):
         parts += (",", json.dumps(row.tolist(), separators=(",", ":"), allow_nan=False))
     parts[0] = '{"data":['  # "data" sorts before "dim" and "metadata"
-    doc = {"dim": int(a.shape[0]), "metadata": dict(metadata or {})}
-    tail = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     _write_text(path, *parts, "],", tail[1:], "\n")
 
 
@@ -86,9 +91,11 @@ def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
             raise ValueError("matrix data is empty")
         if k == 0 and row.ndim:  # n from the first row; no more rows than fit at 5 characters a pair
             data = np.empty((min(len(row), len(text) // (5 * len(row))), len(row), 2))
-        if k == len(data) or row.shape != data.shape[1:]:
+        if row.shape != data.shape[1:]:
             raise ValueError(f"matrix data row {k} has shape {row.shape}, expected "
                              f"{data.shape[1:]}: n x n [re, im] pairs")
+        if k == len(data):  # every row fits the cap from the text, so k is n here
+            raise ValueError(f"matrix data has more rows than its {k} columns: n x n [re, im] pairs")
         data[k], k = row, k + 1
         sep, i = _token(text, i, ",]")
         starts.append(i)
@@ -103,6 +110,18 @@ def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
     return data[:k], i
 
 
+def _payload(text: str, i: int) -> tuple[memoryview, int]:
+    """The base64 string at text[i], decoded a chunk at a time into one buffer."""
+    end = text.find('"', i + 1) if text.startswith('"', i) else -1
+    if end < 0 or text.find("=", i + 1, end - 2) >= 0:  # a2b_base64 takes a chunk ending in "="
+        raise ValueError("matrix c128le payload is not a base64 string padded at its end only")
+    buf, pos = memoryview(bytearray((end - i - 1) // 4 * 3)), 0
+    for s in range(i + 1, end, 1 << 16):  # chunks of whole 4-character quanta
+        part = binascii.a2b_base64(text[s:min(s + (1 << 16), end)], strict_mode=True)
+        buf[pos:pos + len(part)], pos = part, pos + len(part)
+    return buf[:pos], end + 1
+
+
 def _matrix_from_json(text: str) -> tuple[np.ndarray, dict]:
     decode, doc = json.JSONDecoder().raw_decode, {}
     sep, i = _token(text, 0, "{")
@@ -113,10 +132,16 @@ def _matrix_from_json(text: str) -> tuple[np.ndarray, dict]:
         key, i = decode(text, i)
         _, i = _token(text, i, ":")
         by_row = key == "data" and text.startswith("[", i)
-        doc[key], i = _rows(text, i, decode) if by_row else decode(text, i)
+        doc[key], i = (_payload(text, i) if key == "c128le"
+                       else _rows(text, i, decode) if by_row else decode(text, i))
         sep, i = _token(text, i, ",}")
     if i < len(text):
         raise json.JSONDecodeError("Extra data", text, i)
+    if "c128le" in doc:
+        raw, dim = doc.pop("c128le"), doc.get("dim")
+        if "data" in doc or type(dim) is not int or dim < 1 or len(raw) != 16 * dim * dim:
+            raise ValueError(f"a c128le payload ({len(raw)} bytes) needs dim n, 16 n^2 bytes and no 'data'")
+        doc["data"] = np.frombuffer(raw, "<f8").reshape(dim, dim, 2).astype(np.float64, copy=False)
     if "data" not in doc:
         raise ValueError("matrix JSON must be an object with a 'data' field")
     data, shape = doc["data"], getattr(doc["data"], "shape", ())  # () unless an array

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,3 +414,33 @@ def test_criterion_12_byte_determinism(tmp_path):
     report(12, ok, f"{len(cases)} subcommand configs run twice: "
                    f"{len(mismatched)} produced different bytes {mismatched or ''}")
     assert ok
+
+
+def test_n256_artifacts_repeat_at_each_blas_thread_count(tmp_path):
+    """The README's byte contract on the n=256 spectral commands: reruns with
+    one BLAS thread count give identical bytes, the base64 matrices included.
+    Between counts nothing is required: the n=256 products change bits."""
+    mat = tmp_path / "normal.json"
+    save_matrix(mat, random_normal_with_spectrum(256, seed=7)[0])
+    commands = [("partition", "--matrix", mat, "--side", 0.05,
+                 "--report", "part.json", "--approx", "approx.json"),
+                ("surgery", "graph", "--matrix", mat, "--eps", 0.05,
+                 "--out", "graph.json", "--report", "graph_report.json")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    artifacts = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        for rerun in range(2):
+            cwd = tmp_path / f"threads{threads}-{rerun}"
+            cwd.mkdir()
+            for argv in commands:  # each in its own process, as a user runs it
+                done = subprocess.run([sys.executable, "-m", "almostnormal.cli", *map(str, argv)],
+                                      cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+            artifacts[threads, rerun] = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    assert len(artifacts["1", 0]) == 4
+    assert json.loads(artifacts["1", 0]["approx.json"])["dim"] == 256
+    assert b'"c128le":"' in artifacts["1", 0]["graph.json"]
+    for threads in ("1", "2"):
+        assert artifacts[threads, 0] == artifacts[threads, 1], threads

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -454,6 +455,49 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
                 "--report", tmp_path / "r.json"]
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _c128le(*entries) -> str:
+    return base64.b64encode(np.array(entries, "<c16").tobytes()).decode("ascii")
+
+
+# a whole payload of dim 64 whose first 64 KiB characters, one decode chunk,
+# end in padding; the decoded length is right, so only the padding is wrong
+_CUT = 49151
+_CHUNKED = np.arange(64 * 64, dtype="<c16").tobytes()
+_CHUNK_PADDED = (base64.b64encode(_CHUNKED[:_CUT]) + base64.b64encode(_CHUNKED[_CUT:])).decode()
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"c128le": _c128le(0.5), "dim": 1, "data": [[[0.5, 0.0]]]}, "no 'data'"),
+        ({"c128le": "*" + _c128le(0.5)[1:], "dim": 1}, "Only base64 data"),
+        ({"c128le": "\u00e9" + _c128le(0.5)[1:], "dim": 1}, "ASCII"),
+        ({"c128le": base64.b64encode(bytes(8)).decode() * 2, "dim": 1}, "padded at its end"),
+        ({"c128le": _CHUNK_PADDED, "dim": 64}, "padded at its end"),
+        ({"c128le": _c128le(0.5)[:-3], "dim": 1}, "Invalid base64"),
+        ({"c128le": _c128le(0.5)[:-4], "dim": 1}, "16 n"),
+        ({"c128le": _c128le(0.5, 0.5), "dim": 1}, "16 n"),
+        ({"c128le": "", "dim": 1}, "16 n"),
+        ({"c128le": _c128le(0.5)}, "dim n"),
+        ({"c128le": _c128le(0.5), "dim": 2}, "dim n"),
+        ({"c128le": _c128le(0.5), "dim": True}, "dim n"),
+        ({"c128le": _c128le(*[0.5] * 4), "dim": -2}, "dim n"),
+        ({"c128le": 5, "dim": 1}, "not a base64 string"),
+        ({"c128le": _c128le(complex(math.nan, 0.0)), "dim": 1}, "finite"),
+        ({"c128le": _c128le(complex(0.0, math.inf)), "dim": 1}, "finite"),
+    ],
+    ids=["both-fields", "alphabet", "non-ascii", "padding-mid", "padding-at-chunk-end",
+         "cut-mid-quantum", "cut", "too-long", "empty", "dim-missing", "dim-mismatch", "dim-bool",
+         "dim-negative", "not-a-string", "nan", "inf"],
+)
+def test_malformed_binary_matrix_exits_2(tmp_path, capsys, doc, match):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert run("nearest", "--matrix", path, "--seed", 0, "--report", tmp_path / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
 
 
 @pytest.mark.parametrize("reader", ["cover", "spec"])

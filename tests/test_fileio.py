@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from almostnormal import load_matrix, save_matrix, write_csv, write_report
+from almostnormal import fileio, load_matrix, save_matrix, write_csv, write_report
 from almostnormal.core import as_cmatrix
-from almostnormal.fileio import format_float
+from almostnormal.fileio import TEXT_MAX_DIM, format_float
 
 from util import read_csv, reference_matrix_json, traced_peak
 
@@ -135,25 +136,80 @@ def test_save_refuses_non_json_metadata_and_keeps_the_old_file(tmp_path, bad):
     assert path.read_bytes() == old
 
 
-def test_save_holds_about_one_copy_of_the_text(tmp_path):
+def test_save_holds_about_one_copy_of_the_text(tmp_path, monkeypatch):
     # the row strings and the (n, n, 2) array take about 1.4 times the 2.8 MB
     # of text; nested lists of the whole matrix, encoded at once, near 5 times
+    monkeypatch.setattr(fileio, "TEXT_MAX_DIM", 256)
     a = np.random.default_rng(0).standard_normal((256, 512)).view(np.complex128)
     path = tmp_path / "m.json"
     _, peak = traced_peak(lambda: save_matrix(path, a, metadata={"n": 256}))
     assert peak < 2 * path.stat().st_size
 
 
-def test_load_holds_about_one_copy_of_the_text(tmp_path):
+def test_load_holds_about_one_copy_of_the_text(tmp_path, monkeypatch):
     # reading the 2.7 MB file holds its bytes and its text at once, 2.0 times
     # its size; decoding holds the text, the (n, n, 2) array and one row, about
     # 1.4 times; nested lists of the whole matrix, decoded at once, over 5 times
+    monkeypatch.setattr(fileio, "TEXT_MAX_DIM", 256)
     a = np.random.default_rng(0).standard_normal((256, 512)).view(np.complex128)
     path = tmp_path / "m.json"
     save_matrix(path, a, metadata={"n": 256})
     (b, _), peak = traced_peak(lambda: load_matrix(path))
     assert b.tobytes() == a.tobytes()
     assert peak < 2.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_binary_save_holds_about_one_copy_of_the_file(tmp_path, transpose):
+    # the base64 parts take the 1.4 MB of the file; a transposed input is
+    # copied three rows at a time, not whole
+    a = np.random.default_rng(0).standard_normal((256, 512)).view(np.complex128)
+    path = tmp_path / "m.json"
+    _, peak = traced_peak(lambda: save_matrix(path, a.T if transpose else a, metadata={"n": 256}))
+    assert peak < 1.25 * path.stat().st_size
+
+
+def test_binary_load_holds_no_more_than_the_text_bound(tmp_path):
+    # reading the 1.4 MB file holds its bytes and its text at once, 2.0 times
+    # its size; decoding holds the text, the 1 MB buffer and one 64 KiB chunk
+    a = np.random.default_rng(0).standard_normal((256, 512)).view(np.complex128)
+    path = tmp_path / "m.json"
+    save_matrix(path, a, metadata={"n": 256})
+    (b, _), peak = traced_peak(lambda: load_matrix(path))
+    assert b.tobytes() == a.tobytes()
+    assert peak < 2.5 * path.stat().st_size
+
+
+@st.composite
+def _matrices_near_the_threshold(draw):
+    """n on both sides of TEXT_MAX_DIM and in each residue mod 3 (base64
+    padding); seeded normal entries with drawn edge values at drawn places."""
+    n = TEXT_MAX_DIM + draw(st.sampled_from([-1, 0, 1, 2, 3]))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(2 * n * n)
+    for k, v in draw(st.lists(st.tuples(st.integers(0, 2 * n * n - 1), _ENTRIES), max_size=16)):
+        x[k] = v
+    return x.view(np.complex128).reshape(n, n)
+
+
+@given(a=_matrices_near_the_threshold(), transpose=st.booleans(), meta=_METADATA)
+def test_binary_codec_round_trip_is_bitwise(tmp_path_factory, a, transpose, meta):
+    if transpose:
+        a = a.T  # a non-contiguous view
+    path = tmp_path_factory.mktemp("binary") / "m.json"
+    save_matrix(path, a, metadata=meta)
+    text = path.read_text(encoding="utf-8")
+    if len(a) <= TEXT_MAX_DIM:
+        assert text == reference_matrix_json(a, meta)
+    else:
+        doc = json.loads(text)
+        assert list(doc) == ["c128le", "dim", "metadata"]
+        raw = np.ascontiguousarray(a, "<c16").tobytes()
+        assert doc["c128le"] == base64.b64encode(raw).decode("ascii")
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    b, got_meta = load_matrix(path)
+    assert b.dtype == np.complex128 and b.flags.writeable
+    assert b.tobytes() == np.ascontiguousarray(a).tobytes()
+    assert got_meta == (meta or {})
 
 
 def test_save_is_deterministic(tmp_path):
@@ -269,6 +325,8 @@ def test_load_rejects_bad_cells(tmp_path):
         ([[[math.nan, 0.0]]], "finite"),  # written as NaN, Infinity, -Infinity
         ([[[math.inf, 0.0]]], "finite"),
         ([[[-math.inf, 0.0]]], "finite"),
+        ([[[1.5, 0.0]], [[0.0, 0.0]]], "more rows than its 1 columns"),
+        ([[[1.5, 0.0], [0.0, 0.0]]] * 3, "more rows than its 2 columns"),
     ],
 )
 def test_load_rejects_malformed_data(tmp_path, data, match):
