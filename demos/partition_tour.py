@@ -31,7 +31,7 @@ for side in (0.8, 0.4, 0.2, 0.1, 0.05):
     roi = approx.resolution
     distinct = len({int(j) for j in roi.assignment})
     print(f"{side:>6} {len(cover):>8} {distinct:>9} "
-          f"{approx.error_actual:>10.6f} {approx.error_bound:>10.6f}")
+          f"{approx.perturbation_norm:>10.6f} {approx.bound:>10.6f}")
 
 roi = finite_spectrum_approx(dec, square_cover(lam, 0.2)).resolution
 total = sum(roi.projections)

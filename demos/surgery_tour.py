@@ -42,7 +42,8 @@ print()
 print("graph approximant (norm never grows, output stays normal):")
 norm_a = operator_norm(a)
 for eps in (0.5, 0.2, 0.1):
-    out, rep = graph_normal_approx(dec, eps)
+    res3 = graph_normal_approx(dec, eps)
+    out = res3.output
     print(f"  eps={eps:<4} ||A - out|| = {operator_norm(out - a):.4f} "
-          f"<= {rep.bound:.4f}, ||out|| = {operator_norm(out):.4f} "
+          f"<= {res3.bound:.4f}, ||out|| = {operator_norm(out):.4f} "
           f"(<= {norm_a:.4f}), defect {operator_norm(self_commutator(out)):.1e}")

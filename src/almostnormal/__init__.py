@@ -12,6 +12,7 @@ from .core import (
     CLUSTER_TOL,
     RECONSTRUCT_TOL,
     SpectralDecomp,
+    SpectrumMove,
     adjoint,
     as_cmatrix,
     hermitian_part,
@@ -76,10 +77,8 @@ from .surgery import (
     Affine,
     BoundaryPush,
     ChordSnap,
-    GraphReport,
     Oscillator,
     RadialCollapse,
-    SurgeryResult,
     graph_normal_approx,
     remove_arc,
     remove_region,

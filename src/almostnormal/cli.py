@@ -307,15 +307,15 @@ def cmd_partition(args) -> None:
         ranks=roi.ranks,
         multiplicity=roi.multiplicity,
         max_diameter=cover.max_diameter(),
-        error_bound=fsa.error_bound,
-        error_actual=fsa.error_actual,
+        error_bound=fsa.bound,
+        error_actual=fsa.perturbation_norm,
     )
     fileio.write_report(args.report, payload)
     if args.approx:
-        fileio.save_matrix(args.approx, fsa.matrix, metadata=_meta(cfg))
+        fileio.save_matrix(args.approx, fsa.output, metadata=_meta(cfg))
     print(
         f"wrote {args.report} ({len(cover.regions)} regions, "
-        f"error {fsa.error_actual:.6g} <= bound {fsa.error_bound:.6g})"
+        f"error {fsa.perturbation_norm:.6g} <= bound {fsa.bound:.6g})"
     )
 
 
@@ -371,23 +371,20 @@ def cmd_surgery_transport(args) -> None:
 
 def cmd_surgery_graph(args) -> None:
     dec = normal_spectral_decomp(fileio.load_matrix(args.matrix)[0])
-    out, rep = graph_normal_approx(dec, args.eps)
-    out_norm = operator_norm(out)
+    res = graph_normal_approx(dec, args.eps)
+    out_norm = operator_norm(res.output)
     _write_surgery(
         args,
-        out,
-        eps=rep.eps,
-        r=rep.r,
-        scale=rep.scale,
-        max_shift=rep.max_shift,
-        perturbation_norm=rep.perturbation_norm,
-        bound=rep.bound,
-        output_defect=normality_defect(out),
+        res.output,
+        **res.details,
+        perturbation_norm=res.perturbation_norm,
+        bound=res.bound,
+        output_defect=normality_defect(res.output),
         output_norm=out_norm,
     )
     print(
-        f"wrote {args.out} (graph approx, perturbation {rep.perturbation_norm:.6g} "
-        f"<= {rep.bound:.6g}, output norm {out_norm:.6g})"
+        f"wrote {args.out} (graph approx, perturbation {res.perturbation_norm:.6g} "
+        f"<= {res.bound:.6g}, output norm {out_norm:.6g})"
     )
 
 

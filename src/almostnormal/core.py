@@ -17,8 +17,9 @@ floating point, so they hold across the whole double range.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.linalg as npl
@@ -151,6 +152,46 @@ class SpectralDecomp:
         """Orthogonal projection onto the eigenvectors selected by mask."""
         cols = self.basis[:, np.asarray(mask, dtype=bool)]
         return cols @ adjoint(cols)
+
+
+@dataclass(frozen=True)
+class SpectrumMove:
+    """A normal matrix whose eigenvalues moved while its eigenbasis stayed.
+
+    decomp holds the basis U and the new eigenvalues; perturbation_norm is
+    max |new - old|, moved_count the number of eigenvalues that changed and
+    bound the move's a priori bound on perturbation_norm.  details holds the
+    numbers one kind of move reports beside these.  The output
+    U diag(new) U* is built on first read.  Because U is kept,
+    perturbation_norm is exactly ||U diag(new) U* - U diag(old) U*||, which
+    is within the decomposition's residual (at most 1e-9 * ||A||) of
+    ||output - A||.
+    """
+
+    decomp: SpectralDecomp
+    perturbation_norm: float
+    moved_count: int
+    bound: float
+    details: dict = field(default_factory=dict, kw_only=True)
+
+    @classmethod
+    def of(cls, dec: SpectralDecomp, new_eigs, bound: float, **extra) -> SpectrumMove:
+        """The move of dec's eigenvalues to new_eigs, one per eigenvalue."""
+        lam = dec.eigenvalues
+        new = np.array(new_eigs, dtype=complex)
+        if new.shape != lam.shape:
+            raise ValueError("plane map must return one value per eigenvalue")
+        return cls(
+            SpectralDecomp(eigenvalues=new, basis=dec.basis),
+            float(np.abs(new - lam).max(initial=0.0)),
+            int(np.count_nonzero(new != lam)),
+            bound,
+            **extra,
+        )
+
+    @functools.cached_property
+    def output(self) -> np.ndarray:
+        return self.decomp.reconstruct()
 
 
 def _operator_norm_over(m: np.ndarray, tol: float) -> float | None:

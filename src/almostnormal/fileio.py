@@ -117,7 +117,10 @@ def _payload(text: str, i: int) -> tuple[memoryview, int]:
         raise ValueError("matrix c128le payload is not a base64 string padded at its end only")
     buf, pos = memoryview(bytearray((end - i - 1) // 4 * 3)), 0
     for s in range(i + 1, end, 1 << 16):  # chunks of whole 4-character quanta
-        part = binascii.a2b_base64(text[s:min(s + (1 << 16), end)], strict_mode=True)
+        try:  # binascii.Error is a ValueError, as is a non-ASCII character
+            part = binascii.a2b_base64(text[s:min(s + (1 << 16), end)], strict_mode=True)
+        except ValueError as err:
+            raise ValueError(f"matrix c128le payload is not base64: {err}") from None
         buf[pos:pos + len(part)], pos = part, pos + len(part)
     return buf[:pos], end + 1
 

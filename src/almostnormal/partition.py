@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralDecomp
+from .core import SpectralDecomp, SpectrumMove
 from .errors import UncoveredSpectrum
 
 
@@ -187,30 +187,19 @@ def resolution_of_identity(dec: SpectralDecomp, cover: Cover) -> ResolutionOfIde
 
 
 @dataclass(frozen=True)
-class FiniteSpectrumApprox:
-    """Normal approximant with finitely many distinct eigenvalues; `matrix` is built on read."""
+class FiniteSpectrumApprox(SpectrumMove):
+    """Normal approximant with finitely many distinct eigenvalues, and the
+    resolution of identity it collapses."""
 
-    error_bound: float
-    error_actual: float
     resolution: ResolutionOfIdentity
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        roi = self.resolution
-        return SpectralDecomp(roi.labels[roi.assignment], roi.decomposition.basis).reconstruct()
 
 
 def finite_spectrum_approx(dec: SpectralDecomp, cover: Cover) -> FiniteSpectrumApprox:
     """T = sum_j z_j P_j from the resolution of identity of the cover.
 
-    error_bound = sqrt(multiplicity on the spectrum) * max region diameter;
-    error_actual = the largest eigenvalue displacement.  T keeps the basis U
-    of dec, so that is exactly ||U diag(l) U* - T||, and U diag(l) U* is
-    within the decomposition's residual (at most 1e-9 * ||A||) of A.
+    Each eigenvalue moves to the label of its region.  The bound is
+    sqrt(multiplicity on the spectrum) * max region diameter.
     """
     roi = resolution_of_identity(dec, cover)
-    return FiniteSpectrumApprox(
-        error_bound=math.sqrt(roi.multiplicity) * cover.max_diameter(),
-        error_actual=float(np.abs(roi.labels[roi.assignment] - dec.eigenvalues).max()),
-        resolution=roi,
-    )
+    bound = math.sqrt(roi.multiplicity) * cover.max_diameter()
+    return FiniteSpectrumApprox.of(dec, roi.labels[roi.assignment], bound, resolution=roi)

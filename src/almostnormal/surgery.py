@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralDecomp
+from .core import SpectralDecomp, SpectrumMove
 from .errors import SpectrumOffContour
 from .partition import OpenDisc
 
@@ -128,47 +128,15 @@ class ChordSnap:
         return _unwrap(res, scalar)
 
 
-@dataclass(frozen=True)
-class SurgeryResult:
-    output: np.ndarray
-    decomp: SpectralDecomp
-    moved_count: int
-    perturbation_norm: float
-    bound: float
-
-
-def _move(dec: SpectralDecomp, new_eigs, bound: float) -> SurgeryResult:
-    """U diag(new_eigs) U* on the basis of dec, and how far the spectrum moved.
-
-    moved_count is the number of eigenvalues that changed; perturbation_norm
-    is max |new - old|.  The basis U is kept, so that is exactly
-    ||A_out - U diag(old) U*||, and U diag(old) U* is within the
-    decomposition's residual (at most 1e-9 * ||A||) of A.
-    """
-    lam = dec.eigenvalues
-    new = np.array(new_eigs, dtype=complex)
-    if new.shape != lam.shape:
-        raise ValueError("plane map must return one value per eigenvalue")
-    out_dec = SpectralDecomp(eigenvalues=new, basis=dec.basis)
-    return SurgeryResult(
-        output=out_dec.reconstruct(),
-        decomp=out_dec,
-        moved_count=int(np.count_nonzero(new != lam)),
-        perturbation_norm=float(np.abs(new - lam).max(initial=0.0)),
-        bound=bound,
-    )
-
-
-def transport(dec: SpectralDecomp, phi) -> SurgeryResult:
+def transport(dec: SpectralDecomp, phi) -> SpectrumMove:
     """U diag(phi(lambda)) U* for any vectorized plane map phi.
 
-    A general map has no a priori bound, so bound is inf; perturbation_norm
-    is the distance moved, as _move states it.
+    A general map has no a priori bound, so bound is inf.
     """
-    return _move(dec, phi(dec.eigenvalues), math.inf)
+    return SpectrumMove.of(dec, phi(dec.eigenvalues), math.inf)
 
 
-def remove_region(dec: SpectralDecomp, disc: OpenDisc, mu: complex) -> SurgeryResult:
+def remove_region(dec: SpectralDecomp, disc: OpenDisc, mu: complex) -> SpectrumMove:
     """Clear the open disc of spectrum by pushing it to the boundary from mu.
 
     Eigenvalues outside the disc, and their eigenprojections, are untouched;
@@ -177,12 +145,12 @@ def remove_region(dec: SpectralDecomp, disc: OpenDisc, mu: complex) -> SurgeryRe
     The perturbation never exceeds 2 * radius.
     """
     push = BoundaryPush(disc=disc, anchor=complex(mu))
-    return _move(dec, push(dec.eigenvalues), 2.0 * disc.radius)
+    return SpectrumMove.of(dec, push(dec.eigenvalues), 2.0 * disc.radius)
 
 
 def remove_arc(
     dec: SpectralDecomp, disc: OpenDisc, e_minus: complex, e_plus: complex
-) -> SurgeryResult:
+) -> SpectrumMove:
     """Snap the spectrum inside the disc to the endpoints of a chord.
 
     Requires every eigenvalue inside the disc to sit on the chord segment
@@ -196,7 +164,7 @@ def remove_arc(
     d = _dist_to_segment(inside, snap.e_minus, snap.e_plus)
     if (d > tol).any():
         raise SpectrumOffContour(inside[d > tol], tol)
-    return _move(dec, snap(lam), 2.0 * disc.radius)
+    return SpectrumMove.of(dec, snap(lam), 2.0 * disc.radius)
 
 
 def _dist_to_segment(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -235,26 +203,17 @@ class Oscillator:
         return self.amplitude * np.cos(2.0 * math.pi * x / self.eps)
 
 
-@dataclass(frozen=True)
-class GraphReport:
-    eps: float
-    r: float
-    scale: float
-    max_shift: float
-    perturbation_norm: float
-    bound: float
-
-
-def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, GraphReport]:
+def graph_normal_approx(dec: SpectralDecomp, eps: float) -> SpectrumMove:
     """Press the spectrum onto the scaled graph of the oscillator.
 
     Each eigenvalue x + iy is shifted horizontally by the smallest amount
     whose landing point satisfies f(x + shift) = y (f the oscillator with
     r = ||A||), then the whole matrix is scaled by r / (r + eps).  The
     output is normal, has norm at most ||A||, and differs from A by at most
-    2*eps + eps*(1 + ||A||).  Raises ArithmeticError where rounding breaks
-    that bound: f's slope, about 2*pi*||A|| / eps, magnifies the rounding of
-    each landing point.
+    2*eps + eps*(1 + ||A||); details holds eps, r, scale and the largest
+    shift (max_shift).  Raises ArithmeticError where rounding breaks that
+    bound: f's slope, about 2*pi*||A|| / eps, magnifies the rounding of each
+    landing point.
     """
     lam = dec.eigenvalues
     r = float(np.abs(lam).max())
@@ -267,21 +226,14 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> tuple[np.ndarray, Gr
     shifts = _smallest_level_shift(f, x, y)
     landed = x + shifts
     bound = 2.0 * eps + eps * (1.0 + r)
-    res = _move(dec, scale * (landed + 1j * f(landed)), bound)
+    details = dict(eps=float(eps), r=r, scale=scale, max_shift=float(np.abs(shifts).max()))
+    res = SpectrumMove.of(dec, scale * (landed + 1j * f(landed)), bound, details=details)
     if res.perturbation_norm > bound:
         raise ArithmeticError(
             f"graph approximation at eps = {eps:.6g} with ||A|| = {r:.6g} moved the "
             f"spectrum by {res.perturbation_norm:.6g}, over its bound {bound:.6g}"
         )
-    report = GraphReport(
-        eps=float(eps),
-        r=r,
-        scale=scale,
-        max_shift=float(np.abs(shifts).max()),
-        perturbation_norm=res.perturbation_norm,
-        bound=bound,
-    )
-    return res.output, report
+    return res
 
 
 def _smallest_level_shift(f: Oscillator, x0: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -124,11 +124,11 @@ def test_criterion_04_partition_error_bound():
     for dec in _partition_ensemble():
         for side in SIDES:
             approx = finite_spectrum_approx(dec, square_cover(dec.eigenvalues, side))
-            if approx.error_actual > math.sqrt(4) * side * math.sqrt(2) + 1e-12:
+            if approx.perturbation_norm > math.sqrt(4) * side * math.sqrt(2) + 1e-12:
                 violations += 1
             roi = approx.resolution
             moves = np.abs(dec.eigenvalues - roi.labels[roi.assignment])
-            if approx.error_actual > moves.max() + 1e-9:
+            if approx.perturbation_norm > moves.max() + 1e-9:
                 refinement_violations += 1
     ok = violations == 0 and refinement_violations == 0
     report(4, ok, f"200 normals x sides {SIDES}: {violations} bound violations "
@@ -233,14 +233,15 @@ def test_criterion_07_graph_approximant():
         norm_a = operator_norm(a)
         dists = []
         for eps in EPS_SWEEP:
-            out, rep = graph_normal_approx(dec, eps)
+            res = graph_normal_approx(dec, eps)
+            out = res.output
             if operator_norm(self_commutator(out)) > 1e-9:
                 violations += 1
             if operator_norm(out) > norm_a + 1e-12:
                 violations += 1
             # independent eigenvalue extraction, then graph membership
-            w = np.linalg.eigvals(out) / rep.scale
-            f_vals = (rep.r + eps) * np.cos(2.0 * math.pi * w.real / eps)
+            w = np.linalg.eigvals(out) / res.details["scale"]
+            f_vals = (res.details["r"] + eps) * np.cos(2.0 * math.pi * w.real / eps)
             if np.abs(f_vals - w.imag).max() > 1e-9:
                 violations += 1
             dists.append(operator_norm(out - a))

@@ -472,11 +472,11 @@ _CHUNK_PADDED = (base64.b64encode(_CHUNKED[:_CUT]) + base64.b64encode(_CHUNKED[_
     "doc, match",
     [
         ({"c128le": _c128le(0.5), "dim": 1, "data": [[[0.5, 0.0]]]}, "no 'data'"),
-        ({"c128le": "*" + _c128le(0.5)[1:], "dim": 1}, "Only base64 data"),
-        ({"c128le": "\u00e9" + _c128le(0.5)[1:], "dim": 1}, "ASCII"),
+        ({"c128le": "*" + _c128le(0.5)[1:], "dim": 1}, "c128le payload is not base64: Only base64 data"),
+        ({"c128le": "\u00e9" + _c128le(0.5)[1:], "dim": 1}, "c128le payload is not base64: string argument"),
         ({"c128le": base64.b64encode(bytes(8)).decode() * 2, "dim": 1}, "padded at its end"),
         ({"c128le": _CHUNK_PADDED, "dim": 64}, "padded at its end"),
-        ({"c128le": _c128le(0.5)[:-3], "dim": 1}, "Invalid base64"),
+        ({"c128le": _c128le(0.5)[:-3], "dim": 1}, "c128le payload is not base64: Invalid base64"),
         ({"c128le": _c128le(0.5)[:-4], "dim": 1}, "16 n"),
         ({"c128le": _c128le(0.5, 0.5), "dim": 1}, "16 n"),
         ({"c128le": "", "dim": 1}, "16 n"),

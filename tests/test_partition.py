@@ -215,9 +215,9 @@ def test_finite_spectrum_approx_exact_when_regions_are_tight():
         OpenDisc(center=1 + 0j, radius=0.1),
     ))
     approx = finite_spectrum_approx(dec, cover)
-    assert approx.error_actual < 1e-12
-    assert abs(approx.error_bound - 0.2) < 1e-15
-    assert operator_norm(approx.matrix - a) < 1e-12
+    assert approx.perturbation_norm < 1e-12
+    assert abs(approx.bound - 0.2) < 1e-15
+    assert operator_norm(approx.output - a) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -226,12 +226,12 @@ def test_finite_spectrum_error_within_bound(seed, side):
     a, lam, _ = random_normal_with_spectrum(5, seed)
     dec = normal_spectral_decomp(a)
     approx = finite_spectrum_approx(dec, square_cover(lam, side))
-    assert approx.error_actual <= approx.error_bound + 1e-12
-    assert approx.error_bound <= math.sqrt(4) * side * math.sqrt(2) + 1e-12
+    assert approx.perturbation_norm <= approx.bound + 1e-12
+    assert approx.bound <= math.sqrt(4) * side * math.sqrt(2) + 1e-12
     # approximant is normal with spectrum drawn from the labels
-    t = approx.matrix
+    t = approx.output
     assert operator_norm(t @ adjoint(t) - adjoint(t) @ t) < 1e-10
     # displacement interpretation: error equals max eigenvalue move
     roi = approx.resolution
     moves = np.abs(dec.eigenvalues - roi.labels[roi.assignment])
-    assert abs(approx.error_actual - moves.max()) < 1e-9
+    assert abs(approx.perturbation_norm - moves.max()) < 1e-9

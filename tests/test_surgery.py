@@ -203,12 +203,17 @@ def test_every_spectrum_move_is_measured_on_its_eigenvalues(n, seed, center, rad
     assert res.moved_count == np.count_nonzero(disc.contains(lam))
     assert res.moved_count == np.count_nonzero(new != lam)
     assert res.perturbation_norm == np.abs(new - lam).max()
-    slack = 1e-12 * operator_norm(a)
-    assert operator_norm(res.output - dec.reconstruct()) <= res.perturbation_norm + slack
     # the partition approximant moves each eigenvalue to its region's label
     fsa = finite_spectrum_approx(dec, square_cover(lam, side))
     roi = fsa.resolution
-    assert fsa.error_actual == np.abs(roi.labels[roi.assignment] - lam).max()
+    assert fsa.perturbation_norm == np.abs(roi.labels[roi.assignment] - lam).max()
+    # each output is built on first read, once, on the kept basis
+    for move, moved in ((res, new), (fsa, roi.labels[roi.assignment])):
+        assert "output" not in vars(move)
+        want = SpectralDecomp(moved, dec.basis).reconstruct()
+        assert np.array_equal(move.output, want) and move.output is move.output
+    slack = 1e-12 * operator_norm(a)
+    assert operator_norm(res.output - dec.reconstruct()) <= res.perturbation_norm + slack
 
 
 def test_reported_moves_are_the_distance_from_a_within_the_residual():
@@ -226,7 +231,7 @@ def test_reported_moves_are_the_distance_from_a_within_the_residual():
         assert res.perturbation_norm > 0
         assert abs(operator_norm(a - res.output) - res.perturbation_norm) <= slack
     fsa = finite_spectrum_approx(dec, square_cover(dec.eigenvalues, 0.25))
-    assert abs(operator_norm(a - fsa.matrix) - fsa.error_actual) <= slack
+    assert abs(operator_norm(a - fsa.output) - fsa.perturbation_norm) <= slack
 
 
 def test_oscillator_values():
@@ -268,28 +273,29 @@ def test_graph_normal_approx_invariants():
         dec = normal_spectral_decomp(a)
         norm_a = operator_norm(a)
         for eps in (0.4, 0.1):
-            out, rep = graph_normal_approx(dec, eps)
+            res = graph_normal_approx(dec, eps)
+            out = res.output
             assert operator_norm(self_commutator(out)) < 1e-9
             assert operator_norm(out) <= norm_a + 1e-9
-            assert operator_norm(out - a) <= rep.bound + 1e-9
-            assert rep.max_shift <= eps / 2.0 * 1.0001
+            assert operator_norm(out - a) <= res.bound + 1e-9
+            assert res.details["max_shift"] <= eps / 2.0 * 1.0001
             # every output eigenvalue divided by the scale is on the graph
-            w = np.linalg.eigvals(out) / rep.scale
-            f = Oscillator(eps=eps, r=rep.r)
+            w = np.linalg.eigvals(out) / res.details["scale"]
+            f = Oscillator(eps=eps, r=res.details["r"])
             assert np.abs(f(w.real) - w.imag).max() < 1e-8
     # 0 sits midway between the roots -eps/4 and +eps/4 of its level set;
     # the tie goes to the positive shift
     eps = 0.3
-    out, rep = graph_normal_approx(normal_spectral_decomp(np.diag([0.0, 1.0])), eps)
-    assert abs(out[0, 0] - rep.scale * eps / 4.0) < 1e-12
+    res = graph_normal_approx(normal_spectral_decomp(np.diag([0.0, 1.0])), eps)
+    assert abs(res.output[0, 0] - res.details["scale"] * eps / 4.0) < 1e-12
 
 
 def test_graph_normal_approx_zero_matrix():
     dec = normal_spectral_decomp(np.zeros((2, 2), dtype=complex))
-    out, rep = graph_normal_approx(dec, 0.5)
-    assert operator_norm(out) == 0.0
-    assert rep.r == 0.0
-    assert rep.perturbation_norm == 0.0
+    res = graph_normal_approx(dec, 0.5)
+    assert operator_norm(res.output) == 0.0
+    assert res.details["r"] == 0.0
+    assert res.perturbation_norm == 0.0
 
 
 def test_graph_normal_approx_validation():
