@@ -437,7 +437,7 @@ def cmd_pseudospec(args) -> None:
         f"grid_step={fileio.format_float(grid.step())}",
         f"evaluated={rep.evaluated}",
     ]
-    rows = zip(rep.members.real, rep.members.imag, rep.sigma_min)
+    rows = zip(rep.members.real.tolist(), rep.members.imag.tolist(), rep.sigma_min.tolist())
     fileio.write_csv(args.out, ("re", "im", "sigma_min"), rows, comments=_comments(cfg, extra))
     print(
         f"wrote {args.out} ({rep.members.size} members of the {args.eps:g}-pseudospectrum, "

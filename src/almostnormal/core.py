@@ -8,7 +8,8 @@ Tolerances are relative to the operator norm scale of the input:
   RECONSTRUCT_TOL  ||A - U diag(l) U*||   <= 1e-9 * ||A|| to admit A as normal
   CLUSTER_TOL      eigenvalue clustering width, 1e-8 * ||A||
 A normality defect ||[A*, A]|| over 4 * RECONSTRUCT_TOL * ||A||^2 rejects A
-before any eigensolver runs: no basis can reconstruct it there.
+before any eigensolver runs: no basis can reconstruct it there.  These tests
+run the SVD of A only where max_j ||A e_j|| <= ||A|| <= ||A||_F cannot decide.
 
 Entry points that square the input scale it first by a power of two
 (_pow2_scaled) and scale the results back; both steps are exact in binary
@@ -215,23 +216,33 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     angle gives such a basis, or at once when ||[A*, A]|| exceeds
     4e-9 * ||A||^2, where no basis can.
 
-    The work runs on 2^-e A (see _pow2_scaled), so the eigenvalues of
-    2^k A are 2^k times those of A and the basis is the same.  Beside the
-    input it holds about five n x n arrays at once: 2^-e A, U and the
-    products of one step.  [A*, A] is dropped after its pre-test (and
-    rebuilt for the final NotNormal), X and Y are rebuilt for each angle
-    and dropped once diagonalized, and Y is built at t = 0 only when a
-    cluster of two or more eigenvalues needs it.
+    Each test bounds ||A|| by max_j ||A e_j|| <= ||A|| <= ||A||_F, O(n^2),
+    and runs the SVD of A, once, only where that cannot decide it: every
+    decision is the one the exact ||A|| gives.  The work runs on 2^-e A (see
+    _pow2_scaled), so the eigenvalues of 2^k A are 2^k times those of A and
+    the basis is the same.  Beside the input it holds about five n x n
+    arrays at once: 2^-e A, U and the products of one step.  [A*, A] is
+    dropped after its pre-test (and rebuilt for the final NotNormal), X and
+    Y are rebuilt for each angle and dropped once diagonalized, and Y is
+    built at t = 0 only when a cluster of two or more eigenvalues needs it.
     """
     a, e = _pow2_scaled(a)
-    scale = operator_norm(a)
-    tol = RECONSTRUCT_TOL * scale
+    # the bracket, widened by 1e-12: far over the rounding of either bound or the SVD
+    sq = np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
+    col, fro = math.sqrt(sq.max()) * (1 - 1e-12), math.sqrt(sq.sum()) * (1 + 1e-12)
+    scale = functools.cache(lambda: operator_norm(a))
+
+    def over(m, c, k):
+        """||M|| when it exceeds c * RECONSTRUCT_TOL * ||A||^k, else None."""
+        if npl.norm(m) <= FRO_PRETEST * (c * RECONSTRUCT_TOL * col ** k):
+            return None
+        return _operator_norm_over(m, c * RECONSTRUCT_TOL * scale() ** k)
+
     # T = U diag(l) U* is normal with ||T|| <= ||A||, so the paper's
     # inequality gives ||[A*, A]|| <= 4 ||A|| ||A - T|| for every basis
-    bound = 4 * RECONSTRUCT_TOL * scale ** 2
-    defect = _operator_norm_over(self_commutator(a), bound)
+    defect = over(self_commutator(a), 4, 2)
     if defect is not None:
-        raise NotNormal(_scale(defect, 2 * e), _scale(bound, 2 * e))
+        raise NotNormal(_scale(defect, 2 * e), _scale(4 * RECONSTRUCT_TOL * scale() ** 2, 2 * e))
 
     best = math.inf
     for t in SPLIT_ANGLES:
@@ -244,7 +255,10 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
         vals, u = npl.eigh(first)
         del first
         # clusters: runs of consecutive eigenvalues closer than the width
-        cuts = [0, *(np.flatnonzero(np.diff(vals) > CLUSTER_TOL * scale) + 1), vals.size]
+        # (gaps all over it at fro >= ||A|| cut as they would at ||A||)
+        gaps = np.diff(vals)
+        width = fro if (gaps > CLUSTER_TOL * fro).all() else scale()
+        cuts = [0, *(np.flatnonzero(gaps > CLUSTER_TOL * width) + 1), vals.size]
         for lo, hi in zip(cuts, cuts[1:]):
             if hi - lo < 2:
                 continue
@@ -258,10 +272,10 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
         # diag(U* A U); a three-operand einsum would run as a naive n^3 loop
         lam = np.einsum("ij,ij->j", u.conj(), a @ u)
         prod = (u * lam) @ adjoint(u)
-        residual = _operator_norm_over(np.subtract(a, prod, out=prod), tol)
+        residual = over(np.subtract(a, prod, out=prod), 1, 1)
         if residual is None:
             return SpectralDecomp(eigenvalues=_ldexp(lam, e), basis=u)
         best = min(best, residual)
         del prod
     defect = operator_norm(self_commutator(a))
-    raise NotNormal(_scale(defect, 2 * e), _scale(tol, e), _scale(best, e))
+    raise NotNormal(_scale(defect, 2 * e), _scale(RECONSTRUCT_TOL * scale(), e), _scale(best, e))

@@ -26,6 +26,7 @@ from .core import as_cmatrix
 
 ARTIFACT_VERSION = "almostnormal 0.1.0"
 TEXT_MAX_DIM = 64  # larger matrices are written as base64
+_NUMBERS = (int, float, np.integer, np.floating, np.bool_)  # their cells need no CSV quoting
 
 
 def format_float(x: float) -> str:
@@ -34,6 +35,8 @@ def format_float(x: float) -> str:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:  # most cells: format_float's text without its call
+        return f"{value:.17g}"
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -229,7 +232,8 @@ def write_report(path, payload: dict) -> None:
 def write_csv(path, columns, rows, comments=()) -> None:
     """Write a CSV table with optional leading '# ' comment lines.
 
-    Floats go through format_float so reruns are byte identical.
+    Floats go through format_float so reruns are byte identical.  Rows are
+    sequences; a row of numbers is joined directly, others are csv-quoted.
     """
     buf = io.StringIO()
     for line in comments:
@@ -237,6 +241,10 @@ def write_csv(path, columns, rows, comments=()) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
+        cells = [_format_cell(v) for v in row]
+        if all(isinstance(v, _NUMBERS) for v in row):
+            buf.write(",".join(cells) + "\n")
+        else:
+            writer.writerow(cells)
     _write_text(path, buf.getvalue())
 

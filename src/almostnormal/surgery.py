@@ -212,8 +212,9 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> SpectrumMove:
     output is normal, has norm at most ||A||, and differs from A by at most
     2*eps + eps*(1 + ||A||); details holds eps, r, scale and the largest
     shift (max_shift).  Raises ArithmeticError where rounding breaks that
-    bound: f's slope, about 2*pi*||A|| / eps, magnifies the rounding of each
-    landing point.
+    bound taken for 2^-k A at 2^-k eps, k >= 0 the exponent of ||A|| (no
+    larger, and finite where eps*||A|| overflows): f's slope, about
+    2*pi*||A|| / eps, magnifies the rounding of each landing point.
     """
     lam = dec.eigenvalues
     r = float(np.abs(lam).max())
@@ -228,10 +229,12 @@ def graph_normal_approx(dec: SpectralDecomp, eps: float) -> SpectrumMove:
     bound = 2.0 * eps + eps * (1.0 + r)
     details = dict(eps=float(eps), r=r, scale=scale, max_shift=float(np.abs(shifts).max()))
     res = SpectrumMove.of(dec, scale * (landed + 1j * f(landed)), bound, details=details)
-    if res.perturbation_norm > bound:
+    k = max(math.frexp(r)[1], 0)  # the check runs in units of 2^-k
+    eps_k, r_k = math.ldexp(eps, -k), math.ldexp(r, -k)
+    if math.ldexp(res.perturbation_norm, -k) > 2.0 * eps_k + eps_k * (1.0 + r_k):
         raise ArithmeticError(
             f"graph approximation at eps = {eps:.6g} with ||A|| = {r:.6g} moved the "
-            f"spectrum by {res.perturbation_norm:.6g}, over its bound {bound:.6g}"
+            f"spectrum by {res.perturbation_norm:.6g}, over its bound {2.0 * eps + eps * (1.0 + r_k):.6g}"
         )
     return res
 

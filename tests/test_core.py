@@ -346,6 +346,27 @@ def test_decomposition_matches_the_oracle_on_clustered_and_non_normal_inputs(
     _assert_decomp_is_the_oracle(a)
 
 
+def test_decomposition_runs_the_svd_of_a_only_where_the_bracket_cannot_decide(monkeypatch):
+    # max_j ||A e_j|| <= ||A|| <= ||A||_F decide every test on a well-separated
+    # normal input; a repeated eigenvalue needs the exact width for its cut
+    calls = []
+    monkeypatch.setattr(core, "operator_norm", lambda m: calls.append(m) or operator_norm(m))
+    rng = np.random.default_rng(8)
+    u = _haar(64, rng)
+    lam = np.arange(64) / 8 + 1j * rng.uniform(-1, 1, 64)
+    for eigs, svds in ((lam, 0), (np.append(lam[:-1], lam[0]), 1)):
+        a = (u * eigs) @ adjoint(u)
+        calls.clear()
+        normal_spectral_decomp(a)
+        assert len(calls) == svds
+        _assert_decomp_is_the_oracle(a)
+    # where it runs, a rejection is the oracle's at every scale: the pre-test
+    # and the residual NotNormal carry the same fields and message
+    for params, how in (((6, 3, 1.0, 0, 1e-2, 0), "pretest"), ((4, 2, 1.0, 0, 3e-9, 0), "residual")):
+        for k in (-500, 0, 500):
+            assert _assert_decomp_is_the_oracle(_ldexp(_two_tangles(*params), k)) == how
+
+
 def test_decomposition_holds_about_five_matrices():
     # 2^-e A, U and the three matrices of one product; the decomposition
     # that held X, Y and [A*, A] throughout peaked at 8.0 of them

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import base64
+import csv
+import io
 import json
 import math
 import os
@@ -436,20 +438,30 @@ def test_load_csv_rejects_rectangular(tmp_path):
 
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(
-        path,
-        ("x", "flag", "k"),
-        [[0.1, True, 3], [float("nan") if False else 2.5, False, -1],
-         [np.float64(0.5), np.True_, np.int64(7)], [np.float32(0.25), np.False_, 0]],
-        comments=["alpha", "beta=1"],
-    )
+    table = [[0.1, True, 3], [float("nan") if False else 2.5, False, -1],
+             [np.float64(0.5), np.True_, np.int64(7)], [np.float32(0.25), np.False_, 0],
+             [-0.0, math.inf, -math.inf], [math.nan, 5e-324, 1.7976931348623157e308],
+             ['a,"b"', 1.5, "c"]]
+    write_csv(path, ("x", "flag", "k"), table, comments=["alpha", "beta=1"])
     cols, rows, comments = read_csv(path)
     assert cols == ["x", "flag", "k"]
     assert rows == [["0.10000000000000001", "1", "3"], ["2.5", "0", "-1"],
-                    ["0.5", "1", "7"], ["0.25", "0", "0"]]
+                    ["0.5", "1", "7"], ["0.25", "0", "0"], ["-0", "inf", "-inf"],
+                    ["nan", "4.9406564584124654e-324", "1.7976931348623157e+308"],
+                    ['a,"b"', "1.5", "c"]]
     assert comments == ["alpha", "beta=1"]
     # floats survive the text round trip exactly
     assert float(rows[0][0]) == 0.1
+    # rows of numbers skip the csv module, yet the bytes are its bytes, and
+    # the string that needs quoting keeps them
+    ref = io.StringIO()
+    ref.write("# alpha\n# beta=1\n")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(("x", "flag", "k"))
+    writer.writerows([format_float(v) if isinstance(v, float) else fileio._format_cell(v)
+                      for v in row] for row in table)
+    assert path.read_bytes() == ref.getvalue().encode()
+    assert '\n"a,""b""",1.5,c\n' in ref.getvalue()
 
 
 def test_read_csv_requires_header(tmp_path):

@@ -28,6 +28,8 @@ from almostnormal import (
     square_cover,
     transport,
 )
+from almostnormal import surgery
+from almostnormal.gallery import perturbed_normal
 from util import check_oscillator, random_normal_with_spectrum, tangled_normal
 
 DISC = OpenDisc(center=0j, radius=1.0)
@@ -288,6 +290,19 @@ def test_graph_normal_approx_invariants():
     eps = 0.3
     res = graph_normal_approx(normal_spectral_decomp(np.diag([0.0, 1.0])), eps)
     assert abs(res.output[0, 0] - res.details["scale"] * eps / 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", (0, 520))
+def test_graph_move_check_fires_where_its_bound_overflows(monkeypatch, k):
+    # at 2^520 the reported bound eps*(1 + ||A||) reads inf, yet a shift
+    # 10 eps too far must still break the check, taken in units of 2^-k
+    dec = normal_spectral_decomp(perturbed_normal(8, 0.0, 3) * 2.0 ** k)
+    eps = math.ldexp(0.05, k)
+    assert math.isinf(graph_normal_approx(dec, eps).bound) == bool(k)
+    shift = surgery._smallest_level_shift
+    monkeypatch.setattr(surgery, "_smallest_level_shift", lambda f, x, y: shift(f, x, y) + 10 * f.eps)
+    with pytest.raises(ArithmeticError, match="over its bound"):
+        graph_normal_approx(dec, eps)
 
 
 def test_graph_normal_approx_zero_matrix():
