@@ -40,7 +40,7 @@ from .gallery import (
     perturbed_normal,
     shift_example,
 )
-from .nearest import nearest_normal
+from .nearest import MAX_SWEEPS, OBJ_TOL, nearest_normal
 from .partition import Cover, OpenDisc, OpenSquare, finite_spectrum_approx, square_cover
 from .surgery import (
     Affine,
@@ -273,7 +273,7 @@ def _cover_from_file(path) -> Cover:
         try:
             center = complex(float(item["center"][0]), float(item["center"][1]))
             regions.append(cls(center, float(item[size])))
-        except (TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"region {i}: bad center or size: {exc}") from None
     return Cover(tuple(regions))
 
@@ -485,9 +485,9 @@ def cmd_scatter(args) -> None:
 
 def _add_optimizer_args(p, restarts: int) -> None:
     p.add_argument("--restarts", type=int, default=restarts, help="random restarts")
-    p.add_argument("--max-sweeps", type=int, default=200, dest="max_sweeps",
+    p.add_argument("--max-sweeps", type=int, default=MAX_SWEEPS, dest="max_sweeps",
                    help="per start, cap on Jacobi sweeps plus trust-region steps")
-    p.add_argument("--obj-tol", type=float, default=1e-12, dest="obj_tol",
+    p.add_argument("--obj-tol", type=float, default=OBJ_TOL, dest="obj_tol",
                    help="a start stops once its last sweep gained, or its next "
                         "trust-region step would gain, less than this times ||A||_F^2")
 

@@ -22,7 +22,7 @@ import numpy.linalg as npl
 from .core import as_cmatrix, normality_defect, operator_norm, schatten_norm, self_commutator
 from .errors import EmptyTruncation
 from .gallery import EnsembleSpec, laurent_multiplication, materialize
-from .nearest import _nearest_normals
+from .nearest import MAX_SWEEPS, OBJ_TOL, _nearest_normals
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ def truncation_scaling(
     *,
     seed: int,
     restarts: int = 2,
-    max_sweeps: int = 200,
-    obj_tol: float = 1e-12,
+    max_sweeps: int = MAX_SWEEPS,
+    obj_tol: float = OBJ_TOL,
 ) -> list[dict]:
     """Scaling table: trace-norm witness distance of A_lambda against N(lambda).
 
@@ -151,7 +151,7 @@ def truncation_scaling(
     for lam in lambda_grid:
         rows.append(verify_truncation_bounds(model, lam))
         blocks.append(truncate(model, lam))
-    for row, rep in zip(rows, _witnesses(blocks, 1, seed, restarts, max_sweeps, obj_tol)):
+    for row, rep in zip(rows, _nearest_normals(blocks, (1,), seed, restarts, max_sweeps, obj_tol)):
         dist1 = rep.distances[1]
         row.update(dist1_witness=dist1, ratio=dist1 / row["N"], converged=rep.converged)
     return rows
@@ -318,23 +318,13 @@ TRUNCATE_COLUMNS = (
 SCATTER_COLUMNS = ("defect", "dist_op_witness", "dist_frob_exact", "lower_bound_op")
 
 
-def _witnesses(blocks, p, seed, restarts, max_sweeps, obj_tol) -> list:
-    """nearest_normal in the Schatten index p for every block, block k
-    seeded with seed + k, from one call: every start of every block shares
-    one round kernel, and each report is bitwise the one nearest_normal
-    gives for its block alone."""
-    # a None seed reaches _optimize, which refuses it before any start runs
-    seeds = [seed if seed is None else int(seed) + k for k in range(len(blocks))]
-    return _nearest_normals(blocks, (p,), seeds, restarts, max_sweeps, obj_tol)
-
-
 def f_scatter(
     specs,
     *,
     seed: int,
     restarts: int = 2,
-    max_sweeps: int = 200,
-    obj_tol: float = 1e-12,
+    max_sweeps: int = MAX_SWEEPS,
+    obj_tol: float = OBJ_TOL,
 ) -> list[dict]:
     """Defect-versus-distance scatter rows over an ensemble of gallery matrices.
 
@@ -349,7 +339,7 @@ def f_scatter(
         raw = materialize(spec)
         nrm = operator_norm(raw)
         members.append(raw / nrm if nrm > 1.0 else raw)
-    reps = _witnesses(members, math.inf, seed, restarts, max_sweeps, obj_tol)
+    reps = _nearest_normals(members, (math.inf,), seed, restarts, max_sweeps, obj_tol)
     rows = []
     for idx, (spec, a, rep) in enumerate(zip(specs, members, reps)):
         defect = normality_defect(a)

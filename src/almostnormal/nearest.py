@@ -22,7 +22,10 @@ that has not yet stopped.  The starts of several matrices share it too, each
 zero-padded to the largest dimension and taking its own matrix's rounds, so
 the scatter and truncation tables run one kernel for all their members.
 Pivots never touch the padding and the arithmetic is elementwise, so each
-start's result is bitwise what it gives when run alone.
+start's result is bitwise what it gives when run alone.  One base seed s
+drives every start: Haar start j of member k draws from
+default_rng([s + k, j]), so member k of a table is bitwise
+nearest_normal(member, seed=s + k).
 
 Near a maximum with small curvature the sweeps gain linearly and slowly.  A
 start whose sweep gains turn small and shrink by less than a factor 4 per
@@ -64,6 +67,9 @@ from .core import (
 )
 from .gallery import _check_seed, _haar
 
+# the default per-start cap on sweeps plus trust-region steps, and obj_tol
+MAX_SWEEPS = 200
+OBJ_TOL = 1e-12
 # A start leaves the rounds for the trust-region finish once a sweep gains
 # less than SWITCH_GAIN * ||A||_F^2 and more than 1/SWITCH_RATIO of the sweep
 # before it: the Jacobi tail has turned linear.  Quadratically converging
@@ -469,40 +475,22 @@ def _solve(mats, w, max_sweeps: int, obj_tol: float) -> list:
     return runs
 
 
-def _starts(mats, seeds, restarts) -> np.ndarray:
+def _starts(mats, seed, restarts) -> np.ndarray:
     """The zero-padded (len(mats) * restarts, 2N, N) stack of [U*AU; U], N
     the largest dimension, member by member: the identity, then Haar bases
-    seeded by the member's seed, each start's product taken on its own."""
+    seeded by [seed + member, start], each start's product taken on its own."""
     big = max((a.shape[0] for a in mats), default=0)
     w = np.zeros((len(mats) * restarts, 2 * big, big), dtype=complex)
     for k in range(w.shape[0]):
-        a, seed, start = mats[k // restarts], seeds[k // restarts], k % restarts
+        a, start = mats[k // restarts], k % restarts
         n = a.shape[0]
         if start == 0:
             u0 = np.eye(n, dtype=complex)
         else:
-            u0 = _haar(n, np.random.default_rng([int(seed), start]))
+            u0 = _haar(n, np.random.default_rng([seed + k // restarts, start]))
         w[k, :n, :n] = adjoint(u0) @ a @ u0
         w[k, big:big + n, :n] = u0
     return w
-
-
-def _optimize(mats, seeds, restarts, max_sweeps, obj_tol) -> list:
-    """Per member, one SweepOutcome per start: the identity, then Haar bases
-    seeded by seeds[k] for member k."""
-    for seed in seeds:
-        if seed is None:
-            raise ValueError("a seed is required; all randomness flows from it")
-        _check_seed(seed)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
-    if not 0.0 <= obj_tol < math.inf:
-        raise ValueError(f"obj_tol must be finite and >= 0, got {obj_tol}")
-    starts = [a for a in mats for _ in range(restarts)]
-    runs = _solve(starts, _starts(mats, seeds, restarts), max_sweeps, obj_tol)
-    return [runs[k:k + restarts] for k in range(0, len(runs), restarts)]
 
 
 def _commutator_floors(a, p_list) -> dict:
@@ -550,8 +538,8 @@ def nearest_normal(
     *,
     seed: int,
     restarts: int = 4,
-    max_sweeps: int = 200,
-    obj_tol: float = 1e-12,
+    max_sweeps: int = MAX_SWEEPS,
+    obj_tol: float = OBJ_TOL,
 ) -> DistanceReport:
     """Normal witness T from the maximizing basis, with distance panel.
 
@@ -567,21 +555,33 @@ def nearest_normal(
     bound.  The objectives are squared norms, so they overflow to inf for
     entries past about 2^511 while every distance and bound stays finite.
     """
-    return _nearest_normals([a], p_list, [seed], restarts, max_sweeps, obj_tol)[0]
+    return _nearest_normals([a], p_list, seed, restarts, max_sweeps, obj_tol)[0]
 
 
-def _nearest_normals(mats, p_list, seeds, restarts, max_sweeps, obj_tol) -> list:
-    """nearest_normal for each matrix of mats, member k seeded with seeds[k].
+def _nearest_normals(mats, p_list, seed, restarts, max_sweeps, obj_tol) -> list:
+    """nearest_normal for each matrix of mats, member k seeded with seed + k.
 
     Every start of every member runs through one round kernel, and each
     report is bitwise the one nearest_normal gives for its member alone.
     """
+    if seed is None:
+        raise ValueError("a seed is required; all randomness flows from it")
+    seed = _check_seed(seed)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
+    if not 0.0 <= obj_tol < math.inf:
+        raise ValueError(f"obj_tol must be finite and >= 0, got {obj_tol}")
     scaled = [_pow2_scaled(a) for a in mats]
-    # the floors check p, and _optimize every seed, before any start runs
+    # the floors check every member's p before any start runs
     lowers = [{p: _scale(v, e) for p, v in _commutator_floors(a, p_list).items()} for a, e in scaled]
-    member_runs = _optimize([a for a, _ in scaled], seeds, restarts, max_sweeps, obj_tol)
+    members = [a for a, _ in scaled]
+    starts = _solve([a for a in members for _ in range(restarts)],
+                    _starts(members, seed, restarts), max_sweeps, obj_tol)
     reports = []
-    for (a, e), lower, runs in zip(scaled, lowers, member_runs):
+    for k, ((a, e), lower) in enumerate(zip(scaled, lowers)):
+        runs = starts[k * restarts:(k + 1) * restarts]
         # the earliest start wins a tie
         out = max(runs, key=lambda r: r.objective)
         u = out.basis

@@ -457,6 +457,20 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("region, named", [
+    ({"kind": "disc", "center": [0, 0]}, "'radius'"),
+    ({"kind": "disc", "radius": 0.1}, "'center'"),
+    ({**_GOOD_REGION, "center": [0, "x"]}, "could not convert string to float: 'x'"),
+    ({**_GOOD_REGION, "center": {"a": 1}}, "0"),
+], ids=["no-radius", "no-center", "center-string", "center-object"])
+def test_bad_cover_region_exits_2_naming_the_region(tmp_path, capsys, region, named):
+    matrix, cover = tmp_path / "m.json", tmp_path / "cover.json"
+    matrix.write_text(json.dumps(_GOOD_MATRIX))
+    cover.write_text(json.dumps({"regions": [region]}))
+    assert run("partition", "--matrix", matrix, "--cover", cover, "--report", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == f"error: region 0: bad center or size: {named}\n"
+
+
 def _c128le(*entries) -> str:
     return base64.b64encode(np.array(entries, "<c16").tobytes()).decode("ascii")
 

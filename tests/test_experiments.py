@@ -16,6 +16,8 @@ from almostnormal import (
     counting_functions,
     f_scatter,
     laurent_truncation_model,
+    nearest_normal,
+    operator_norm,
     pseudospectrum,
     truncate,
     truncation_model,
@@ -315,6 +317,31 @@ def test_f_scatter_runs_every_member_in_one_round_kernel(monkeypatch):
     assert len(f_scatter(specs, seed=1)) == 19
     per_sweep = max(len(nearest._round_robin(materialize(s).shape[0])) for s in specs)
     assert 0 < len(rounds) <= max(sweeps) * per_sweep
+
+
+def test_f_scatter_row_k_is_nearest_normal_of_member_k_seeded_with_seed_plus_k():
+    specs = [
+        EnsembleSpec(kind="shift_example", params={"m": 6}),
+        EnsembleSpec(kind="perturbed_normal", params={"dim": 3, "delta": 0.5}, seed=4),
+        EnsembleSpec(kind="almost_commuting_pair", params={"m": 4}),
+        EnsembleSpec(kind="perturbed_normal", params={"dim": 8, "delta": 0.5}, seed=2),
+    ]
+    rows = f_scatter(specs, seed=11)
+    for k, (spec, row) in enumerate(zip(specs, rows)):
+        raw = materialize(spec)
+        a = raw / max(operator_norm(raw), 1.0)
+        rep = nearest_normal(a, (math.inf,), seed=11 + k, restarts=2)
+        assert (row["dist_op_witness"], row["dist_frob_exact"], row["converged"]) == (
+            rep.distances[math.inf], rep.frobenius_exact, rep.converged), k
+
+
+def test_truncation_scaling_row_k_is_nearest_normal_of_block_k_seeded_with_seed_plus_k():
+    model = laurent_truncation_model([0.25, 0.5, 1], 6)
+    grid = [2.0, 4.0, 5.0, 7.0]
+    rows = truncation_scaling(model, grid, seed=7)
+    for k, (lam, row) in enumerate(zip(grid, rows)):
+        rep = nearest_normal(truncate(model, lam), (1,), seed=7 + k, restarts=2)
+        assert (row["dist1_witness"], row["converged"]) == (rep.distances[1], rep.converged), k
 
 
 def _refuse_optimizer(monkeypatch):

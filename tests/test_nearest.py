@@ -20,14 +20,12 @@ from almostnormal import (
 )
 from almostnormal import nearest
 from almostnormal.core import _pow2_scaled
-from almostnormal.experiments import _witnesses
 from almostnormal.nearest import (
     _diag_objective,
     _gradient,
     _Hessian,
     _horizontal,
     _nearest_normals,
-    _optimize,
     _plane_rotations,
     _retract,
     _round_robin,
@@ -97,9 +95,10 @@ def test_schatten_index_is_checked_before_any_start_runs(monkeypatch):
             nearest_normal(a, p_list=(0.5,), seed=0)
     # every member's p and seed are checked before the shared kernel runs
     with pytest.raises(ValueError, match="p >= 1"):
-        _nearest_normals([SHIFT2, shift_example(8)], (0.5,), [0, 1], 2, 200, 1e-12)
-    with pytest.raises(ValueError, match="seed"):
-        _nearest_normals([SHIFT2, shift_example(8)], (1,), [0, -1], 2, 200, 1e-12)
+        _nearest_normals([SHIFT2, shift_example(8)], (0.5,), 0, 2, 200, 1e-12)
+    for seed in (-1, None):
+        with pytest.raises(ValueError, match="seed"):
+            _nearest_normals([SHIFT2, shift_example(8)], (1,), seed, 2, 200, 1e-12)
     assert calls == []
 
 
@@ -207,7 +206,7 @@ def test_round_robin_covers_each_pair_once_in_disjoint_rounds(n):
 def test_batched_sweeps_do_not_drift_from_the_basis():
     # odd n exercises the dummy index; every round updates b in place
     a = random_contraction(17, 170)
-    for out in _optimize([a], [3], 2, 200, 1e-12)[0]:
+    for out in _solve([a] * 2, _starts([a], 3, 2), 200, 1e-12):
         u, b = out.basis, out.rotated
         assert out.pivots > 0
         assert np.abs(adjoint(u) @ a @ u - b).max() <= 1e-12 * np.linalg.norm(a)
@@ -215,9 +214,9 @@ def test_batched_sweeps_do_not_drift_from_the_basis():
 
 
 def _alone(a, seed, k, max_sweeps, obj_tol):
-    """Start k of _optimize, run through the rounds and the finish with no
-    other start."""
-    return _solve([a], _starts([a], [seed], k + 1)[k:], max_sweeps, obj_tol)[0]
+    """Start k of a member seeded with seed, run through the rounds and the
+    finish with no other start."""
+    return _solve([a], _starts([a], seed, k + 1)[k:], max_sweeps, obj_tol)[0]
 
 
 def _same_bits(x, y) -> bool:
@@ -245,7 +244,7 @@ STACK_CASES = {
 @pytest.mark.parametrize("case", STACK_CASES)
 def test_stacked_starts_match_each_start_run_alone(case, restarts):
     a, seed, max_sweeps, obj_tol = STACK_CASES[case]
-    runs = _optimize([a], [seed], restarts, max_sweeps, obj_tol)[0]
+    runs = _solve([a] * restarts, _starts([a], seed, restarts), max_sweeps, obj_tol)
     assert len(runs) == restarts
     for k, run in enumerate(runs):
         assert _same_bits(run, _alone(a, seed, k, max_sweeps, obj_tol)), k
@@ -254,13 +253,15 @@ def test_stacked_starts_match_each_start_run_alone(case, restarts):
 @pytest.mark.parametrize("restarts", [1, 2, 3])
 @pytest.mark.parametrize("max_sweeps, obj_tol", [(200, 1e-12), (6, 1e-12), (0, 1e-12), (200, 0.0)])
 def test_stacked_members_of_mixed_dimension_match_each_start_run_alone(max_sweeps, obj_tol, restarts):
-    # one zero-padded stack holds every start of every member, n = 1 to 10
-    mats, seeds = zip(*((a, seed) for a, seed, _, _ in STACK_CASES.values()))
-    members = _optimize(mats, seeds, restarts, max_sweeps, obj_tol)
-    assert [len(runs) for runs in members] == [restarts] * len(mats)
-    for a, seed, runs in zip(mats, seeds, members):
-        for k, run in enumerate(runs):
-            assert _same_bits(run, _alone(a, seed, k, max_sweeps, obj_tol)), (a.shape, k)
+    # one zero-padded stack holds every start of every member, n = 1 to 10,
+    # member m seeded with base + m
+    mats, base = [a for a, _, _, _ in STACK_CASES.values()], 3
+    runs = _solve([a for a in mats for _ in range(restarts)], _starts(mats, base, restarts),
+                  max_sweeps, obj_tol)
+    assert len(runs) == restarts * len(mats)
+    for m, a in enumerate(mats):
+        for k, run in enumerate(runs[m * restarts:(m + 1) * restarts]):
+            assert _same_bits(run, _alone(a, base + m, k, max_sweeps, obj_tol)), (a.shape, k)
 
 
 def _fields(rep) -> dict:
@@ -273,7 +274,7 @@ def _fields(rep) -> dict:
 def test_witnesses_match_nearest_normal_member_by_member(p):
     # members far apart in scale, dimension and stop reason share one kernel
     blocks = [a for a, _, _, _ in STACK_CASES.values()] + [shift_example(4) * 2.0 ** -600]
-    reps = _witnesses(blocks, p, 5, 2, 200, 1e-12)
+    reps = _nearest_normals(blocks, (p,), 5, 2, 200, 1e-12)
     assert len(reps) == len(blocks)
     for k, (a, rep) in enumerate(zip(blocks, reps)):
         assert _fields(rep) == _fields(nearest_normal(a, (p,), seed=5 + k, restarts=2)), k
@@ -281,13 +282,13 @@ def test_witnesses_match_nearest_normal_member_by_member(p):
 
 def test_stack_cases_cover_uneven_stops_and_the_cap():
     a, seed, max_sweeps, obj_tol = STACK_CASES["uneven_stops"]
-    assert [r.sweeps for r in _optimize([a], [seed], 2, max_sweeps, obj_tol)[0]] == [2, 12]
+    assert [r.sweeps for r in _solve([a] * 2, _starts([a], seed, 2), max_sweeps, obj_tol)] == [2, 12]
     # the identity start of n10 leaves the rounds for the trust-region finish
     a, seed, max_sweeps, obj_tol = STACK_CASES["n10"]
     fro2 = float(np.linalg.norm(a) ** 2)
-    assert _run_sweeps(_starts([a], [seed], 1), [a.shape[0]], max_sweeps, obj_tol, [fro2])[2] == ["switch"]
+    assert _run_sweeps(_starts([a], seed, 1), [a.shape[0]], max_sweeps, obj_tol, [fro2])[2] == ["switch"]
     a, seed, max_sweeps, obj_tol = STACK_CASES["sweep_cap"]
-    runs = _optimize([a], [seed], 4, max_sweeps, obj_tol)[0]
+    runs = _solve([a] * 4, _starts([a], seed, 4), max_sweeps, obj_tol)
     assert all(r.sweeps == max_sweeps and not r.converged for r in runs)
 
 
@@ -326,7 +327,7 @@ def test_preconditioner_inverts_the_plane_blocks_of_the_hessian():
     # at a maximum the plane blocks of -Hess are positive; on a direction in
     # one plane (j, k), the preconditioner undoes that block exactly
     a = random_contraction(6, 9)
-    (out,) = _optimize([a], [0], 1, 200, 1e-12)[0]
+    (out,) = _solve([a], _starts([a], 0, 1), 200, 1e-12)
     hess = _Hessian(out.rotated)
     rng = np.random.default_rng(1)
     checked = 0
@@ -374,7 +375,7 @@ def _check_outcome(a, out):
 def test_gauss32_stops_by_tolerance_at_a_small_gradient(seed):
     # at the sweep cap of 200 alone, seeds 5, 8 and 10 stopped unconverged
     a, _ = _pow2_scaled(_gauss32(seed))
-    (out,) = _optimize([a], [seed], 1, 200, 1e-12)[0]
+    (out,) = _solve([a], _starts([a], seed, 1), 200, 1e-12)
     assert out.stop_reason == "tolerance" and out.converged
     assert out.stationarity <= 1e-8
     _check_outcome(a, out)
@@ -395,7 +396,7 @@ def test_gauss32_switches_early_without_giving_up_certificate(seed, monkeypatch)
     # reaches
     a, _ = _pow2_scaled(_gauss32(seed))
     fro2 = float(np.linalg.norm(a) ** 2)
-    (history,), _, reasons = _run_sweeps(_starts([a], [seed], 1), [a.shape[0]], 200, 1e-12, [fro2])
+    (history,), _, reasons = _run_sweeps(_starts([a], seed, 1), [a.shape[0]], 200, 1e-12, [fro2])
     assert reasons == ["switch"] and len(history) - 1 <= 15
     early = nearest_normal(_gauss32(seed), seed=seed, restarts=1)
     monkeypatch.setattr(nearest, "SWITCH_GAIN", 1e-6)
@@ -407,14 +408,14 @@ def test_gauss32_switches_early_without_giving_up_certificate(seed, monkeypatch)
 def test_finish_counts_against_the_sweep_cap():
     a, seed, _, obj_tol = STACK_CASES["n10"]
     fro2 = float(np.linalg.norm(a) ** 2)
-    (history,), _, reasons = _run_sweeps(_starts([a], [seed], 1), [a.shape[0]], 200, obj_tol, [fro2])
+    (history,), _, reasons = _run_sweeps(_starts([a], seed, 1), [a.shape[0]], 200, obj_tol, [fro2])
     assert reasons == ["switch"]
     switched_sweeps = len(history) - 1
-    (done,) = _optimize([a], [seed], 1, 200, obj_tol)[0]
+    (done,) = _solve([a], _starts([a], seed, 1), 200, obj_tol)
     assert done.converged and done.sweeps > switched_sweeps + 1
     _check_outcome(a, done)
     cap = switched_sweeps + 1
-    (capped,) = _optimize([a], [seed], 1, cap, obj_tol)[0]
+    (capped,) = _solve([a], _starts([a], seed, 1), cap, obj_tol)
     assert capped.stop_reason == "cap" and not capped.converged
     assert capped.sweeps == cap and capped.history == done.history[: cap + 1]
     _check_outcome(a, capped)
