@@ -35,6 +35,8 @@ from .experiments import (
 from .fileio import ARTIFACT_VERSION
 from .gallery import (
     EnsembleSpec,
+    _comm_bound,
+    _real,
     almost_commuting_pair,
     laurent_multiplication,
     perturbed_normal,
@@ -109,24 +111,22 @@ def _comments(cfg: dict, extra=()) -> list[str]:
     return [f"version={ARTIFACT_VERSION}", f"config={config}", *extra]
 
 
-def _meta(cfg: dict, **extra) -> dict:
-    return {"version": ARTIFACT_VERSION, "config": cfg, **extra}
+def _meta(args: argparse.Namespace, **extra) -> dict:
+    return {"version": ARTIFACT_VERSION, "config": _config(args), **extra}
 
 
 # ---------------------------------------------------------------- gallery
 
 def cmd_gallery_shift(args) -> None:
     a = shift_example(args.m)
-    cfg = _config(args)
-    fileio.save_matrix(args.out, a, metadata=_meta(cfg))
+    fileio.save_matrix(args.out, a, metadata=_meta(args))
     print(f"wrote {args.out} (shift contraction, dim {a.shape[0]})")
 
 
 def cmd_gallery_pair(args) -> None:
     a, b = almost_commuting_pair(args.m)
-    cfg = _config(args)
-    fileio.save_matrix(args.out_a, a, metadata=_meta(cfg, role="A"))
-    fileio.save_matrix(args.out_b, b, metadata=_meta(cfg, role="B"))
+    fileio.save_matrix(args.out_a, a, metadata=_meta(args, role="A"))
+    fileio.save_matrix(args.out_b, b, metadata=_meta(args, role="B"))
     m = args.m
     # dense recomputation, independent of the structural certificates
     norm_a = operator_norm(a)
@@ -141,7 +141,7 @@ def cmd_gallery_pair(args) -> None:
         and comm_ab <= 2.0 / m + slack
     )
     payload = _meta(
-        cfg,
+        args,
         m=m,
         dim=a.shape[0],
         norm_a=norm_a,
@@ -165,18 +165,15 @@ def cmd_gallery_pair(args) -> None:
 
 def cmd_gallery_perturbed(args) -> None:
     a = perturbed_normal(args.dim, args.delta, args.seed)
-    cfg = _config(args)
-    fileio.save_matrix(args.out, a, metadata=_meta(cfg))
+    fileio.save_matrix(args.out, a, metadata=_meta(args))
     print(f"wrote {args.out} (perturbed normal, dim {args.dim}, delta {args.delta})")
 
 
 def cmd_gallery_laurent(args) -> None:
     g, a = laurent_multiplication(args.coeffs, args.K)
-    d = (len(args.coeffs) - 1) // 2
-    bound = float(sum(abs(s) * abs(c) for s, c in zip(range(-d, d + 1), args.coeffs)))
-    cfg = _config(args)
-    fileio.save_matrix(args.out_a, a, metadata=_meta(cfg, role="A", comm_bound=bound))
-    fileio.save_matrix(args.out_g, g, metadata=_meta(cfg, role="G"))
+    bound = _comm_bound(args.coeffs)
+    fileio.save_matrix(args.out_a, a, metadata=_meta(args, role="A", comm_bound=bound))
+    fileio.save_matrix(args.out_g, g, metadata=_meta(args, role="G"))
     print(f"wrote {args.out_a}, {args.out_g} (dim {a.shape[0]}, ||[G,A]|| <= {bound:.6g})")
 
 
@@ -184,17 +181,9 @@ def cmd_gallery_laurent(args) -> None:
 
 def cmd_nearest(args) -> None:
     a, _ = fileio.load_matrix(args.matrix)
-    rep = nearest_normal(
-        a,
-        p_list=tuple(args.p),
-        seed=args.seed,
-        restarts=args.restarts,
-        max_sweeps=args.max_sweeps,
-        obj_tol=args.obj_tol,
-    )
-    cfg = _config(args)
+    rep = nearest_normal(a, p_list=tuple(args.p), **_optimizer_args(args))
     payload = _meta(
-        cfg,
+        args,
         dim=a.shape[0],
         objective=rep.objective,
         frobenius_exact=rep.frobenius_exact,
@@ -213,7 +202,7 @@ def cmd_nearest(args) -> None:
     )
     fileio.write_report(args.report, payload)
     if args.witness:
-        fileio.save_matrix(args.witness, rep.witness, metadata=_meta(cfg))
+        fileio.save_matrix(args.witness, rep.witness, metadata=_meta(args))
     if not rep.converged:
         print(
             f"warning: nearest did not converge: {rep.sweeps} sweeps used, "
@@ -271,8 +260,8 @@ def _cover_from_file(path) -> Cover:
             raise ValueError(f"region {i}: unknown kind {kind!r} (want disc|square)")
         cls, size = REGION_KINDS[kind]
         try:
-            center = complex(float(item["center"][0]), float(item["center"][1]))
-            regions.append(cls(center, float(item[size])))
+            x, y = (_real(item["center"][k], "center") for k in (0, 1))
+            regions.append(cls(complex(x, y), _real(item[size], size)))
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"region {i}: bad center or size: {exc}") from None
     return Cover(tuple(regions))
@@ -288,19 +277,27 @@ def _region_doc(region) -> dict:
     }
 
 
+def _write_move(args, move, matrix, report, **fields) -> None:
+    """Write a spectrum move's output to the matrix path and its report, the
+    fields beside the config, to the report path, each only where its path
+    is given: the n x n output is built only when it is written."""
+    if matrix:
+        fileio.save_matrix(matrix, move.output, metadata=_meta(args))
+    if report:
+        fileio.write_report(report, _meta(args, **fields))
+
+
 def cmd_partition(args) -> None:
-    a, _ = fileio.load_matrix(args.matrix)
-    dec = normal_spectral_decomp(a)
+    dec = normal_spectral_decomp(fileio.load_matrix(args.matrix)[0])
     if args.side is not None:
         cover = square_cover(dec.eigenvalues, args.side)
     else:
         cover = _cover_from_file(args.cover)
     fsa = finite_spectrum_approx(dec, cover)
     roi = fsa.resolution
-    cfg = _config(args)
-    payload = _meta(
-        cfg,
-        dim=a.shape[0],
+    _write_move(
+        args, fsa, args.approx, args.report,
+        dim=dec.dim,
         regions=[_region_doc(r) for r in cover.regions],
         labels=roi.labels,
         assignment=roi.assignment,
@@ -310,9 +307,6 @@ def cmd_partition(args) -> None:
         error_bound=fsa.bound,
         error_actual=fsa.perturbation_norm,
     )
-    fileio.write_report(args.report, payload)
-    if args.approx:
-        fileio.save_matrix(args.approx, fsa.output, metadata=_meta(cfg))
     print(
         f"wrote {args.report} ({len(cover.regions)} regions, "
         f"error {fsa.perturbation_norm:.6g} <= bound {fsa.bound:.6g})"
@@ -321,13 +315,6 @@ def cmd_partition(args) -> None:
 
 # ---------------------------------------------------------------- surgery
 
-def _write_surgery(args, out, **fields) -> None:
-    cfg = _config(args)
-    fileio.save_matrix(args.out, out, metadata=_meta(cfg))
-    if args.report:
-        fileio.write_report(args.report, _meta(cfg, **fields))
-
-
 def cmd_surgery_remove(args) -> None:
     dec = normal_spectral_decomp(fileio.load_matrix(args.matrix)[0])
     disc = OpenDisc(center=args.center, radius=args.radius)
@@ -335,13 +322,8 @@ def cmd_surgery_remove(args) -> None:
         res = remove_arc(dec, disc, args.e_minus, args.e_plus)
     else:
         res = remove_region(dec, disc, args.mu if args.mu is not None else disc.center)
-    _write_surgery(
-        args,
-        res.output,
-        moved_count=res.moved_count,
-        perturbation_norm=res.perturbation_norm,
-        bound=res.bound,
-    )
+    _write_move(args, res, args.out, args.report, moved_count=res.moved_count,
+                perturbation_norm=res.perturbation_norm, bound=res.bound)
     print(
         f"wrote {args.out} (moved {res.moved_count} eigenvalues, "
         f"perturbation {res.perturbation_norm:.6g} <= {res.bound:.6g})"
@@ -365,7 +347,8 @@ def cmd_surgery_transport(args) -> None:
             disc=OpenDisc(center=args.center, radius=args.radius), anchor=args.anchor
         )
     res = transport(dec, phi)
-    _write_surgery(args, res.output, perturbation_norm=res.perturbation_norm, map=args.map)
+    _write_move(args, res, args.out, args.report, perturbation_norm=res.perturbation_norm,
+                map=args.map)
     print(f"wrote {args.out} (map {args.map}, perturbation {res.perturbation_norm:.6g})")
 
 
@@ -373,9 +356,8 @@ def cmd_surgery_graph(args) -> None:
     dec = normal_spectral_decomp(fileio.load_matrix(args.matrix)[0])
     res = graph_normal_approx(dec, args.eps)
     out_norm = operator_norm(res.output)
-    _write_surgery(
-        args,
-        res.output,
+    _write_move(
+        args, res, args.out, args.report,
         **res.details,
         perturbation_norm=res.perturbation_norm,
         bound=res.bound,
@@ -392,14 +374,7 @@ def cmd_surgery_graph(args) -> None:
 
 def cmd_truncate(args) -> None:
     model = laurent_truncation_model(args.coeffs, args.K)
-    rows = truncation_scaling(
-        model,
-        args.grid,
-        seed=args.seed,
-        restarts=args.restarts,
-        max_sweeps=args.max_sweeps,
-        obj_tol=args.obj_tol,
-    )
+    rows = truncation_scaling(model, args.grid, **_optimizer_args(args))
     _write_table(args, TRUNCATE_COLUMNS, rows)
     n_pass = sum(r["passed"] for r in rows)
     print(f"wrote {args.out} ({len(rows)} levels, {n_pass}/{len(rows)} passed)")
@@ -459,7 +434,7 @@ def _specs_from_file(path) -> list[EnsembleSpec]:
         params, seed = item.get("params") or {}, item.get("seed")
         if not isinstance(params, dict):
             raise ValueError(f"spec {i}: 'params' must be an object, got {params!r}")
-        if not (seed is None or isinstance(seed, int) and seed >= 0):
+        if not (seed is None or type(seed) is int and seed >= 0):  # a bool is not a seed
             raise ValueError(f"spec {i}: 'seed' must be a non-negative integer, got {seed!r}")
         specs.append(EnsembleSpec(kind=str(item["kind"]), params=dict(params), seed=seed))
     return specs
@@ -470,13 +445,7 @@ def cmd_scatter(args) -> None:
         specs = [EnsembleSpec(kind="shift_example", params={"m": m}) for m in args.shift]
     else:
         specs = _specs_from_file(args.spec)
-    rows = f_scatter(
-        specs,
-        seed=args.seed,
-        restarts=args.restarts,
-        max_sweeps=args.max_sweeps,
-        obj_tol=args.obj_tol,
-    )
+    rows = f_scatter(specs, **_optimizer_args(args))
     _write_table(args, SCATTER_COLUMNS, rows)
     print(f"wrote {args.out} ({len(rows)} scatter rows)")
 
@@ -484,12 +453,19 @@ def cmd_scatter(args) -> None:
 # ---------------------------------------------------------------- parser
 
 def _add_optimizer_args(p, restarts: int) -> None:
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--restarts", type=int, default=restarts, help="random restarts")
     p.add_argument("--max-sweeps", type=int, default=MAX_SWEEPS, dest="max_sweeps",
                    help="per start, cap on Jacobi sweeps plus trust-region steps")
     p.add_argument("--obj-tol", type=float, default=OBJ_TOL, dest="obj_tol",
                    help="a start stops once its last sweep gained, or its next "
                         "trust-region step would gain, less than this times ||A||_F^2")
+
+
+def _optimizer_args(args) -> dict:
+    """The optimizer keywords of nearest, truncate and scatter."""
+    return {"seed": args.seed, "restarts": args.restarts, "max_sweeps": args.max_sweeps,
+            "obj_tol": args.obj_tol}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     ne.add_argument("--matrix", required=True, help="input matrix (JSON or CSV)")
     ne.add_argument("--p", type=_list_arg("p", _schatten_index), default=[1, 2, math.inf],
                     help="Schatten indices, e.g. '1,2,inf'")
-    ne.add_argument("--seed", type=int, required=True)
     _add_optimizer_args(ne, restarts=4)
     ne.add_argument("--report", required=True, help="output report JSON")
     ne.add_argument("--witness", help="optional output matrix JSON for the witness")
@@ -557,27 +532,27 @@ def build_parser() -> argparse.ArgumentParser:
     su = sub.add_parser("surgery", help="move spectrum of a normal matrix")
     ss = su.add_subparsers(dest="op", required=True, metavar="op")
 
-    rd = ss.add_parser("remove-disc", help="push spectrum out of an open disc")
-    rd.add_argument("--matrix", required=True)
-    rd.add_argument("--center", type=_complex_arg, required=True)
-    rd.add_argument("--radius", type=float, required=True)
+    # the flags every op shares, and those of the two disc ops
+    paths = argparse.ArgumentParser(add_help=False)
+    paths.add_argument("--matrix", required=True)
+    paths.add_argument("--out", required=True)
+    paths.add_argument("--report")
+    disc = argparse.ArgumentParser(add_help=False)
+    disc.add_argument("--center", type=_complex_arg, required=True)
+    disc.add_argument("--radius", type=float, required=True)
+
+    rd = ss.add_parser("remove-disc", parents=[paths, disc],
+                       help="push spectrum out of an open disc")
     rd.add_argument("--mu", type=_complex_arg, help="push anchor, default the center")
-    rd.add_argument("--out", required=True)
-    rd.add_argument("--report")
     rd.set_defaults(func=cmd_surgery_remove)
 
-    ra = ss.add_parser("remove-arc", help="snap chord spectrum to the chord endpoints")
-    ra.add_argument("--matrix", required=True)
-    ra.add_argument("--center", type=_complex_arg, required=True)
-    ra.add_argument("--radius", type=float, required=True)
+    ra = ss.add_parser("remove-arc", parents=[paths, disc],
+                       help="snap chord spectrum to the chord endpoints")
     ra.add_argument("--e-minus", type=_complex_arg, required=True, dest="e_minus")
     ra.add_argument("--e-plus", type=_complex_arg, required=True, dest="e_plus")
-    ra.add_argument("--out", required=True)
-    ra.add_argument("--report")
     ra.set_defaults(func=cmd_surgery_remove)
 
-    tr = ss.add_parser("transport", help="apply a plane map to the spectrum")
-    tr.add_argument("--matrix", required=True)
+    tr = ss.add_parser("transport", parents=[paths], help="apply a plane map to the spectrum")
     tr.add_argument("--map", choices=("affine", "radial-collapse", "boundary-push"),
                     required=True)
     tr.add_argument("--a", type=_complex_arg, help="affine scale")
@@ -585,15 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--center", type=_complex_arg)
     tr.add_argument("--radius", type=float)
     tr.add_argument("--anchor", type=_complex_arg)
-    tr.add_argument("--out", required=True)
-    tr.add_argument("--report")
     tr.set_defaults(func=cmd_surgery_transport)
 
-    gr = ss.add_parser("graph", help="normal approximant with norm control")
-    gr.add_argument("--matrix", required=True)
+    gr = ss.add_parser("graph", parents=[paths], help="normal approximant with norm control")
     gr.add_argument("--eps", type=float, required=True)
-    gr.add_argument("--out", required=True)
-    gr.add_argument("--report")
     gr.set_defaults(func=cmd_surgery_graph)
 
     # truncate
@@ -603,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     tu.add_argument("--K", type=int, required=True)
     tu.add_argument("--grid", type=_list_arg("float", float), required=True,
                     help="ascending cutoff levels, e.g. '4,8,12,16'")
-    tu.add_argument("--seed", type=int, required=True)
     _add_optimizer_args(tu, restarts=2)
     tu.add_argument("--out", required=True, help="output CSV")
     tu.set_defaults(func=cmd_truncate)
@@ -629,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--spec", help="ensemble spec JSON (list of {kind, params, seed})")
     grp.add_argument("--shift", type=_list_arg("int", int),
                      help="shift-family dims, e.g. '2,4,8,16'")
-    sc.add_argument("--seed", type=int, required=True)
     _add_optimizer_args(sc, restarts=2)
     sc.add_argument("--out", required=True, help="output CSV")
     sc.set_defaults(func=cmd_scatter)

@@ -166,8 +166,15 @@ class GridSpec:
     resolution: int = 201
 
     def __post_init__(self):
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        c, h = complex(self.center), self.half_width
+        if not np.isfinite(c):
+            raise ValueError(f"center must be finite, got {c}")
+        if not (h > 0 and math.isfinite(h)):
+            raise ValueError(f"half_width must be positive, got {h}")
+        if not math.isfinite(max(abs(c.real), abs(c.imag)) + h):
+            raise ValueError(f"grid corners must be finite, got center {c} +- half_width {h}")
+        if not math.isfinite(2.0 * h):
+            raise ValueError(f"grid width must be finite, got 2 * half_width {h}")
         if self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
 

@@ -8,6 +8,7 @@ can rely on the advertised inequalities).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +158,7 @@ def laurent_multiplication(coeffs, big_k: int) -> tuple[np.ndarray, np.ndarray]:
             continue
         a += np.diag(np.full(n - abs(s), c), -s)
 
-    bound = float(np.sum(np.abs(coeffs) * np.abs(np.arange(-d, d + 1))))
+    bound = _comm_bound(coeffs)
     comm = (np.abs(k_idx)[:, None] - np.abs(k_idx)[None, :]) * a
     norm_comm = operator_norm(comm)
     if norm_comm > bound * (1.0 + 1e-9) + _VERIFY_SLACK:
@@ -166,6 +167,13 @@ def laurent_multiplication(coeffs, big_k: int) -> tuple[np.ndarray, np.ndarray]:
             f"got {norm_comm:.17g}"
         )
     return g, a
+
+
+def _comm_bound(coeffs) -> float:
+    """sum_s |s| |c_s| over the coefficients c_-d..c_d: the bound on ||[G, A]||."""
+    coeffs = np.asarray(coeffs, dtype=complex).ravel()
+    d = (coeffs.size - 1) // 2
+    return float(np.sum(np.abs(coeffs) * np.abs(np.arange(-d, d + 1))))
 
 
 @dataclass(frozen=True)
@@ -180,9 +188,24 @@ class EnsembleSpec:
 _KINDS = ("shift_example", "almost_commuting_pair", "perturbed_normal", "laurent_multiplication")
 
 
+def _real(v, name: str = "value") -> float:
+    """v as a float, unless it is not a real number: float() also reads a string or a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
+def _integer(v) -> int:
+    """v as an int, unless it is not an integral number: int() also cuts 3.5 to 3."""
+    if not _real(v).is_integer():
+        raise TypeError
+    return int(v)
+
+
 def _number_list(v) -> np.ndarray:
-    # np.asarray would read a string as one number and null as NaN
-    if v is None or isinstance(v, str):
+    # np.asarray would read a string as a number, true as 1 and null as NaN
+    cells = np.asarray(v, dtype=object).ravel()
+    if not all(isinstance(x, numbers.Number) and not isinstance(x, bool) for x in cells):
         raise TypeError
     return np.asarray(v, dtype=complex)
 
@@ -204,16 +227,16 @@ def materialize(spec: EnsembleSpec) -> np.ndarray:
             raise ValueError(f"{kind} spec: params.{name} must be {what}, got {got}") from None
 
     if kind == "shift_example":
-        return shift_example(param("m", int, "an integer"))
+        return shift_example(param("m", _integer, "an integer"))
     if kind == "almost_commuting_pair":
-        return almost_commuting_pair(param("m", int, "an integer"))[1]
+        return almost_commuting_pair(param("m", _integer, "an integer"))[1]
     if kind == "perturbed_normal":
         if spec.seed is None:
             raise ValueError("perturbed_normal spec requires a seed")
         return perturbed_normal(
-            param("dim", int, "an integer"), param("delta", float, "a number"), int(spec.seed)
+            param("dim", _integer, "an integer"), param("delta", _real, "a number"), int(spec.seed)
         )
     if kind == "laurent_multiplication":
         coeffs = param("coeffs", _number_list, "a list of numbers")
-        return laurent_multiplication(coeffs, param("K", int, "an integer"))[1]
+        return laurent_multiplication(coeffs, param("K", _integer, "an integer"))[1]
     raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {_KINDS}")

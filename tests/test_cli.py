@@ -13,6 +13,7 @@ import pytest
 from almostnormal import (
     OpenDisc,
     RadialCollapse,
+    SpectralDecomp,
     load_matrix,
     normal_spectral_decomp,
     perturbed_normal,
@@ -116,6 +117,17 @@ def test_gallery_perturbed_and_laurent(tmp_path):
     assert run("gallery", "laurent", "--coeffs", "0,0,1", "--K", 4, "--out-a", oa, "--out-g", og) == 0
     g, _ = load_matrix(og)
     assert np.array_equal(np.diagonal(g).real, np.abs(np.arange(-4, 5)))
+
+
+def test_laurent_comm_bound_is_the_bound_the_window_certifies(tmp_path):
+    # laurent_multiplication checks ||[G, A]|| against this sum, taken by
+    # np.sum; a Python sum of the same terms differs in the last bit here
+    coeffs = np.array([0.1 + 0.1j, 0, 0.1 + 0.1j])
+    certified = float(np.sum(np.abs(coeffs) * np.abs(np.arange(-1, 2))))
+    oa, og = tmp_path / "la.json", tmp_path / "lg.json"
+    assert run("gallery", "laurent", "--coeffs", "0.1,0.1;0,0;0.1,0.1", "--K", 4,
+               "--out-a", oa, "--out-g", og) == 0
+    assert load_matrix(oa)[1]["comm_bound"] == certified
 
 
 def test_partition_side_and_cover(tmp_path):
@@ -432,11 +444,23 @@ _GOOD_REGION = {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1}
         (None, None, [{"kind": "shift_example", "params": {"m": 2}, "seed": [1]}]),
         (None, None, [{"kind": "shift_example", "params": {"m": [2]}}]),
         (None, None, [{"kind": "laurent_multiplication", "params": {"coeffs": "1", "K": 2}}]),
+        (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "center": ["0", "0"]}]}, None),
+        (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "center": [False, False]}]}, None),
+        (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "radius": "1"}]}, None),
+        (_GOOD_MATRIX, {"regions": [{**_GOOD_REGION, "radius": True}]}, None),
+        (None, None, [{"kind": "perturbed_normal", "params": {"dim": 3, "delta": 0.5}, "seed": True}]),
+        (None, None, [{"kind": "shift_example", "params": {"m": "4"}}]),
+        (None, None, [{"kind": "perturbed_normal", "params": {"dim": 3, "delta": "0.5"}, "seed": 1}]),
+        (None, None, [{"kind": "laurent_multiplication", "params": {"coeffs": [0, 0, 1], "K": 3.5}}]),
+        (None, None, [{"kind": "laurent_multiplication", "params": {"coeffs": [True, 0, 1], "K": 3}}]),
     ],
     ids=["matrix-null-cell", "matrix-data-5", "matrix-dim-null", "matrix-metadata-list",
          "cover-region-3", "cover-center-null", "cover-radius-null", "cover-regions-3",
          "cover-regions-empty", "cover-kind-unknown", "spec-empty", "spec-kind-missing",
-         "spec-params-list", "spec-seed-list", "spec-param-list", "spec-coeffs-string"],
+         "spec-params-list", "spec-seed-list", "spec-param-list", "spec-coeffs-string",
+         "cover-center-strings", "cover-center-bools", "cover-radius-string", "cover-radius-true",
+         "spec-seed-true", "spec-m-string", "spec-delta-string", "spec-K-fraction",
+         "spec-coeffs-bool"],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
     def dump(name, doc):
@@ -460,9 +484,11 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, matrix, cover, spec):
 @pytest.mark.parametrize("region, named", [
     ({"kind": "disc", "center": [0, 0]}, "'radius'"),
     ({"kind": "disc", "radius": 0.1}, "'center'"),
-    ({**_GOOD_REGION, "center": [0, "x"]}, "could not convert string to float: 'x'"),
+    ({**_GOOD_REGION, "center": [0, "x"]}, "center must be a number, got 'x'"),
     ({**_GOOD_REGION, "center": {"a": 1}}, "0"),
-], ids=["no-radius", "no-center", "center-string", "center-object"])
+    ({**_GOOD_REGION, "center": [False, 0]}, "center must be a number, got False"),
+    ({**_GOOD_REGION, "radius": "1"}, "radius must be a number, got '1'"),
+], ids=["no-radius", "no-center", "center-string", "center-object", "center-bool", "radius-string"])
 def test_bad_cover_region_exits_2_naming_the_region(tmp_path, capsys, region, named):
     matrix, cover = tmp_path / "m.json", tmp_path / "cover.json"
     matrix.write_text(json.dumps(_GOOD_MATRIX))
@@ -640,6 +666,9 @@ def test_bad_optimizer_arguments_exit_2(tmp_path, capsys, sub, flag, value):
     (("--eps", 0.3, "--threads", 0), "threads"),
     (("--eps", 0.3, "--threads", -2), "threads"),
     (("--eps", "nan"), "eps"),
+    (("--eps", 0.3, "--center", "1e308,0"), "grid corners"),
+    (("--eps", 0.3, "--half-width", 1e308), "grid width"),
+    (("--eps", 0.3, "--center", "nan,0"), "center"),
 ])
 def test_bad_pseudospec_arguments_exit_2(tmp_path, capsys, argv, name):
     mat = tmp_path / "n.json"
@@ -647,6 +676,70 @@ def test_bad_pseudospec_arguments_exit_2(tmp_path, capsys, argv, name):
     assert run("pseudospec", "--matrix", mat, "--resolution", 11, *argv,
                "--out", tmp_path / "ps.csv") == 2
     assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+
+# the flags of each spectrum move; its config echoes these and the command
+_MOVE_ARGV = {
+    "partition": ("partition", "--side", 0.5, "--report", "r.json"),
+    "remove-disc": ("surgery", "remove-disc", "--center", "0,0", "--radius", 0.5,
+                    "--out", "o.json", "--report", "r.json"),
+    "remove-arc": ("surgery", "remove-arc", "--center", "0,0", "--radius", 0.6,
+                   "--e-minus=-0.6", "--e-plus", 0.6, "--out", "o.json", "--report", "r.json"),
+    "transport": ("surgery", "transport", "--map", "affine", "--a", 0.5, "--b", 0.1,
+                  "--out", "o.json", "--report", "r.json"),
+    "graph": ("surgery", "graph", "--eps", 0.2, "--out", "o.json", "--report", "r.json"),
+}
+_MOVE_FLAGS = {
+    "partition": {"matrix", "side", "cover", "report", "approx"},
+    "remove-disc": {"matrix", "center", "radius", "mu", "out", "report"},
+    "remove-arc": {"matrix", "center", "radius", "e_minus", "e_plus", "out", "report"},
+    "transport": {"matrix", "map", "a", "b", "center", "radius", "anchor", "out", "report"},
+    "graph": {"matrix", "eps", "out", "report"},
+}
+
+
+def _run_move(tmp_path, monkeypatch, op, *extra):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("n.json", np.diag([0j, 0.2 + 0j, 1.5 + 0j, -1.2 + 0.5j]))
+    assert run(*_MOVE_ARGV[op], "--matrix", "n.json", *extra) == 0
+
+
+@pytest.mark.parametrize("op, extra, builds", [
+    ("partition", (), 0),
+    ("partition", ("--approx", "o.json"), 1),
+    *((op, (), 1) for op in list(_MOVE_ARGV)[1:]),
+])
+def test_move_output_is_built_only_when_written(tmp_path, monkeypatch, op, extra, builds):
+    calls = []
+    original = SpectralDecomp.reconstruct
+
+    def counted(self):
+        calls.append(self.dim)
+        return original(self)
+
+    monkeypatch.setattr(SpectralDecomp, "reconstruct", counted)
+    _run_move(tmp_path, monkeypatch, op, *extra)
+    assert calls == [4] * builds
+
+
+@pytest.mark.parametrize("op", list(_MOVE_ARGV))
+def test_move_config_echoes_exactly_the_op_flags(tmp_path, monkeypatch, op):
+    extra = ("--approx", "o.json") if op == "partition" else ()
+    _run_move(tmp_path, monkeypatch, op, *extra)
+    config = read_json(tmp_path / "r.json")["config"]
+    named = {"command"} if op == "partition" else {"command", "op"}
+    assert set(config) == _MOVE_FLAGS[op] | named
+    assert load_matrix(tmp_path / "o.json")[1]["config"] == config
+
+
+@pytest.mark.parametrize("command", [
+    "", "gallery", "gallery shift", "gallery pair", "gallery perturbed", "gallery laurent",
+    "nearest", "partition", "surgery", "surgery remove-disc", "surgery remove-arc",
+    "surgery transport", "surgery graph", "truncate", "pseudospec", "scatter",
+])
+def test_every_help_exits_0(capsys, command):
+    assert run(*command.split(), "--help") == 0
+    assert capsys.readouterr().out.startswith(f"usage: almostnormal {command}".rstrip())
 
 
 def test_bad_arguments_exit_2():

@@ -153,8 +153,29 @@ def test_materialize_unknown_kind():
     ("laurent_multiplication", {"coeffs": "1", "K": 2}),
     ("laurent_multiplication", {"coeffs": [{"x": 1}], "K": 2}),
     ("laurent_multiplication", {"coeffs": [0, 0, 1], "K": [3]}),
+    ("shift_example", {"m": "4"}),
+    ("shift_example", {"m": True}),
+    ("perturbed_normal", {"dim": 3, "delta": "0.5"}),
+    ("perturbed_normal", {"dim": 3.5, "delta": 0.5}),
+    ("laurent_multiplication", {"coeffs": [0, 0, 1], "K": 3.5}),
+    ("laurent_multiplication", {"coeffs": [True, 0, 1], "K": 3}),
+    ("laurent_multiplication", {"coeffs": ["1", 0, 1], "K": 3}),
 ])
 def test_materialize_rejects_mistyped_params(kind, params):
-    # spec files are outside input: a wrong JSON type is a ValueError, not a TypeError
+    # spec files are outside input: a wrong JSON type is a ValueError, not a
+    # TypeError; a string or a bool is not a number, nor 3.5 an integer
     with pytest.raises(ValueError, match="params"):
         materialize(EnsembleSpec(kind=kind, params=params, seed=1))
+
+
+def test_materialize_takes_integral_floats_and_numpy_numbers():
+    a = materialize(EnsembleSpec(kind="shift_example", params={"m": 4.0}))
+    assert np.array_equal(a, shift_example(4))
+    c = materialize(EnsembleSpec(
+        kind="perturbed_normal", params={"dim": np.int64(4), "delta": np.float64(0.2)}, seed=9
+    ))
+    assert np.array_equal(c, perturbed_normal(4, 0.2, 9))
+    d = materialize(EnsembleSpec(
+        kind="laurent_multiplication", params={"coeffs": [0, 0.5j, np.float64(1)], "K": 3.0}
+    ))
+    assert np.array_equal(d, laurent_multiplication([0, 0.5j, 1], 3)[1])
