@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from . import fileio
@@ -390,11 +389,10 @@ def cmd_pseudospec(args) -> None:
         raise ValueError(f"eps must be positive, got {args.eps}")
     a, _ = fileio.load_matrix(args.matrix)
     nrm = operator_norm(a)
-    center = args.center if args.center is not None else 0j
     half_width = (
-        args.half_width if args.half_width is not None else abs(center) + nrm + 2.0 * args.eps
+        args.half_width if args.half_width is not None else abs(args.center) + nrm + 2.0 * args.eps
     )
-    grid = GridSpec(center=center, half_width=half_width, resolution=args.resolution)
+    grid = GridSpec(center=args.center, half_width=half_width, resolution=args.resolution)
     if args.reference is not None:
         ref = args.reference
     else:
@@ -402,10 +400,9 @@ def cmd_pseudospec(args) -> None:
             ref = normal_spectral_decomp(a).eigenvalues
         except NotNormal:
             ref = ()
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    rep = pseudospectrum(a, args.eps, grid, reference=ref, threads=threads)
+    rep = pseudospectrum(a, args.eps, grid, reference=ref, threads=args.threads)
     # threads is echoed as given: the core count changes no number
-    cfg = _config(args, center=center, half_width=half_width, reference=ref)
+    cfg = _config(args, half_width=half_width, reference=ref)
     extra = [
         f"members={rep.members.size}",
         f"d_eps={fileio.format_float(rep.d_eps)}",
@@ -581,11 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("pseudospec", help="grid members of the eps-pseudospectrum")
     ps.add_argument("--matrix", required=True)
     ps.add_argument("--eps", type=float, required=True)
-    ps.add_argument("--center", type=_complex_arg,
+    ps.add_argument("--center", type=_complex_arg, default=0j,
                     help="grid center, default 0")
     ps.add_argument("--half-width", type=float, dest="half_width",
                     help="default |center| + ||A|| + 2 eps")
-    ps.add_argument("--resolution", type=int, default=201)
+    ps.add_argument("--resolution", type=int, default=GridSpec.resolution)
     ps.add_argument("--reference", type=_complex_list_arg,
                     help="reference set 're,im;re,im;...'; default sigma(A) when A is normal")
     ps.add_argument("--threads", type=int, help="worker threads, default cpu count")

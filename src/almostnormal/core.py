@@ -149,11 +149,6 @@ class SpectralDecomp:
         u = self.basis
         return (u * self.eigenvalues) @ adjoint(u)
 
-    def projection(self, mask: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the eigenvectors selected by mask."""
-        cols = self.basis[:, np.asarray(mask, dtype=bool)]
-        return cols @ adjoint(cols)
-
 
 @dataclass(frozen=True)
 class SpectrumMove:
@@ -195,15 +190,6 @@ class SpectrumMove:
         return self.decomp.reconstruct()
 
 
-def _operator_norm_over(m: np.ndarray, tol: float) -> float | None:
-    """||M|| when it exceeds tol, else None; the SVD runs only when the
-    Frobenius norm does not already clear tol."""
-    if npl.norm(m) <= FRO_PRETEST * tol:
-        return None
-    nrm = operator_norm(m)
-    return nrm if nrm > tol else None
-
-
 def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     """Unitary diagonalization of a normal matrix.
 
@@ -233,10 +219,16 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     scale = functools.cache(lambda: operator_norm(a))
 
     def over(m, c, k):
-        """||M|| when it exceeds c * RECONSTRUCT_TOL * ||A||^k, else None."""
-        if npl.norm(m) <= FRO_PRETEST * (c * RECONSTRUCT_TOL * col ** k):
+        """||M|| when it exceeds c * RECONSTRUCT_TOL * ||A||^k, else None; the
+        SVD of M runs only where ||M||_F clears neither end of the bracket."""
+        f = npl.norm(m)
+        if f <= FRO_PRETEST * (c * RECONSTRUCT_TOL * col ** k):
             return None
-        return _operator_norm_over(m, c * RECONSTRUCT_TOL * scale() ** k)
+        tol = c * RECONSTRUCT_TOL * scale() ** k
+        if f <= FRO_PRETEST * tol:
+            return None
+        nrm = operator_norm(m)
+        return nrm if nrm > tol else None
 
     # T = U diag(l) U* is normal with ||T|| <= ||A||, so the paper's
     # inequality gives ||[A*, A]|| <= 4 ||A|| ||A - T|| for every basis

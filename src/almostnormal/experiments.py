@@ -14,6 +14,7 @@ Both inequalities are evaluated exactly as stated, no fitted constants.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +237,7 @@ def pseudospectrum(
     sigma_min >= eps: members and their sigma_min are bitwise those of an
     SVD at every grid point.  Each stride's points are split into a multiple
     of `threads` near-equal parts run on a pool of that many threads
-    (default one; fewer than one raises ValueError), each part at most
+    (default the core count; fewer than one raises ValueError), each part at most
     SVD_CHUNK_BYTES of shifted matrices.  The calling thread allocates
     `threads` stacks once, each of at most SVD_CHUNK_BYTES and no more than
     the largest part a stride can dispatch, and each part borrows a free
@@ -252,7 +253,7 @@ def pseudospectrum(
     a = as_cmatrix(a)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps}")
-    parts = 1 if threads is None else int(threads)
+    parts = (os.cpu_count() or 1) if threads is None else int(threads)
     if parts < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     zs = grid.points()
@@ -294,7 +295,8 @@ def pseudospectrum(
                 break
             radius = smin[idx] - (eps + delta)
             for k in np.flatnonzero(radius > hmin):
-                w, r = zs[idx[k]], radius[k]
+                # Python numbers: a sum past the double range is inf, silently
+                w, r = complex(zs[idx[k]]), float(radius[k])
                 r0 = max(np.searchsorted(ys, w.imag - r) - 1, 0)
                 r1 = np.searchsorted(ys, w.imag + r) + 1
                 c0 = max(np.searchsorted(xs, w.real - r) - 1, 0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralDecomp, SpectrumMove
+from .core import SpectralDecomp, SpectrumMove, adjoint
 from .errors import UncoveredSpectrum
 
 
@@ -133,9 +133,9 @@ class ResolutionOfIdentity:
     @functools.cached_property
     def projections(self) -> tuple:
         """P_j onto the eigenvectors assigned to region j (zero when none)."""
-        return tuple(
-            self.decomposition.projection(self.assignment == j) for j in range(len(self.cover))
-        )
+        u = self.decomposition.basis
+        cols = (u[:, self.assignment == j] for j in range(len(self.cover)))
+        return tuple(c @ adjoint(c) for c in cols)
 
     @property
     def ranks(self) -> np.ndarray:

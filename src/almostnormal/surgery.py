@@ -22,15 +22,6 @@ CHORD_TOL_FACTOR = 1e-9
 BOUNDARY_TOL_FACTOR = 1e-9
 
 
-def _as_points(z) -> tuple[np.ndarray, bool]:
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    return arr, np.ndim(z) == 0
-
-
-def _unwrap(res: np.ndarray, scalar: bool):
-    return complex(res[0]) if scalar else res
-
-
 @dataclass(frozen=True)
 class RadialCollapse:
     """Identity inside the disc; everything outside lands on the boundary."""
@@ -38,14 +29,14 @@ class RadialCollapse:
     disc: OpenDisc
 
     def __call__(self, z):
-        z, scalar = _as_points(z)
+        z = np.asarray(z, dtype=complex)
         c, r = self.disc.center, self.disc.radius
         w = z - c
         a = np.abs(w)
         out = a >= r
         res = z.copy()
         res[out] = c + r * w[out] / a[out]
-        return _unwrap(res, scalar)
+        return res
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ class BoundaryPush:
             raise ValueError("anchor must lie strictly inside the disc")
 
     def __call__(self, z):
-        z, scalar = _as_points(z)
+        z = np.asarray(z, dtype=complex)
         c, r = self.disc.center, self.disc.radius
         res = z.copy()
         inside = self.disc.contains(z)
@@ -98,7 +89,7 @@ class BoundaryPush:
         off = target - c
         target = c + off * ((1.0 + 1e-15) * r / np.abs(off))
         res[inside] = target
-        return _unwrap(res, scalar)
+        return res
 
 
 @dataclass(frozen=True)
@@ -119,13 +110,13 @@ class ChordSnap:
                 raise ValueError(f"chord endpoint {e} is not on the disc boundary")
 
     def __call__(self, z):
-        z, scalar = _as_points(z)
+        z = np.asarray(z, dtype=complex)
         res = z.copy()
         inside = self.disc.contains(z)
         zi = z[inside]
         take_plus = np.abs(zi - self.e_plus) <= np.abs(zi - self.e_minus)
         res[inside] = np.where(take_plus, self.e_plus, self.e_minus)
-        return _unwrap(res, scalar)
+        return res
 
 
 def transport(dec: SpectralDecomp, phi) -> SpectrumMove:

@@ -381,6 +381,17 @@ def test_pseudospec_reference_sets_d_eps(tmp_path):
     assert f"d_eps={format_float(want)}" in comments
 
 
+def test_pseudospec_prunes_silently_at_the_top_of_the_double_range(tmp_path, capsys):
+    # the pruning windows w +- r pass 1.8e308 here; they only bound a search
+    mat, out = tmp_path / "n.json", tmp_path / "ps.csv"
+    save_matrix(mat, np.diag([0j, 1 + 0j]))
+    assert run("pseudospec", "--matrix", mat, "--eps", 0.1, "--center", "1.7e308,0",
+               "--half-width", 1e300, "--resolution", 21, "--threads", 1, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    _, rows, _ = read_csv(out)
+    assert rows == []
+
+
 def test_pseudospec_reference_is_empty_for_a_non_normal_matrix(tmp_path):
     mat, out = tmp_path / "blocks.json", tmp_path / "ps.csv"
     save_matrix(mat, triangular_blocks(2.1e-9))

@@ -173,12 +173,18 @@ def test_uncovered_message_marks_the_points_it_leaves_out():
     assert str(err.value).endswith(": 10+0j, 11+0j, 12+0j, 13+0j, 14+0j, ...")
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", [*range(6), pytest.param(None, id="repeated")])
 def test_resolution_projection_invariants(seed):
-    a, lam, _ = random_normal_with_spectrum(6, seed)
+    if seed is None:  # diag(1, 2, 2, 5): the projection onto 2 has rank 2
+        a = np.diag([1.0, 2.0, 2.0, 5.0]).astype(complex)
+    else:
+        a, _, _ = random_normal_with_spectrum(6, seed)
     dec = normal_spectral_decomp(a)
     cover = square_cover(dec.eigenvalues, 0.5)
     roi = resolution_of_identity(dec, cover)
+    if seed is None:
+        two = roi.projections[roi.assignment[np.argmin(np.abs(dec.eigenvalues - 2))]]
+        assert np.trace(two).real == pytest.approx(2.0, abs=1e-12)
     n = a.shape[0]
     total = np.zeros((n, n), dtype=complex)
     for j, p in enumerate(roi.projections):

@@ -46,6 +46,18 @@ def test_radial_collapse_values():
     assert np.isscalar(m(0.1 + 0j)) or np.asarray(m(0.1 + 0j)).ndim == 0
 
 
+@pytest.mark.parametrize("m", [
+    RadialCollapse(disc=DISC),
+    BoundaryPush(disc=DISC, anchor=0.1j),
+    ChordSnap(disc=DISC, e_minus=-1 + 0j, e_plus=1 + 0j),
+], ids=["radial", "push", "chord"])
+@pytest.mark.parametrize("z", [0.3 + 0.2j, 2 - 1j])
+def test_plane_maps_send_a_scalar_to_a_0d_array(m, z):
+    got = m(z)
+    assert isinstance(got, np.ndarray) and got.ndim == 0 and got.dtype == complex
+    assert got.tobytes() == m(np.array([z]))[0].tobytes()
+
+
 def test_affine_values():
     m = Affine(a=2j, b=1 + 0j)
     assert m(1 + 0j) == 1 + 2j
