@@ -237,17 +237,8 @@ def _write_table(args, columns, rows) -> None:
 REGION_KINDS = {"disc": (OpenDisc, "radius"), "square": (OpenSquare, "side")}
 
 
-def _json_file(path):
-    """The JSON document in path; nesting too deep to decode is a ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
 def _cover_from_file(path) -> Cover:
-    doc = _json_file(path)
+    doc = fileio.read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ValueError("cover JSON must be an object with a 'regions' list")
     regions = []
@@ -421,7 +412,7 @@ def cmd_pseudospec(args) -> None:
 # ---------------------------------------------------------------- scatter
 
 def _specs_from_file(path) -> list[EnsembleSpec]:
-    doc = _json_file(path)
+    doc = fileio.read_json(path)
     if not isinstance(doc, list) or not doc:
         raise ValueError("ensemble spec JSON must be a nonempty list")
     specs = []
@@ -623,7 +614,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

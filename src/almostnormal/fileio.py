@@ -2,7 +2,7 @@
 
 A native matrix file is one JSON object, {"dim": n, "metadata": {...}} plus
 the entries.  Up to n = TEXT_MAX_DIM they are "data": rows of [re, im] pairs
-in repr-exact text, coded a row at a time, which a reader can check by eye.
+in repr-exact text, which a reader can check by eye.
 Larger ones, where text cost a third of a command's time, are "c128le": the
 little-endian complex128 bytes, row-major, in base64.  CSV matrices made
 elsewhere load too; a cell is a real number or a quoted "re,im" pair.
@@ -11,7 +11,6 @@ elsewhere load too; a cell is a real number or a quoted "re,im" pair.
 from __future__ import annotations
 
 import binascii
-import bisect
 import contextlib
 import csv
 import io
@@ -72,87 +71,46 @@ def save_matrix(path, a, metadata=None) -> None:
     _write_text(path, *parts, "],", tail[1:], "\n")
 
 
-def _token(text: str, i: int, allowed: str) -> tuple[str, int]:
-    """Skip JSON whitespace, then one of `allowed` and whitespace: (that one, next index)."""
-    i = json.decoder.WHITESPACE.match(text, i).end()
-    if not text.startswith(tuple(allowed), i):
-        raise json.JSONDecodeError(f"Expecting one of {allowed!r}", text, i)
-    return text[i], json.decoder.WHITESPACE.match(text, i + 1).end()
-
-
-def _rows(text: str, i: int, decode) -> tuple[np.ndarray, int]:
-    """The JSON array at text[i] as (n, n, 2) float64, decoded one row at a time."""
-    sep, i = _token(text, i, "[")
-    data, k, starts = np.empty((0, 0, 2)), 0, [i]
-    while sep != "]":
-        cells, i = ([], i) if k == 0 and text.startswith("]", i) else decode(text, i)
-        try:
-            row = np.array(cells, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"matrix data is not a grid of [re, im] pairs: {exc}") from None
-        if k == 0 and not row.size:  # [] or [[]]
-            raise ValueError("matrix data is empty")
-        if k == 0 and row.ndim:  # n from the first row; no more rows than fit at 5 characters a pair
-            data = np.empty((min(len(row), len(text) // (5 * len(row))), len(row), 2))
-        if row.shape != data.shape[1:]:
-            raise ValueError(f"matrix data row {k} has shape {row.shape}, expected "
-                             f"{data.shape[1:]}: n x n [re, im] pairs")
-        if k == len(data):  # every row fits the cap from the text, so k is n here
-            raise ValueError(f"matrix data has more rows than its {k} columns: n x n [re, im] pairs")
-        data[k], k = row, k + 1
-        sep, i = _token(text, i, ",]")
-        starts.append(i)
-    # np.array reads "1.5" as 1.5, true as 1 and null as nan; no JSON number,
-    # NaN or Infinity holds any of these characters, and every string, true,
-    # false and null does
-    found = [p for p in (text.find(c, starts[0], i) for c in '"lru') if p >= 0]
-    if found:
-        row = bisect.bisect(starts, min(found)) - 1
-        raise ValueError(f"matrix data row {row} holds a string, true, false or null, "
-                         "not a number: n x n [re, im] pairs")
-    return data[:k], i
-
-
-def _payload(text: str, i: int) -> tuple[memoryview, int]:
-    """The base64 string at text[i], decoded a chunk at a time into one buffer."""
-    end = text.find('"', i + 1) if text.startswith('"', i) else -1
-    if end < 0 or text.find("=", i + 1, end - 2) >= 0:  # a2b_base64 takes a chunk ending in "="
+def _payload(text) -> memoryview:
+    """The base64 string `text`, decoded a chunk at a time into one buffer."""
+    # a2b_base64 would take a chunk that ends in "=", so padding is checked here
+    if not isinstance(text, str) or text.find("=", 0, len(text) - 2) >= 0:
         raise ValueError("matrix c128le payload is not a base64 string padded at its end only")
-    buf, pos = memoryview(bytearray((end - i - 1) // 4 * 3)), 0
-    for s in range(i + 1, end, 1 << 16):  # chunks of whole 4-character quanta
+    buf, pos = memoryview(bytearray(len(text) // 4 * 3)), 0
+    for s in range(0, len(text), 1 << 16):  # chunks of whole 4-character quanta
         try:  # binascii.Error is a ValueError, as is a non-ASCII character
-            part = binascii.a2b_base64(text[s:min(s + (1 << 16), end)], strict_mode=True)
+            part = binascii.a2b_base64(text[s:s + (1 << 16)], strict_mode=True)
         except ValueError as err:
             raise ValueError(f"matrix c128le payload is not base64: {err}") from None
         buf[pos:pos + len(part)], pos = part, pos + len(part)
-    return buf[:pos], end + 1
+    return buf[:pos]
 
 
-def _matrix_from_json(text: str) -> tuple[np.ndarray, dict]:
-    decode, doc = json.JSONDecoder().raw_decode, {}
-    sep, i = _token(text, 0, "{")
-    sep, i = _token(text, i, "}") if text.startswith("}", i) else (sep, i)  # {} has no data
-    while sep != "}":
-        if not text.startswith('"', i):
-            raise json.JSONDecodeError("Expecting property name", text, i)
-        key, i = decode(text, i)
-        _, i = _token(text, i, ":")
-        by_row = key == "data" and text.startswith("[", i)
-        doc[key], i = (_payload(text, i) if key == "c128le"
-                       else _rows(text, i, decode) if by_row else decode(text, i))
-        sep, i = _token(text, i, ",}")
-    if i < len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
+def _matrix_from_json(doc: dict) -> tuple[np.ndarray, dict]:
     if "c128le" in doc:
-        raw, dim = doc.pop("c128le"), doc.get("dim")
+        raw, dim = _payload(doc.pop("c128le")), doc.get("dim")
         if "data" in doc or type(dim) is not int or dim < 1 or len(raw) != 16 * dim * dim:
             raise ValueError(f"a c128le payload ({len(raw)} bytes) needs dim n, 16 n^2 bytes and no 'data'")
-        doc["data"] = np.frombuffer(raw, "<f8").reshape(dim, dim, 2).astype(np.float64, copy=False)
-    if "data" not in doc:
+        data = np.frombuffer(raw, "<f8").reshape(dim, dim, 2).astype(np.float64, copy=False)
+    elif "data" not in doc:
         raise ValueError("matrix JSON must be an object with a 'data' field")
-    data, shape = doc["data"], getattr(doc["data"], "shape", ())  # () unless an array
-    if len(shape) != 3 or shape[1:] != (shape[0], 2):
-        raise ValueError(f"matrix data has shape {shape}, expected n x n [re, im] pairs")
+    else:
+        try:
+            data = np.array(doc["data"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix data is not a grid of [re, im] pairs: {exc}") from None
+        if not data.size:  # [] or [[]]
+            raise ValueError("matrix data is empty")
+        if data.ndim > 1 and len(data) > data.shape[1]:
+            raise ValueError(f"matrix data has more rows than its {data.shape[1]} columns: "
+                             "n x n [re, im] pairs")
+        if data.ndim != 3 or data.shape[1:] != (len(data), 2):
+            raise ValueError(f"matrix data has shape {data.shape}, expected n x n [re, im] pairs")
+        # np.array reads "1.5" as 1.5, true as 1 and null as nan
+        for k, row in enumerate(doc["data"]):
+            if not {type(x) for pair in row for x in pair} <= {int, float}:
+                raise ValueError(f"matrix data row {k} holds a string, true, false or null, "
+                                 "not a number: n x n [re, im] pairs")
     dim = doc.get("dim", len(data))
     if type(dim) is not int or dim != len(data):  # a bool is not a dim
         raise ValueError(f"declared dim {dim} does not match data ({len(data)} rows)")
@@ -187,19 +145,37 @@ def _matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
     return as_cmatrix(out), {}
 
 
+def _read_text(path) -> str:
+    """The text of an input file; a leading UTF-8 byte order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def _decode_json(text: str, path):
+    """The JSON document in the text of path, the package's one JSON decode;
+    nesting too deep to decode is a ValueError naming the file."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def read_json(path):
+    """The JSON document in path, such as a cover or an ensemble spec."""
+    return _decode_json(_read_text(path), path)
+
+
 def load_matrix(path) -> tuple[np.ndarray, dict]:
     """Load a matrix from JSON (native) or CSV, sniffed from content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: file is empty")
     if stripped[0] != "{":
         return _matrix_from_csv(text)
-    try:
-        return _matrix_from_json(text)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+    doc = _decode_json(text, path)
+    del text, stripped  # else a payload's text, string and buffer are alive at once
+    return _matrix_from_json(doc)
 
 
 def _sanitize(value):

@@ -6,6 +6,7 @@ import base64
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,6 +566,28 @@ def test_deeply_nested_cover_or_spec_exits_2_naming_the_file(tmp_path, capsys, r
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("matrix", ["m.json", "m.csv"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, matrix):
+    # the same command in two folders whose inputs differ only in a UTF-8 BOM
+    runs = []
+    for folder, bom in (("plain", b""), ("bom", "\ufeff".encode())):
+        (tmp_path / folder).mkdir()
+        monkeypatch.chdir(tmp_path / folder)
+        save_matrix("m.json", np.diag([0.5 + 0j, 0.3 + 0.1j]))
+        Path("m.csv").write_text('0.5,0\n0,"0.3,0.1"\n')
+        Path("cover.json").write_text(json.dumps({"regions": [
+            {"kind": "disc", "center": [0.5, 0.0], "radius": 0.1},
+            {"kind": "square", "center": [0.3, 0.1], "side": 0.1}]}))
+        for name in ("m.json", "m.csv", "cover.json"):
+            Path(name).write_bytes(bom + Path(name).read_bytes())
+        code = run("partition", "--matrix", matrix, "--cover", "cover.json",
+                   "--report", "r.json", "--approx", "a.json")
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        runs.append((out, Path("r.json").read_bytes(), Path("a.json").read_bytes()))
+    assert runs[1] == runs[0]
+
+
 def test_empty_shift_list_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert run("scatter", "--shift", ",", "--seed", 0, "--out", out) == 2
@@ -647,6 +670,15 @@ def test_main_runs_a_handler_replaced_after_the_parser_is_built(tmp_path, monkey
     monkeypatch.setattr(cli, "cmd_gallery_shift", wrapped)
     assert run("gallery", "shift", "--m", 4, "--out", tmp_path / "b.json") == 0
     assert calls == [4]
+
+
+def test_out_of_memory_in_a_handler_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 71.1 PiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_gallery_shift", exhausted)
+    assert run("gallery", "shift", "--m", 4, "--out", tmp_path / "a.json") == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 71.1 PiB for an array\n"
 
 
 _OPTIMIZER_ARGV = {

@@ -147,14 +147,14 @@ def _opens_to_write(call: ast.Call) -> bool:
     return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
 
 
-def file_writes(source: str) -> list[str]:
-    """For each call that opens a file to write, the name of the innermost
+def call_owners(source: str, matches) -> list[str]:
+    """For each call for which matches(call) holds, the name of the innermost
     function holding it ("<module>" at top level)."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and _opens_to_write(child):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append(owner)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else owner)
@@ -172,7 +172,7 @@ def test_file_writes_finds_only_opens_to_write():
         "    def g(p):\n"
         "        p.write_text('t'); p.write_bytes(b'b')\n"
     )
-    assert file_writes(source) == ["f"] * 5 + ["g"] * 2
+    assert call_owners(source, _opens_to_write) == ["f"] * 5 + ["g"] * 2
 
 
 def test_only_fileio_write_text_opens_a_file_to_write():
@@ -181,9 +181,49 @@ def test_only_fileio_write_text_opens_a_file_to_write():
     found = [
         f"{path.stem}.{owner}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for owner in file_writes(path.read_text())
+        for owner in call_owners(path.read_text(), _opens_to_write)
     ]
     assert found == ["fileio._write_text"]
+
+
+def json_decodes(source: str) -> list[str]:
+    """call_owners of the calls that decode JSON: json.load, json.loads,
+    json.JSONDecoder, any .raw_decode, and any name imported from json."""
+    imported = {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "json" for alias in node.names}
+
+    def decodes(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            from_json = isinstance(func.value, ast.Name) and func.value.id == "json"
+            return func.attr == "raw_decode" or from_json and func.attr in ("load", "loads", "JSONDecoder")
+        return isinstance(func, ast.Name) and func.id in imported
+
+    return call_owners(source, decodes)
+
+
+def test_json_decodes_finds_only_json_decoding_calls():
+    source = (
+        "from json import loads as parse\n"
+        "json.loads('1')\n"
+        "def f(fh, text):\n"
+        "    json.dumps(1); b'x'.decode(); load(fh); text.loads()\n"
+        "    json.load(fh); json.JSONDecoder().raw_decode(text); parse(text)\n"
+        "    def g(d):\n"
+        "        d.raw_decode(text)\n"
+    )
+    assert json_decodes(source) == ["<module>"] + ["f"] * 4 + ["g"]
+
+
+def test_only_fileio_decode_json_decodes_json():
+    # every input file is decoded in one place, which also turns nesting too
+    # deep for the decoder into an error naming the file
+    found = [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in json_decodes(path.read_text())
+    ]
+    assert found == ["fileio._decode_json"]
 
 
 def test_every_tracer_target_is_a_package_function():
