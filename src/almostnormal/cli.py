@@ -399,6 +399,9 @@ def cmd_pseudospec(args) -> None:
         f"d_eps={fileio.format_float(rep.d_eps)}",
         f"grid_step={fileio.format_float(grid.step())}",
         f"evaluated={rep.evaluated}",
+        f"svd={rep.svd}",
+        f"delta={fileio.format_float(rep.delta)}",
+        "directions=sigma_min + delta/2 is an upper bound on sigma_min(A - zI)",
     ]
     rows = zip(rep.members.real.tolist(), rep.members.imag.tolist(), rep.sigma_min.tolist())
     fileio.write_csv(args.out, ("re", "im", "sigma_min"), rows, comments=_comments(cfg, extra))

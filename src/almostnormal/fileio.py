@@ -153,11 +153,13 @@ def _read_text(path) -> str:
 
 def _decode_json(text: str, path):
     """The JSON document in the text of path, the package's one JSON decode;
-    nesting too deep to decode is a ValueError naming the file."""
+    text that does not decode is a ValueError naming the file."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_json(path):
@@ -175,7 +177,10 @@ def load_matrix(path) -> tuple[np.ndarray, dict]:
         return _matrix_from_csv(text)
     doc = _decode_json(text, path)
     del text, stripped  # else a payload's text, string and buffer are alive at once
-    return _matrix_from_json(doc)
+    try:
+        return _matrix_from_json(doc)
+    except OverflowError as exc:  # an integer entry past the double range
+        raise ValueError(f"{path}: matrix data holds a number past the double range: {exc}") from None
 
 
 def _sanitize(value):

@@ -366,9 +366,26 @@ def test_pseudospec_csv(tmp_path, capsys):
     # the comments carry the same count, after grid_step=
     step = next(i for i, c in enumerate(comments) if c.startswith("grid_step="))
     assert comments[step + 1] == f"evaluated={evaluated.split()[2]}"
+    assert comments[step + 2] == f"svd={evaluated.split()[2]}"  # n = 2: no certificate
     # threads is echoed as given, so the core count leaves the bytes alone
     config = json.loads(next(c for c in comments if c.startswith("config="))[len("config="):])
     assert config["threads"] is None
+
+
+def test_pseudospec_labels_each_sigma_min_with_its_side(tmp_path):
+    # certified members report an upper bound, SVD points their SVD's value;
+    # either way the comments' delta / 2 makes it an upper bound
+    mat, out = tmp_path / "p.json", tmp_path / "ps.csv"
+    a = perturbed_normal(16, 0.05, 3)
+    save_matrix(mat, a)
+    assert run("pseudospec", "--matrix", mat, "--eps", 0.1, "--resolution", 61, "--out", out) == 0
+    _, rows, comments = read_csv(out)
+    counts = dict(c.split("=", 1) for c in comments if c.split("=", 1)[0] in ("evaluated", "svd", "delta"))
+    assert 0 < int(counts["svd"]) < int(counts["evaluated"])  # some members are certified
+    assert "directions=sigma_min + delta/2 is an upper bound on sigma_min(A - zI)" in comments
+    z = np.array([float(r[0]) + 1j * float(r[1]) for r in rows])
+    exact = np.linalg.svd(a - z[:, None, None] * np.eye(16), compute_uv=False)[:, -1]
+    assert (np.array([float(r[2]) for r in rows]) + float(counts["delta"]) / 2 >= exact).all()
 
 
 def test_pseudospec_reference_sets_d_eps(tmp_path):
@@ -564,6 +581,21 @@ def test_deeply_nested_cover_or_spec_exits_2_naming_the_file(tmp_path, capsys, r
         argv = ["scatter", "--spec", deep, "--seed", 0, "--out", tmp_path / "s.csv"]
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
+def test_undecodable_json_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"data": [[[1, 0]]]} x')
+    assert run("nearest", "--matrix", path, "--seed", 0, "--report", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == f"error: {path}: Extra data: line 1 column 22 (char 21)\n"
+
+
+def test_an_integer_entry_past_the_double_range_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"data": [[[%s, 0]]]}' % ("9" * 400))
+    assert run("nearest", "--matrix", path, "--seed", 0, "--report", tmp_path / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: matrix data ") and err.endswith("\n")
 
 
 @pytest.mark.parametrize("matrix", ["m.json", "m.csv"])

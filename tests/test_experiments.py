@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from almostnormal import (
     EmptyTruncation,
@@ -26,7 +28,7 @@ from almostnormal import (
 )
 from almostnormal import experiments, nearest
 from almostnormal.experiments import TRUNCATE_COLUMNS, _sigma_min_batch
-from almostnormal.gallery import materialize, perturbed_normal
+from almostnormal.gallery import materialize, perturbed_normal, shift_example
 from util import random_contraction, traced_peak
 
 
@@ -161,9 +163,21 @@ def test_pseudospectrum_threads_bitwise_equal():
     assert np.array_equal(serial.sigma_min, threaded.sigma_min)
 
 
+def test_certified_sigma_min_bits_do_not_depend_on_threads():
+    a = perturbed_normal(16, 0.05, 2)
+    grid = GridSpec(center=0j, half_width=1.3, resolution=101)  # > 1 Lanczos batch a stride
+    serial = pseudospectrum(a, 0.1, grid, threads=1)
+    assert serial.svd < serial.evaluated - experiments.LANCZOS_CHUNK
+    for threads in (2, 4):
+        threaded = pseudospectrum(a, 0.1, grid, threads=threads)
+        assert np.array_equal(serial.members, threaded.members)
+        assert np.array_equal(serial.sigma_min, threaded.sigma_min)
+        assert (serial.evaluated, serial.svd) == (threaded.evaluated, threaded.svd)
+
+
 @pytest.mark.parametrize("threads", (1, 2))
 def test_pseudospectrum_chunks_stay_in_budget_and_do_not_change_bits(monkeypatch, threads):
-    n = 16
+    n = 32
     a = random_contraction(n, seed=11)
     grid = GridSpec(center=0.1j, half_width=1.2, resolution=81)
     sizes = []
@@ -179,7 +193,7 @@ def test_pseudospectrum_chunks_stay_in_budget_and_do_not_change_bits(monkeypatch
         sizes.clear()
         runs.append(pseudospectrum(a, 0.1, grid, threads=threads))
         assert max(sizes) <= max(1, budget // (16 * n * n))
-        assert sum(sizes) == runs[-1].evaluated
+        assert sum(sizes) == runs[-1].svd
         calls.append(len(sizes))
     assert calls[0] > calls[2]  # the default budget splits some stride
     for rep in runs[1:]:
@@ -211,6 +225,14 @@ def _every_point_svd(a, eps, grid):
     return zs[smin < eps], smin[smin < eps]
 
 
+def assert_within_the_certificate(rep, smin):
+    # a certified member reports rho >= sigma_min(A - zI), an SVD point its
+    # SVD's value, which is within delta / 2 of sigma_min(A - zI)
+    assert rep.sigma_min.shape == smin.shape
+    assert (rep.sigma_min >= smin - rep.delta / 2).all()
+    assert (rep.sigma_min <= smin * (1 + 1e-8) + rep.delta).all()
+
+
 def test_pool_threads_borrow_the_callers_stacks(monkeypatch):
     # two pool threads share the two stacks the calling thread allocated,
     # and filling a borrowed stack gives the bits of a fresh one
@@ -229,24 +251,26 @@ def test_pool_threads_borrow_the_callers_stacks(monkeypatch):
     assert threading.get_ident() not in callers
     members, smin = _every_point_svd(a, 0.1, grid)
     assert np.array_equal(rep.members, members)
-    assert np.array_equal(rep.sigma_min, smin)
+    assert_within_the_certificate(rep, smin)
 
 
 @pytest.mark.parametrize("resolution", (50, 67))
 @pytest.mark.parametrize("eps", (1e-3, 0.1, 1.0))
 @pytest.mark.parametrize("n", (4, 8, 16))
-def test_pruned_pseudospectrum_is_bitwise_the_every_point_svd(n, eps, resolution):
+def test_pruned_pseudospectrum_is_bitwise_the_every_point_svd(monkeypatch, n, eps, resolution):
+    monkeypatch.setattr(experiments, "LANCZOS_MIN_DIM", 1)  # certify at every n
     a = random_contraction(n, seed=40 + n)
     grid = GridSpec(center=0j, half_width=1.0 + 2.0 * eps, resolution=resolution)
     rep = pseudospectrum(a, eps, grid, threads=2)
     members, smin = _every_point_svd(a, eps, grid)
     assert np.array_equal(rep.members, members)
-    assert np.array_equal(rep.sigma_min, smin)
+    assert_within_the_certificate(rep, smin)
     assert members.size <= rep.evaluated <= resolution ** 2
 
 
 @pytest.mark.parametrize("where", ("off-centre", "no members", "all members"))
-def test_pruned_pseudospectrum_edge_grids(where):
+def test_pruned_pseudospectrum_edge_grids(monkeypatch, where):
+    monkeypatch.setattr(experiments, "LANCZOS_MIN_DIM", 1)  # certify at n = 8
     a = random_contraction(8, seed=7)
     center, half_width = {
         "off-centre": (0.3 - 0.2j, 0.45),  # cuts through the pseudospectrum
@@ -257,13 +281,59 @@ def test_pruned_pseudospectrum_edge_grids(where):
     rep = pseudospectrum(a, 0.1, grid)
     members, smin = _every_point_svd(a, 0.1, grid)
     assert np.array_equal(rep.members, members)
-    assert np.array_equal(rep.sigma_min, smin)
+    assert_within_the_certificate(rep, smin)
     if where == "no members":
         assert members.size == 0 and rep.evaluated < 34 ** 2
     elif where == "all members":
         assert members.size == 34 ** 2
     else:
         assert 0 < members.size < 34 ** 2
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.complex_numbers(max_magnitude=1.0),
+    st.floats(min_value=0.05, max_value=2.0),
+    st.integers(min_value=2, max_value=40),
+)
+def test_certified_members_are_those_of_the_every_point_svd(n, seed, eps, center, half_width, res):
+    a = random_contraction(n, seed)
+    grid = GridSpec(center=center, half_width=half_width, resolution=res)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "LANCZOS_MIN_DIM", 1)  # certify at every n
+        rep = pseudospectrum(a, eps, grid, threads=2)
+    members, smin = _every_point_svd(a, eps, grid)
+    assert np.array_equal(rep.members, members)
+    assert_within_the_certificate(rep, smin)
+    assert rep.evaluated - rep.svd <= members.size  # only members are certified
+
+
+def test_a_grid_point_on_an_eigenvalue_takes_the_svd():
+    a = np.diag(np.arange(10.0) / 10)  # normal: kappa(V) = 1
+    grid = GridSpec(center=0j, half_width=1.2, resolution=49)  # z = 0 is a grid point
+    rep = pseudospectrum(a, 0.1, grid, threads=2)
+    members, smin = _every_point_svd(a, 0.1, grid)
+    assert np.array_equal(rep.members, members) and 0 in members
+    assert_within_the_certificate(rep, smin)
+    assert rep.svd < rep.evaluated
+
+
+@pytest.mark.parametrize("a", [shift_example(m) for m in (2, 4, 6, 8)] + [4.0 * shift_example(2)],
+                         ids=["shift2", "shift4", "shift6", "shift8", "4*shift2"])
+def test_defective_matrices_take_the_svd_at_every_evaluated_point(monkeypatch, a):
+    # their eigenvectors are too ill-conditioned to certify anything, so
+    # members and sigma_min are bitwise those of an SVD at every point
+    monkeypatch.setattr(experiments, "LANCZOS_MIN_DIM", 1)  # kappa(V) alone decides
+    for eps in (0.4, 0.1):
+        grid = GridSpec(center=0j, half_width=1.5 * np.linalg.norm(a, 2), resolution=81)
+        rep = pseudospectrum(a, eps, grid, threads=2)
+        members, smin = _every_point_svd(a, eps, grid)
+        assert rep.svd == rep.evaluated and members.size > 0
+        assert np.array_equal(rep.members, members)
+        assert np.array_equal(rep.sigma_min, smin)
 
 
 def test_pruned_pseudospectrum_skips_most_exterior_points():
