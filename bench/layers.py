@@ -60,11 +60,11 @@ def sigma_min_cases(n: int, points: int, repeats: int) -> dict:
     gives it (eigendecomposition once, batches of LANCZOS_CHUNK points)."""
     a = perturbed_normal(n, 0.05, 1)
     rng = np.random.default_rng(n)
-    lam, v = npl.eig(a)
+    eig = experiments._lanczos_setup(a, EPS)
+    assert eig is not None, "kappa(V) past KAPPA_MAX: pseudospectrum would not take this path"
+    lam = eig[1]
     zs = lam[rng.integers(0, n, points)] + 0.05 * (rng.standard_normal(points) + 1j * rng.standard_normal(points))
     chunk = max(1, experiments.SVD_CHUNK_BYTES // (16 * n * n))
-    cond, vinv = npl.svd(v, compute_uv=False), npl.inv(v)
-    eig = (cond[0] / cond[-1] * EPS, lam, v.conj(), (vinv @ vinv.conj().T).T, v.T)
     step = experiments.LANCZOS_CHUNK
     cases = {
         "svd": lambda: [experiments._sigma_min_batch(a, zs[k:k + chunk]) for k in range(0, points, chunk)],
@@ -75,6 +75,25 @@ def sigma_min_cases(n: int, points: int, repeats: int) -> dict:
         rec = timed(fn, repeats)
         rec["us_per_point"] = rec["median_s"] / points * 1e6
         out[f"pseudospectrum.sigma_min.{path}.n{n}"] = rec
+    return out
+
+
+def crossover_cases(n: int, resolution: int, repeats: int) -> dict:
+    """pseudospectrum on perturbed_normal(n, 0.05) with the Lanczos path forced
+    off and on, the comparison behind LANCZOS_MIN_DIM; both paths give the same
+    members and `evaluated`."""
+    a = perturbed_normal(n, 0.05, 1)
+    grid = experiments.GridSpec(center=0j, half_width=npl.norm(a, 2) + 2 * EPS, resolution=resolution)
+    out, default = {}, experiments.LANCZOS_MIN_DIM
+    try:
+        for path, min_dim in (("svd", n + 1), ("lanczos", 1)):
+            experiments.LANCZOS_MIN_DIM = min_dim
+            rep = experiments.pseudospectrum(a, EPS, grid, threads=THREADS)
+            rec = timed(lambda: experiments.pseudospectrum(a, EPS, grid, threads=THREADS), repeats)
+            rec.update(members=int(rep.members.size), evaluated=rep.evaluated, svd=rep.svd)
+            out[f"pseudospectrum.{path}.n{n}.res{resolution}"] = rec
+    finally:
+        experiments.LANCZOS_MIN_DIM = default
     return out
 
 
@@ -111,11 +130,15 @@ def main(argv=None) -> int:
         return 0
     repeats, points, resolution = (1, 2 * experiments.LANCZOS_CHUNK, 41) if args.quick else (7, 2048, 201)
     layers = {}
-    for n in (32, 64):
+    for n in (4, 8, 16, 32, 64):
         layers.update(sigma_min_cases(n, points, repeats))
-    layers.update(pseudospec_case(64, resolution, 1 if args.quick else 5))
+    for n in (16, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it
+        layers.update(crossover_cases(n, resolution, 1 if args.quick else 5))
+    for n in (8, 64):  # the CLI on the SVD path alone, and on both
+        layers.update(pseudospec_case(n, resolution, 1 if args.quick else 5))
     machine = PERFBENCH["machine_block"](THREADS)
     record = {"quick": args.quick, "machine": machine, "layers": layers}
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     path = Path(args.out_dir) / f"BENCH_{(machine['commit'] or 'unknown')[:7]}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")

@@ -211,24 +211,32 @@ def _sigma_min_batch(a: np.ndarray, zs: np.ndarray, stack: np.ndarray | None = N
 PRUNE_STRIDES = (16, 8, 4, 2, 1)
 SVD_CHUNK_BYTES = 1 << 20
 # Inverse-Lanczos steps a point and most points a batch (batch bounds, so bits, do
-# not depend on `threads`).  On the benchmark's perturbed_normal(32, 0.05), 5 to 8
-# steps certified 71, 91, 98 and 99.5% of 6304 members; 7 ran fastest, at 17 us a
-# point to 102 for an SVD.  Batches of 128 ran `spectral` 10% faster but held 1.2 MB
-# more.  At n = 8 an SVD costs what the steps do; past kappa(V) = 100 none certify.
+# not depend on `threads`).  On perturbed_normal(32, 0.05), 5 to 8 steps certified 71,
+# 91, 98 and 99.5% of 6304 members; 7 ran fastest, at 17 us a point to 102 for an SVD.
+# Batches of 128 ran `spectral` 10% faster but held 1.2 MB more.  On 201^2 grids at 2 threads
+# they ran 0.57x as fast as SVDs alone at n = 12, 0.8-0.9x at 20, 1.0-1.25x at 24, 1.3x at 28.
 LANCZOS_STEPS = 7
 LANCZOS_CHUNK = 64
-LANCZOS_MIN_DIM = 9
-KAPPA_MAX = 1e2
+LANCZOS_MIN_DIM = 24
+KAPPA_MAX = 1e2  # past it none certify
+
+
+def _lanczos_setup(a, eps):
+    """_lanczos_bounds' arguments after zs, or None where kappa(V) > KAPPA_MAX."""
+    lam, v = npl.eig(a)  # A = V diag(lam) V^-1
+    cond = npl.svd(v, compute_uv=False)
+    if cond[-1] * KAPPA_MAX > cond[0]:  # else V is too ill-conditioned to help
+        vinv = npl.inv(v)  # Bauer-Fike: members lie within kappa(V) eps of an eigenvalue
+        return cond[0] / cond[-1] * eps, lam, v.conj(), (vinv @ vinv.conj().T).T, v.T
 
 
 def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt) -> np.ndarray:
     """rho = ||(A - zI) y|| / ||y|| >= sigma_min(A - zI) for each z of zs within
-    reach of an eigenvalue; y is the top Ritz vector of LANCZOS_STEPS Lanczos
-    steps on (A - zI)^-1 (A - zI)^-* = V D G D* V*, D = diag(1 / (lam - z)),
-    G = V^-1 V^-*, from the eigenvector of the lam nearest z plus a chirp of norm
-    0.02 (a random vector of norm 0.1 left a near-tied singular vector in y, one of
-    0.001 more often a wrong eigenvector).  nan elsewhere and where
-    |rho^2 theta - 1| >= 1e-12, which is 0 at an eigenvector, theta its Ritz value."""
+    reach of an eigenvalue, nan elsewhere and where |rho^2 theta - 1| >= 1e-12 (0 at
+    an eigenvector).  y is the top Ritz vector, theta its value, of LANCZOS_STEPS
+    Lanczos steps on (A - zI)^-1 (A - zI)^-* = V D G D* V*, D = diag(1 / (lam - z)),
+    G = V^-1 V^-*, from the nearest lam's eigenvector plus a chirp of norm 0.02 (a
+    random vector of norm 0.1 left a near-tied singular vector in y, 0.001 a wrong one)."""
     rho = np.full(zs.size, np.nan)
     with np.errstate(all="ignore"):  # z on an eigenvalue gives nan, and the SVD
         d = 1.0 / (lam - zs[:, None])
@@ -236,9 +244,8 @@ def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt) -> np.ndarray:
         if near.sum() < 2:  # a one-row product takes another BLAS path
             return rho
         d, zs, k, steps = d[near], zs[near], near.sum(), LANCZOS_STEPS
-        dc, q = d.conj(), np.exp(1j * np.arange(lam.size) ** 2) / lam.size ** 0.5
-        q = vt[np.abs(d).argmax(axis=1)] + 0.02 * q
-        q /= npl.norm(q, axis=1)[:, None]
+        q = vt[np.abs(d).argmax(axis=1)] + 0.02 * (np.exp(1j * np.arange(lam.size) ** 2) / lam.size ** 0.5)
+        q, dc = q / npl.norm(q, axis=1)[:, None], d.conj()
         basis, t = np.empty((steps, k, lam.size), complex), np.zeros((k, steps + 1, steps + 1))
         prev = beta = 0.0
         for j in range(steps):
@@ -273,23 +280,20 @@ def pseudospectrum(
     radius ||A|| + eps, where the entire pseudospectrum lives.
 
     sigma_min(A - zI) is 1-Lipschitz in z, so a point w with sigma_min(A - wI)
-    > eps + delta rules out every z with |z - w| < sigma_min(A - wI) - eps - delta.
-    The grid is visited coarse to fine (PRUNE_STRIDES), evaluating only points
-    not yet evaluated or ruled out.  The margin delta = 64 n u (||A|| + max |z|)
-    covers twice the backward error of an SVD's sigma_min plus the rounding of
-    the shift and of |z - w|.  Where n >= LANCZOS_MIN_DIM and A's eigenvectors V
-    have kappa(V) <= KAPPA_MAX, a point first gets rho = ||(A - zI) y|| / ||y||,
-    an upper bound on sigma_min(A - zI) for any y (_lanczos_bounds).  A point
-    with rho + delta < eps is a certified member reporting rho; every other
-    point takes the SVD (`svd` counts them).  A certified member rules out
-    nothing, so members, `evaluated` and every SVD point's sigma_min are bitwise
-    those of an SVD at every grid point, and each reported s has s + delta / 2
-    >= sigma_min(A - zI); a certified rho was within 1e-12 relative of the SVD
-    on random inputs.  Lanczos batches of LANCZOS_CHUNK points and SVD parts
-    run on a pool of `threads` threads (default the core count; fewer than one
-    raises ValueError); bits depend on neither `threads` nor SVD_CHUNK_BYTES.
-    A stride's SVD points go in a multiple of `threads` near-equal parts of at
-    most SVD_CHUNK_BYTES of shifted matrices, in `threads` stacks allocated once.
+    > eps + delta rules out every z with |z - w| < sigma_min(A - wI) - eps - delta;
+    the grid is visited coarse to fine (PRUNE_STRIDES), evaluating only points not
+    yet evaluated or ruled out.  delta = 64 n u (||A|| + max |z|) covers twice an
+    SVD's backward error plus the rounding of the shift and of |z - w|.  Where
+    n >= LANCZOS_MIN_DIM and _lanczos_setup gives eigenvectors, a point with
+    rho + delta < eps (_lanczos_bounds: rho >= sigma_min(A - zI)) is a certified
+    member reporting rho; every other point takes the SVD (`svd` counts them).
+    Certified members rule out nothing, so members, `evaluated` and the SVD points'
+    sigma_min are bitwise those of an SVD at every point.  Only s + delta / 2 >=
+    sigma_min(A - zI) is guaranteed for each reported s: rho may stop at a larger
+    singular value (at most 2.3e-12 relative high on the random inputs tried).
+    Lanczos batches and SVD parts of at most SVD_CHUNK_BYTES run on `threads`
+    threads (default the core count; fewer than one raises ValueError), in
+    `threads` stacks allocated once; bits depend on neither.
     """
     # imported here, so that importing the package loads neither
     # concurrent.futures nor the logging it imports
@@ -307,17 +311,13 @@ def pseudospectrum(
     z2 = zs.reshape(res, res)
     xs, ys = z2[0].real, z2[:, 0].imag
     hmin = min(np.diff(xs).min(), np.diff(ys).min())
-    n, evaluated, svd, eig, nrm, az = a.shape[0], 0, 0, None, operator_norm(a), np.abs(zs)
+    n, evaluated, svd, nrm, az = a.shape[0], 0, 0, operator_norm(a), np.abs(zs)
     delta = 64 * n * np.finfo(float).eps * (nrm + float(az.max()))
     smin = np.full(zs.size, np.inf)
     settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
     chunk = max(1, SVD_CHUNK_BYTES // (16 * n * n))
-    if n >= LANCZOS_MIN_DIM and az.min() < nrm + eps:  # no member lies past ||A|| + eps
-        lam, v = npl.eig(a)
-        cond = npl.svd(v, compute_uv=False)
-        if cond[-1] * KAPPA_MAX > cond[0]:  # else V is too ill-conditioned to help
-            vinv = npl.inv(v)  # Bauer-Fike: members lie within kappa(V) eps of an eigenvalue
-            eig = (cond[0] / cond[-1] * eps, lam, v.conj(), (vinv @ vinv.conj().T).T, v.T)
+    # no member lies past ||A|| + eps
+    eig = _lanczos_setup(a, eps) if n >= LANCZOS_MIN_DIM and az.min() < nrm + eps else None
     # no part of a stride holds more than its share of the whole grid
     free = SimpleQueue()
     for _ in range(parts):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from almostnormal import experiments
+
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
@@ -20,12 +22,19 @@ def test_layer_bench_quick_run_writes_a_record_that_compares(tmp_path):
     assert record["quick"] is True
     assert {"cpus", "numpy", "blas", "blas_threads", "commit"} <= record["machine"].keys()
     assert record["machine"]["blas_threads"] in (1, None)  # pinned, where OpenBLAS says
-    names = {f"pseudospectrum.sigma_min.{path}.n{n}" for path in ("svd", "lanczos") for n in (32, 64)}
-    assert record["layers"].keys() == names | {"cli.pseudospec.n64.res41"}
+    paths, cut = ("svd", "lanczos"), experiments.LANCZOS_MIN_DIM
+    names = {f"pseudospectrum.sigma_min.{path}.n{n}" for path in paths for n in (4, 8, 16, 32, 64)}
+    names |= {f"pseudospectrum.{path}.n{n}.res41" for path in paths for n in (16, cut)}
+    assert record["layers"].keys() == names | {"cli.pseudospec.n8.res41", "cli.pseudospec.n64.res41"}
     for case in record["layers"].values():
         assert 0 < case["q1_s"] <= case["median_s"] <= case["q3_s"]
-    ps = record["layers"]["cli.pseudospec.n64.res41"]
-    assert ps["members"] <= ps["evaluated"] and ps["svd"] <= ps["evaluated"]
+    for n in (16, cut):  # forcing a path moves the SVD count only
+        svd, lanczos = (record["layers"][f"pseudospectrum.{path}.n{n}.res41"] for path in paths)
+        assert (svd["members"], svd["evaluated"]) == (lanczos["members"], lanczos["evaluated"])
+        assert svd["svd"] == svd["evaluated"] and lanczos["svd"] < lanczos["evaluated"]
+    small, large = record["layers"]["cli.pseudospec.n8.res41"], record["layers"]["cli.pseudospec.n64.res41"]
+    assert small["svd"] == small["evaluated"]  # below LANCZOS_MIN_DIM
+    assert large["members"] <= large["evaluated"] and large["svd"] < large["evaluated"]
     proc = subprocess.run([*run, "--compare", str(path), str(path)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 5 and all(line.endswith("x1.00") for line in proc.stdout.splitlines())
+    assert len(proc.stdout.splitlines()) == len(record["layers"]) and all(line.endswith("x1.00") for line in proc.stdout.splitlines())

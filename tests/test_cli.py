@@ -366,7 +366,7 @@ def test_pseudospec_csv(tmp_path, capsys):
     # the comments carry the same count, after grid_step=
     step = next(i for i, c in enumerate(comments) if c.startswith("grid_step="))
     assert comments[step + 1] == f"evaluated={evaluated.split()[2]}"
-    assert comments[step + 2] == f"svd={evaluated.split()[2]}"  # n = 2: no certificate
+    assert comments[step + 2] == f"svd={evaluated.split()[2]}"  # n < LANCZOS_MIN_DIM: no certificate
     # threads is echoed as given, so the core count leaves the bytes alone
     config = json.loads(next(c for c in comments if c.startswith("config="))[len("config="):])
     assert config["threads"] is None
@@ -376,7 +376,7 @@ def test_pseudospec_labels_each_sigma_min_with_its_side(tmp_path):
     # certified members report an upper bound, SVD points their SVD's value;
     # either way the comments' delta / 2 makes it an upper bound
     mat, out = tmp_path / "p.json", tmp_path / "ps.csv"
-    a = perturbed_normal(16, 0.05, 3)
+    a = perturbed_normal(24, 0.05, 3)  # n = LANCZOS_MIN_DIM
     save_matrix(mat, a)
     assert run("pseudospec", "--matrix", mat, "--eps", 0.1, "--resolution", 61, "--out", out) == 0
     _, rows, comments = read_csv(out)
@@ -384,7 +384,7 @@ def test_pseudospec_labels_each_sigma_min_with_its_side(tmp_path):
     assert 0 < int(counts["svd"]) < int(counts["evaluated"])  # some members are certified
     assert "directions=sigma_min + delta/2 is an upper bound on sigma_min(A - zI)" in comments
     z = np.array([float(r[0]) + 1j * float(r[1]) for r in rows])
-    exact = np.linalg.svd(a - z[:, None, None] * np.eye(16), compute_uv=False)[:, -1]
+    exact = np.linalg.svd(a - z[:, None, None] * np.eye(24), compute_uv=False)[:, -1]
     assert (np.array([float(r[2]) for r in rows]) + float(counts["delta"]) / 2 >= exact).all()
 
 
