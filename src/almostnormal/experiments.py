@@ -214,7 +214,7 @@ SVD_CHUNK_BYTES = 1 << 20
 # not depend on `threads`).  On perturbed_normal(32, 0.05), 5 to 8 steps certified 71,
 # 91, 98 and 99.5% of 6304 members; 7 ran fastest, at 17 us a point to 102 for an SVD.
 # Batches of 128 ran `spectral` 10% faster but held 1.2 MB more.  On 201^2 grids at 2 threads
-# they ran 0.57x as fast as SVDs alone at n = 12, 0.8-0.9x at 20, 1.0-1.25x at 24, 1.3x at 28.
+# they ran 0.5-0.6x as fast as SVDs alone at n = 12, 0.8-0.9x at 20, 1-1.25x at 24, 1.3-1.5x at 28.
 LANCZOS_STEPS = 7
 LANCZOS_CHUNK = 64
 LANCZOS_MIN_DIM = 24
