@@ -57,18 +57,20 @@ def timed(fn, repeats: int) -> dict:
 def sigma_min_cases(n: int, points: int, repeats: int) -> dict:
     """sigma_min per grid point near the spectrum of perturbed_normal(n, 0.05):
     the SVD path, and the inverse-Lanczos path with the setup pseudospectrum
-    gives it (eigendecomposition once, batches of LANCZOS_CHUNK points)."""
+    gives it (eigendecomposition once), each in the parts pseudospectrum runs
+    (_svd_chunk(n) matrices, _lanczos_batch(n) points) and in one stack."""
     a = perturbed_normal(n, 0.05, 1)
     rng = np.random.default_rng(n)
     eig = experiments._lanczos_setup(a, EPS)
     assert eig is not None, "kappa(V) past KAPPA_MAX: pseudospectrum would not take this path"
     lam = eig[1]
     zs = lam[rng.integers(0, n, points)] + 0.05 * (rng.standard_normal(points) + 1j * rng.standard_normal(points))
-    chunk = max(1, experiments.SVD_CHUNK_BYTES // (16 * n * n))
-    step = experiments.LANCZOS_CHUNK
+    chunk, step = experiments._svd_chunk(n), experiments._lanczos_batch(n)
+    stack = np.empty((chunk, n, n), dtype=complex)
     cases = {
-        "svd": lambda: [experiments._sigma_min_batch(a, zs[k:k + chunk]) for k in range(0, points, chunk)],
-        "lanczos": lambda: [experiments._lanczos_bounds(a, zs[k:k + step], *eig) for k in range(0, points, step)],
+        "svd": lambda: [experiments._sigma_min_batch(a, zs[k:k + chunk], stack) for k in range(0, points, chunk)],
+        "lanczos": lambda: [experiments._lanczos_bounds(a, zs[k:k + step], *eig, stack)
+                            for k in range(0, points, step)],
     }
     out = {}
     for path, fn in cases.items():
@@ -128,11 +130,11 @@ def main(argv=None) -> int:
     if args.compare:
         compare(*args.compare)
         return 0
-    repeats, points, resolution = (1, 2 * experiments.LANCZOS_CHUNK, 41) if args.quick else (7, 2048, 201)
+    repeats, points, resolution = (1, 256, 41) if args.quick else (7, 2048, 201)
     layers = {}
     for n in (4, 8, 16, 32, 64):
         layers.update(sigma_min_cases(n, points, repeats))
-    for n in (16, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it
+    for n in (12, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it
         layers.update(crossover_cases(n, resolution, 1 if args.quick else 5))
     for n in (8, 64):  # the CLI on the SVD path alone, and on both
         layers.update(pseudospec_case(n, resolution, 1 if args.quick else 5))

@@ -210,15 +210,27 @@ def _sigma_min_batch(a: np.ndarray, zs: np.ndarray, stack: np.ndarray | None = N
 # shifted (k, n, n) complex stack one _sigma_min_batch call builds at once.
 PRUNE_STRIDES = (16, 8, 4, 2, 1)
 SVD_CHUNK_BYTES = 1 << 20
-# Inverse-Lanczos steps a point and most points a batch (batch bounds, so bits, do
-# not depend on `threads`).  On perturbed_normal(32, 0.05), 5 to 8 steps certified 71,
-# 91, 98 and 99.5% of 6304 members; 7 ran fastest, at 17 us a point to 102 for an SVD.
-# Batches of 128 ran `spectral` 10% faster but held 1.2 MB more.  On 201^2 grids at 2 threads
-# they ran 0.5-0.6x as fast as SVDs alone at n = 12, 0.8-0.9x at 20, 1-1.25x at 24, 1.3-1.5x at 28.
+# Inverse-Lanczos steps a point, and the complex n-vectors of workspace a point takes
+# (the basis, d, d* and two work vectors).  On perturbed_normal(32, 0.05), 5 to 8 steps
+# certified 71, 91, 98 and 99.5% of 6304 members; 7 ran fastest.  With batches of
+# _lanczos_batch(n) points (186 at n = 32), on 201^2 grids at 2 threads, the Lanczos path
+# ran 0.87-1.38x as fast as SVDs alone at n = 12, 1.24-1.85x at 16 and 1.8-2.1x at 24.
 LANCZOS_STEPS = 7
-LANCZOS_CHUNK = 64
-LANCZOS_MIN_DIM = 24
+LANCZOS_WORDS = LANCZOS_STEPS + 4
+LANCZOS_MIN_DIM = 16
 KAPPA_MAX = 1e2  # past it none certify
+
+
+def _svd_chunk(n: int) -> int:
+    """Matrices of one SVD stack: SVD_CHUNK_BYTES of n x n complex, at least one."""
+    return max(1, SVD_CHUNK_BYTES // (16 * n * n))
+
+
+def _lanczos_batch(n: int) -> int:
+    """Most points of a Lanczos batch: as many as have their workspace in one
+    stack of _svd_chunk(n) matrices, at least 2.  It depends on n and
+    SVD_CHUNK_BYTES only, so bits do not depend on `threads`."""
+    return max(2, _svd_chunk(n) * n // LANCZOS_WORDS)
 
 
 def _lanczos_setup(a, eps):
@@ -227,38 +239,72 @@ def _lanczos_setup(a, eps):
     cond = npl.svd(v, compute_uv=False)
     if cond[-1] * KAPPA_MAX > cond[0]:  # else V is too ill-conditioned to help
         vinv = npl.inv(v)  # Bauer-Fike: members lie within kappa(V) eps of an eigenvalue
-        return cond[0] / cond[-1] * eps, lam, v.conj(), (vinv @ vinv.conj().T).T, v.T
+        chirp = 0.02 * (np.exp(1j * np.arange(lam.size) ** 2) / lam.size ** 0.5)
+        return cond[0] / cond[-1] * eps, lam, v.conj(), (vinv @ vinv.conj().T).T, v.T, chirp
 
 
-def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt) -> np.ndarray:
+def _row_norms(x, tmp):
+    """npl.norm(x, axis=1), bitwise, with its temporary in tmp."""
+    np.multiply(np.conjugate(x, out=tmp), x, out=tmp)
+    return np.sqrt(np.add.reduce(tmp.real, axis=1))
+
+
+def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt, chirp, stack=None) -> np.ndarray:
     """rho = ||(A - zI) y|| / ||y|| >= sigma_min(A - zI) for each z of zs within
     reach of an eigenvalue, nan elsewhere and where |rho^2 theta - 1| >= 1e-12 (0 at
     an eigenvector).  y is the top Ritz vector, theta its value, of LANCZOS_STEPS
     Lanczos steps on (A - zI)^-1 (A - zI)^-* = V D G D* V*, D = diag(1 / (lam - z)),
     G = V^-1 V^-*, from the nearest lam's eigenvector plus a chirp of norm 0.02 (a
-    random vector of norm 0.1 left a near-tied singular vector in y, 0.001 a wrong one)."""
-    rho = np.full(zs.size, np.nan)
+    random vector of norm 0.1 left a near-tied singular vector in y, 0.001 a wrong one).
+    The workspace, LANCZOS_WORDS n-vectors a point, lies in stack where it fits and
+    in a new array otherwise."""
+    b, n, steps = zs.size, lam.size, LANCZOS_STEPS
+    rho = np.full(b, np.nan)
+    need = LANCZOS_WORDS * max(b, 2) * n
+    ws = stack.reshape(-1)[:need] if stack is not None and stack.size >= need else np.empty(need, complex)
     with np.errstate(all="ignore"):  # z on an eigenvalue gives nan, and the SVD
-        d = 1.0 / (lam - zs[:, None])
-        near = np.abs(d).max(axis=1) * reach > 1
-        if near.sum() < 2:  # a one-row product takes another BLAS path
+        # 1 / (lam - z) of every point in the last b n-vectors, past the d and d* filled from it
+        full = np.subtract(lam, zs[:, None], out=ws[need - b * n:].reshape(b, n))
+        full = np.divide(1.0, full, out=full)
+        near = np.flatnonzero(np.abs(full).max(axis=1) * reach > 1)
+        if near.size == 0:
             return rho
-        d, zs, k, steps = d[near], zs[near], near.sum(), LANCZOS_STEPS
-        q = vt[np.abs(d).argmax(axis=1)] + 0.02 * (np.exp(1j * np.arange(lam.size) ** 2) / lam.size ** 0.5)
-        q, dc = q / npl.norm(q, axis=1)[:, None], d.conj()
-        basis, t = np.empty((steps, k, lam.size), complex), np.zeros((k, steps + 1, steps + 1))
-        prev = beta = 0.0
+        if near.size == 1:  # a one-row product takes another BLAS path, so run it twice
+            near = near.repeat(2)
+        zs, k = zs[near], near.size
+        slabs = ws[: LANCZOS_WORDS * k * n].reshape(LANCZOS_WORDS, k, n)
+        basis, (d, dc, w1, w2) = slabs[:steps], slabs[steps:]
+        fb = basis.view(float)
+        np.conjugate(np.take(full, near, axis=0, out=d, mode="clip"), out=dc)
+        q = np.take(vt, np.abs(d).argmax(axis=1), axis=0, out=basis[0], mode="clip")
+        q += chirp
+        q /= _row_norms(q, w2)[:, None]
+        t = np.zeros((k, steps, steps))
         for j in range(steps):
-            basis[j] = q
-            r = ((((q @ vc) * dc) @ gt) * d) @ vt
-            t[:, j, j] = np.einsum("ij,ij->i", q.conj(), r).real
-            r -= t[:, j, j, None] * q + beta * prev
-            beta = npl.norm(r, axis=1)[:, None]
+            q = basis[j]
+            np.matmul(q, vc, out=w1)
+            w1 *= dc
+            np.matmul(w1, gt, out=w2)
+            w2 *= d
+            np.matmul(w2, vt, out=w1)  # r = V D G D* V* q
+            t[:, j, j] = np.einsum("ij,ij->i", np.conjugate(q, out=w2), w1).real
+            if j == steps - 1:  # the last residual enters no Ritz value
+                break
+            # real times complex on the float views: the bits of the complex product, uncast
+            np.multiply(t[:, j, j, None], fb[j], out=w2.view(float))
+            if j:  # beta prev, in the slab the next q takes
+                w2 += np.multiply(beta, fb[j - 1], out=fb[j + 1]).view(complex)
+            w1 -= w2
+            beta = _row_norms(w1, w2)[:, None]
             t[:, j, j + 1] = t[:, j + 1, j] = beta[:, 0]
-            prev, q = q, r / np.maximum(beta, np.finfo(float).tiny)
-        theta, s = npl.eigh(np.where(np.isfinite(t), t, 0.0)[:, :steps, :steps])  # nan fails LAPACK
-        y = np.einsum("kj,jkn->kn", s[:, :, -1], basis)
-        r = npl.norm(y @ a.T - zs[:, None] * y, axis=1) / npl.norm(y, axis=1)
+            # numpy divides a complex by a real c as its times 1 / c
+            np.multiply(w1.view(float), 1.0 / np.maximum(beta, np.finfo(float).tiny), out=fb[j + 1])
+        theta, s = npl.eigh(np.where(np.isfinite(t), t, 0.0))  # nan fails LAPACK
+        y = w1  # sum_j s_j basis_j, over the real and imaginary parts at once: the same bits
+        np.einsum("kj,jkn->kn", s[:, :, -1], fb, out=y.view(float))
+        np.matmul(y, a.T, out=w2)
+        w2 -= np.multiply(zs[:, None], y, out=d)
+        r = _row_norms(w2, dc) / _row_norms(y, d)
         rho[near] = np.where(abs(r * r * theta[:, -1] - 1) < 1e-12, r, np.nan)
     return rho
 
@@ -291,9 +337,11 @@ def pseudospectrum(
     sigma_min are bitwise those of an SVD at every point.  Only s + delta / 2 >=
     sigma_min(A - zI) is guaranteed for each reported s: rho may stop at a larger
     singular value (at most 2.3e-12 relative high on the random inputs tried).
-    Lanczos batches and SVD parts of at most SVD_CHUNK_BYTES run on `threads`
-    threads (default the core count; fewer than one raises ValueError), in
-    `threads` stacks allocated once; bits depend on neither.
+    SVD parts of at most _svd_chunk(n) matrices and Lanczos batches of at most
+    _lanczos_batch(n) points run on `threads` threads (default the core count;
+    fewer than one raises ValueError).  Each borrows one of `threads` stacks,
+    allocated once, of at most SVD_CHUNK_BYTES: a part builds its shifted matrices
+    there, a batch its workspace where that fits.  Bits depend on neither.
     """
     # imported here, so that importing the package loads neither
     # concurrent.futures nor the logging it imports
@@ -315,7 +363,7 @@ def pseudospectrum(
     delta = 64 * n * np.finfo(float).eps * (nrm + float(az.max()))
     smin = np.full(zs.size, np.inf)
     settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
-    chunk = max(1, SVD_CHUNK_BYTES // (16 * n * n))
+    chunk, batch = _svd_chunk(n), _lanczos_batch(n)
     # no member lies past ||A|| + eps
     eig = _lanczos_setup(a, eps) if n >= LANCZOS_MIN_DIM and az.min() < nrm + eps else None
     # no part of a stride holds more than its share of the whole grid
@@ -323,12 +371,15 @@ def pseudospectrum(
     for _ in range(parts):
         free.put(np.empty((min(chunk, -(-zs.size // parts)), n, n), dtype=complex))
 
-    def work(points):
-        stack = free.get()
-        try:
-            return _sigma_min_batch(a, points, stack)
-        finally:
-            free.put(stack)
+    def borrowing(kernel, *args):
+        """points -> kernel(a, points, *args, stack) on a free stack."""
+        def run(points):
+            stack = free.get()
+            try:
+                return kernel(a, points, *args, stack)
+            finally:
+                free.put(stack)
+        return run
 
     with ThreadPoolExecutor(max_workers=parts) as pool:
         for stride in PRUNE_STRIDES:
@@ -338,13 +389,13 @@ def pseudospectrum(
             if idx.size == 0:
                 continue
             if eig:
-                batches = np.array_split(zs[idx], -(-idx.size // LANCZOS_CHUNK))
-                smin[idx] = np.concatenate(list(pool.map(lambda p: _lanczos_bounds(a, p, *eig), batches)))
+                batches = np.array_split(zs[idx], -(-idx.size // batch))
+                smin[idx] = np.concatenate(list(pool.map(borrowing(_lanczos_bounds, *eig), batches)))
             rest = idx[~(smin[idx] + delta < eps)]  # all but the certified members
             if rest.size:
                 split = parts * -(-rest.size // (parts * chunk))
                 chunks = np.array_split(zs[rest], min(split, rest.size))
-                smin[rest] = np.concatenate(list(pool.map(work, chunks)))
+                smin[rest] = np.concatenate(list(pool.map(borrowing(_sigma_min_batch), chunks)))
             settled.flat[idx] = True
             evaluated, svd = evaluated + idx.size, svd + rest.size
             if stride == 1:

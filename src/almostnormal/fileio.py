@@ -174,13 +174,16 @@ def load_matrix(path) -> tuple[np.ndarray, dict]:
     if not stripped:
         raise ValueError(f"{path}: file is empty")
     if stripped[0] != "{":
-        return _matrix_from_csv(text)
-    doc = _decode_json(text, path)
+        parse, doc = _matrix_from_csv, text
+    else:
+        parse, doc = _matrix_from_json, _decode_json(text, path)
     del text, stripped  # else a payload's text, string and buffer are alive at once
     try:
-        return _matrix_from_json(doc)
+        return parse(doc)
     except OverflowError as exc:  # an integer entry past the double range
         raise ValueError(f"{path}: matrix data holds a number past the double range: {exc}") from None
+    except ValueError as exc:  # the content errors name the file too
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sanitize(value):

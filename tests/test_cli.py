@@ -376,7 +376,7 @@ def test_pseudospec_labels_each_sigma_min_with_its_side(tmp_path):
     # certified members report an upper bound, SVD points their SVD's value;
     # either way the comments' delta / 2 makes it an upper bound
     mat, out = tmp_path / "p.json", tmp_path / "ps.csv"
-    a = perturbed_normal(24, 0.05, 3)  # n = LANCZOS_MIN_DIM
+    a = perturbed_normal(24, 0.05, 3)  # n >= LANCZOS_MIN_DIM
     save_matrix(mat, a)
     assert run("pseudospec", "--matrix", mat, "--eps", 0.1, "--resolution", 61, "--out", out) == 0
     _, rows, comments = read_csv(out)
@@ -588,6 +588,25 @@ def test_undecodable_json_exits_2_naming_the_file(tmp_path, capsys):
     path.write_text('{"data": [[[1, 0]]]} x')
     assert run("nearest", "--matrix", path, "--seed", 0, "--report", tmp_path / "r.json") == 2
     assert capsys.readouterr().err == f"error: {path}: Extra data: line 1 column 22 (char 21)\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"data": [[[1,0],[2,0]]], "dim": 3}',
+         "matrix data has shape (1, 2, 2), expected n x n [re, im] pairs"),
+        ('{"data": [[[1,0]]], "metadata": 5}', "matrix metadata must be an object"),
+        ('{"data": [[[1,0]]], "dim": 2}', "declared dim 2 does not match data (1 rows)"),
+        ('{"dim": 1}', "matrix JSON must be an object with a 'data' field"),
+        ("1,2\n", "row 0 has 2 cells, expected 1 (square)"),
+    ],
+    ids=["shape", "metadata", "dim", "no-data", "csv"],
+)
+def test_matrix_content_errors_exit_2_naming_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run("nearest", "--matrix", path, "--seed", 0, "--report", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_an_integer_entry_past_the_double_range_exits_2_naming_the_file(tmp_path, capsys):

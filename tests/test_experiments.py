@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -27,7 +28,7 @@ from almostnormal import (
     verify_truncation_bounds,
 )
 from almostnormal import experiments, nearest
-from almostnormal.experiments import TRUNCATE_COLUMNS, _sigma_min_batch
+from almostnormal.experiments import TRUNCATE_COLUMNS, _lanczos_bounds, _sigma_min_batch
 from almostnormal.gallery import materialize, perturbed_normal, shift_example
 from util import random_contraction, traced_peak
 
@@ -167,39 +168,73 @@ def test_certified_sigma_min_bits_do_not_depend_on_threads():
     a = perturbed_normal(experiments.LANCZOS_MIN_DIM, 0.05, 2)
     grid = GridSpec(center=0j, half_width=1.3, resolution=101)  # > 1 Lanczos batch a stride
     serial = pseudospectrum(a, 0.1, grid, threads=1)
-    assert serial.svd < serial.evaluated - experiments.LANCZOS_CHUNK
+    assert serial.svd < serial.evaluated - experiments._lanczos_batch(a.shape[0])
+    interval = sys.getswitchinterval()
     for threads in (2, 4):
-        threaded = pseudospectrum(a, 0.1, grid, threads=threads)
+        sys.setswitchinterval(1e-6)  # threads that shared a stack would overwrite each other
+        try:
+            threaded = pseudospectrum(a, 0.1, grid, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(serial.members, threaded.members)
         assert np.array_equal(serial.sigma_min, threaded.sigma_min)
         assert (serial.evaluated, serial.svd) == (threaded.evaluated, threaded.svd)
 
 
-@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("threads", (1, 2, 4))
 def test_pseudospectrum_chunks_stay_in_budget_and_do_not_change_bits(monkeypatch, threads):
-    n = 32
-    a = random_contraction(n, seed=11)
-    grid = GridSpec(center=0.1j, half_width=1.2, resolution=81)
-    sizes = []
+    # certified members and SVD points at n = 32 and at n = LANCZOS_MIN_DIM, and on
+    # a 2 x 2 grid, whose stacks hold fewer matrices than a batch's workspace needs
+    b = perturbed_normal(experiments.LANCZOS_MIN_DIM, 0.05, 2)
+    cases = [(random_contraction(32, seed=11), GridSpec(center=0.1j, half_width=1.2, resolution=81)),
+             (b, GridSpec(center=0j, half_width=1.2, resolution=41)),
+             (b, GridSpec(center=complex(np.linalg.eigvals(b)[0]), half_width=0.02, resolution=2))]
+    sizes, batches = [], []
 
     def recording(a, zs, stack=None):
         sizes.append(zs.size)
         return _sigma_min_batch(a, zs)
 
-    monkeypatch.setattr(experiments, "_sigma_min_batch", recording)
-    runs, calls = [], []
-    for budget in (experiments.SVD_CHUNK_BYTES, 1, 1 << 62):  # default, one point, unbounded
-        monkeypatch.setattr(experiments, "SVD_CHUNK_BYTES", budget)
-        sizes.clear()
-        runs.append(pseudospectrum(a, 0.1, grid, threads=threads))
-        assert max(sizes) <= max(1, budget // (16 * n * n))
-        assert sum(sizes) == runs[-1].svd
-        calls.append(len(sizes))
-    assert calls[0] > calls[2]  # the default budget splits some stride
-    for rep in runs[1:]:
-        assert np.array_equal(rep.members, runs[0].members)
-        assert np.array_equal(rep.sigma_min, runs[0].sigma_min)
-        assert rep.evaluated == runs[0].evaluated
+    def recording_bounds(a, zs, *args):
+        batches.append(zs.size)
+        return _lanczos_bounds(a, zs, *args)
+
+    for k, (a, grid) in enumerate(cases):
+        n = a.shape[0]
+        want = pseudospectrum(a, 0.1, grid, threads=1)
+        members, smin = _every_point_svd(a, 0.1, grid)
+        assert np.array_equal(want.members, members) and want.svd < want.evaluated
+        assert_within_the_certificate(want, smin)
+        with monkeypatch.context() as mp:
+            mp.setattr(experiments, "_sigma_min_batch", recording)
+            mp.setattr(experiments, "_lanczos_bounds", recording_bounds)
+            calls = []
+            for budget in (experiments.SVD_CHUNK_BYTES, 1, 1 << 62):  # default, one point, unbounded
+                mp.setattr(experiments, "SVD_CHUNK_BYTES", budget)
+                sizes.clear()
+                batches.clear()
+                rep = pseudospectrum(a, 0.1, grid, threads=threads)
+                chunk = max(1, budget // (16 * n * n))
+                assert max(sizes, default=0) <= chunk
+                assert max(batches) <= max(2, chunk * n // experiments.LANCZOS_WORDS)
+                assert sum(sizes) == rep.svd
+                calls.append(len(sizes))
+                assert np.array_equal(rep.members, want.members)
+                assert np.array_equal(rep.sigma_min, want.sigma_min)
+                assert (rep.evaluated, rep.svd) == (want.evaluated, want.svd)
+        if k == 0 and threads < 4:  # four threads split each stride of it four ways anyway
+            assert calls[0] > calls[2]  # the default budget splits some stride
+
+
+def test_certified_pseudospectrum_keeps_its_lanczos_workspace_in_the_stacks():
+    # the two threads' 1 MiB stacks and the grid arrays peak at 4.3 MB; a Lanczos
+    # basis outside the stacks, 7 x 186 x 32 complex a thread, takes it to 5.5 MB
+    a = perturbed_normal(32, 0.05, 1)
+    grid = GridSpec(center=0j, half_width=np.linalg.norm(a, 2) + 0.2, resolution=201)
+    pseudospectrum(a, 0.1, GridSpec(center=0j, half_width=1.0, resolution=2), threads=2)  # the pool's imports
+    rep, peak = traced_peak(lambda: pseudospectrum(a, 0.1, grid, threads=2))
+    assert rep.svd < rep.evaluated - 4096  # mostly certified members
+    assert peak < 2 * experiments.SVD_CHUNK_BYTES + 2.6e6
 
 
 def test_pseudospectrum_working_set_is_bounded():
@@ -314,7 +349,7 @@ def test_certified_members_are_those_of_the_every_point_svd(n, seed, eps, center
 
 
 def test_a_grid_point_on_an_eigenvalue_takes_the_svd():
-    a = np.diag(np.arange(24.0) / 24)  # normal: kappa(V) = 1; n = LANCZOS_MIN_DIM
+    a = np.diag(np.arange(24.0) / 24)  # normal: kappa(V) = 1; n >= LANCZOS_MIN_DIM
     grid = GridSpec(center=0j, half_width=1.2, resolution=49)  # z = 0 is a grid point
     rep = pseudospectrum(a, 0.1, grid, threads=2)
     members, smin = _every_point_svd(a, 0.1, grid)
