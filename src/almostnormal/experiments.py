@@ -297,7 +297,7 @@ def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt, chirp, stack=None) -> np.ndar
             w1 -= w2
             beta = _row_norms(w1, w2)[:, None]
             t[:, j, j + 1] = t[:, j + 1, j] = beta[:, 0]
-            # numpy divides a complex by a real c as its times 1 / c
+            # w1 / beta, bitwise: numpy divides a complex by a real by multiplying by 1 / beta
             np.multiply(w1.view(float), 1.0 / np.maximum(beta, np.finfo(float).tiny), out=fb[j + 1])
         theta, s = npl.eigh(np.where(np.isfinite(t), t, 0.0))  # nan fails LAPACK
         y = w1  # sum_j s_j basis_j, over the real and imaginary parts at once: the same bits
