@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import runpy
@@ -37,7 +38,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import numpy.linalg as npl  # noqa: E402
 
-from almostnormal import cli, experiments, fileio  # noqa: E402
+import workloads  # noqa: E402
+from almostnormal import cli, experiments, fileio, nearest  # noqa: E402
 from almostnormal.gallery import perturbed_normal  # noqa: E402
 
 EPS = 0.1  # the benchmark's pseudospectrum level
@@ -114,6 +116,51 @@ def pseudospec_case(n: int, resolution: int, repeats: int) -> dict:
     return {f"cli.pseudospec.n{n}.res{resolution}": rec}
 
 
+def captured(name: str, argv: list) -> tuple:
+    """A copy of the arguments of the first nearest.<name> call that the CLI
+    command argv makes."""
+    seen, real = [], getattr(nearest, name)
+
+    def spy(*args):
+        if not seen:
+            seen.append(copy.deepcopy(args))
+        return real(*args)
+
+    setattr(nearest, name, spy)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):  # the command's summary line
+            cli.main([str(v) for v in argv])
+    finally:
+        setattr(nearest, name, real)
+    return seen[0]
+
+
+def optimizer_cases(repeats: int, calls: int) -> dict:
+    """The optimizer's layers: one Hessian product and one preconditioner
+    application at n = 8 and 32 (complex Gaussian B, horizontal X, timed over
+    `calls` calls), one _run_sweeps sweep over the stack of the benchmark's
+    scatter, and the trust-region finish of its gauss32 start (seed 1)."""
+    out, rng = {}, np.random.default_rng(8)
+    for n in (8, 32):
+        b, z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+        hess, x = nearest._Hessian(b), nearest._horizontal(z)
+        for name, fn in (("hessian_product", hess), ("precondition", hess.precondition)):
+            rec = timed(lambda: [fn(x) for _ in range(calls)], repeats)
+            rec["us_per_call"] = rec["median_s"] / calls * 1e6
+            out[f"nearest.{name}.n{n}"] = rec
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, report = Path(tmp) / "spec.json", Path(tmp) / "out"
+        spec.write_text(json.dumps(workloads._ensemble_spec(1)))
+        w, dims, _, obj_tol, fro2 = captured("_run_sweeps", ["scatter", "--spec", spec, "--seed", 1, "--out", report])
+        workloads._setup_nearest(1, Path(tmp))
+        finish = captured("_finish", ["nearest", "--matrix", Path(tmp) / "gauss32.json", "--seed", 1,
+                                      "--restarts", 1, "--report", report])
+    out["nearest.sweep.scatter"] = timed(lambda: nearest._run_sweeps(w.copy(), dims, 1, obj_tol, fro2), repeats)
+    a, u, b, history, *rest = finish
+    out["nearest.finish.gauss32"] = timed(lambda: nearest._finish(a, u, b, list(history), *rest), repeats)
+    return out
+
+
 def compare(old: Path, new: Path) -> None:
     a, b = (json.loads(p.read_text())["layers"] for p in (old, new))
     for name in sorted(a.keys() & b.keys()):
@@ -131,7 +178,7 @@ def main(argv=None) -> int:
         compare(*args.compare)
         return 0
     repeats, points, resolution = (1, 256, 41) if args.quick else (7, 2048, 201)
-    layers = {}
+    layers = optimizer_cases(repeats, 20 if args.quick else 1000)
     for n in (4, 8, 16, 32, 64):
         layers.update(sigma_min_cases(n, points, repeats))
     for n in (12, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it

@@ -359,13 +359,13 @@ def pseudospectrum(
     z2 = zs.reshape(res, res)
     xs, ys = z2[0].real, z2[:, 0].imag
     hmin = min(np.diff(xs).min(), np.diff(ys).min())
-    n, evaluated, svd, nrm, az = a.shape[0], 0, 0, operator_norm(a), np.abs(zs)
-    delta = 64 * n * np.finfo(float).eps * (nrm + float(az.max()))
+    n, evaluated, svd, nrm = a.shape[0], 0, 0, operator_norm(a)
+    delta = 64 * n * np.finfo(float).eps * (nrm + float(np.abs(zs).max()))
     smin = np.full(zs.size, np.inf)
     settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
     chunk, batch = _svd_chunk(n), _lanczos_batch(n)
     # no member lies past ||A|| + eps
-    eig = _lanczos_setup(a, eps) if n >= LANCZOS_MIN_DIM and az.min() < nrm + eps else None
+    eig = _lanczos_setup(a, eps) if n >= LANCZOS_MIN_DIM and np.abs(zs).min() < nrm + eps else None
     # no part of a stride holds more than its share of the whole grid
     free = SimpleQueue()
     for _ in range(parts):

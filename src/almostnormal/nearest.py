@@ -50,6 +50,7 @@ distance for A across the whole double range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,6 +151,16 @@ def _plane_rotations(a, b, c, d, floor: float):
     return keep, gain, x / nrm, y / nrm
 
 
+@functools.cache
+def _pairs(n: int) -> tuple:
+    """np.triu_indices(n, 1) as (j, k), and the n x n map that lays [v, w, 0]
+    out as a table: v_i at (j_i, k_i), w_i at (k_i, j_i), 0 on the diagonal."""
+    j, k = np.triu_indices(n, 1)
+    at = np.full((n, n), 2 * j.size)
+    at[j, k], at[k, j] = np.arange(j.size), np.arange(j.size, 2 * j.size)
+    return j, k, at
+
+
 @dataclass(frozen=True)
 class SweepOutcome:
     basis: np.ndarray
@@ -206,6 +217,9 @@ class _Hessian:
     Each product costs two matrix products against stacked factors (and
     P(Z*) = -P(Z) spares the transposes).  precondition() inverts the
     Hessian's 2x2 blocks on the planes (j, k), for truncated CG.
+
+    numpy's complex multiply fuses a multiply and an add, so a*b and b*a can
+    differ in the last bit: every product here keeps its formula's operand order.
     """
 
     def __init__(self, b: np.ndarray):
@@ -215,11 +229,13 @@ class _Hessian:
         self.left = np.concatenate([b, b * self.dc])             # [B; BD']
         self.right = np.concatenate([b, self.dc[:, None] * b], 1)  # [B, D'B]
         self.n = n
+        # a product's workspace: [BX; BXD'], [XB, XD'B] and two n x n sums
+        self.work = [np.empty(shape, complex) for shape in ((2 * n, n), (n, 2 * n), (n, n), (n, n))]
         # The block of -Hess on the plane (j, k), X_jk = z = -conj(X_kj),
         # is z -> p z + s conj(z) with p = 2(|d_j - d_k|^2 - |b_jk|^2 - |b_kj|^2)
         # and s = -4 b_jk conj(b_kj): eigenvalues p +- |s| along
         # e^{i arg(s)/2} and i e^{i arg(s)/2}.  Floored, they precondition CG.
-        self.pairs = j, k = np.triu_indices(n, 1)
+        j, k, at = _pairs(n)
         bjk, bkj = b[j, k], b[k, j]
         p = 2.0 * (np.abs(self.dc[j] - self.dc[k]) ** 2 - np.abs(bjk) ** 2 - np.abs(bkj) ** 2)
         s = -4.0 * bjk * bkj.conj()
@@ -227,34 +243,40 @@ class _Hessian:
         # the blocks' scale, never under ||B||_F^2 / n
         self.scale = max(top.max(initial=0.0), np.vdot(b, b).real / n)
         floor = PRECOND_FLOOR * self.scale or 1.0
-        self.phase = np.exp(0.5j * np.angle(s))
-        self.inv_top = 1.0 / np.maximum(top, floor)
-        self.inv_low = 1.0 / np.maximum(p - np.abs(s), floor)
+        # n x n tables: plane (j, k) at (j, k) and (k, j), its phase conjugated at (k, j)
+        phase = np.exp(0.5j * np.angle(s))
+        self.phase = np.concatenate((phase, phase.conj(), [0.0]))[at]
+        self.phase_conj = self.phase.conj()
+        inv_top, inv_low = 1.0 / np.maximum(top, floor), 1.0 / np.maximum(p - np.abs(s), floor)
+        self.inv_top = np.concatenate((inv_top, inv_top, [0.0]))[at]
+        self.inv_low = np.concatenate((inv_low, inv_low, [0.0]))[at]
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """The inverse of the floored plane blocks of -Hess, applied to r."""
-        j, k = self.pairs
-        t = r[j, k] * self.phase.conj()
-        z = self.phase * (t.real * self.inv_top + 1j * (t.imag * self.inv_low))
-        x = np.zeros_like(r)
-        x[j, k] = z
-        x[k, j] = -z.conj()
-        return x
+        """The inverse of the floored plane blocks of -Hess, applied to horizontal r."""
+        t = r * self.phase_conj
+        return self.phase * (t.real * self.inv_top + 1j * (t.imag * self.inv_low))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         n, b, dc = self.n, self.b, self.dc
-        bx_e2x = self.left @ x
-        xb_xe1 = x @ self.right
+        bx_e2x, xb_xe1, k, y = self.work
+        np.matmul(self.left, x, bx_e2x)
+        np.matmul(x, self.right, xb_xe1)
         bx, xb = bx_e2x[:n], xb_xe1[:, :n]
-        cc = (np.diagonal(bx) - np.diagonal(xb)).conj()
-        k = (dc[:, None] * (bx - 2.0 * xb) + (xb - 2.0 * bx) * dc
-             + xb_xe1[:, n:] + bx_e2x[n:])
-        return -_horizontal((cc[:, None] - cc[None, :]) * b * 2.0 + k)
+        cc = (bx.diagonal() - xb.diagonal()).conj()
+        # y = (cc[:, None] - cc[None, :]) * b * 2.0 + k, with
+        # k = dc[:, None] * (bx - 2.0 * xb) + (xb - 2.0 * bx) * dc + xb_xe1[:, n:] + bx_e2x[n:]
+        np.multiply(dc[:, None], np.subtract(bx, np.multiply(2.0, xb, k), k), k)
+        k += np.multiply(np.subtract(xb, np.multiply(2.0, bx, y), y), dc, y)
+        k += xb_xe1[:, n:]
+        k += bx_e2x[n:]
+        np.multiply(np.multiply(np.subtract(cc[:, None], cc, y), b, y), 2.0, y)
+        y += k
+        return -_horizontal(y)
 
 
-def _round_tables(active, rounds, floors, n: int) -> list:
-    """Per round, the flat and row indices of every active start's pivots,
-    and each pivot's gain floor.
+def _round_tables(rounds, floors, n: int) -> list:
+    """Per round, the flat and row indices of every start's pivots, and each
+    pivot's gain floor.
 
     Round t takes start s's own round t of rounds[s] while it has one.
     Entry (s, i, j) addresses b[s, i, j] of the (r, 2n, n) stack w at
@@ -262,8 +284,8 @@ def _round_tables(active, rounds, floors, n: int) -> list:
     w.reshape(r*2n, n).  Entries run start-major within a round.
     """
     tables = []
-    for t in range(max((len(rounds[k]) for k in active), default=0)):
-        live = [k for k in active if t < len(rounds[k])]
+    for t in range(max(map(len, rounds), default=0)):
+        live = [k for k, rk in enumerate(rounds) if t < len(rk)]
         i = np.concatenate([rounds[k][t][0] for k in live])
         j = np.concatenate([rounds[k][t][1] for k in live])
         s = np.repeat(live, [rounds[k][t][0].size for k in live])
@@ -293,17 +315,23 @@ def _run_sweeps(w, dims, max_sweeps: int, obj_tol: float, fro2) -> tuple:
     r, n = w.shape[0], w.shape[2]
     flat, rows, cols = w.reshape(-1), w.reshape(r * 2 * n, n), w.transpose(0, 2, 1)
     by_dim = {m: _round_robin(m) for m in set(dims)}
-    rounds = [by_dim[m] for m in dims]
-    # the objective sums each start's own diagonal: trailing zeros would
-    # change the pairwise summation
-    history = [[_diag_objective(w[k, :m, :m])] for k, m in enumerate(dims)]
+    # (start, objective) per group of equal dimension: each start sums its own
+    # diagonal, one row of an array, as trailing zeros change pairwise sums
+    groups = [(m, np.flatnonzero(np.equal(dims, m))) for m in by_dim]
+    diag = w.diagonal(0, 1, 2)
+
+    def objectives():
+        q = diag.real ** 2 + diag.imag ** 2
+        return [kf for m, ks in groups for kf in zip(ks.tolist(), q[ks, :m].sum(axis=1).tolist())]
+
+    history = [[f] for _, f in sorted(objectives())]
     pivots = np.zeros(r, dtype=np.int64)
     stop = [None] * r
     # pivots below this gain cannot matter: even if every pivot of a sweep
     # forgoes the floor, the total stays two orders under the stop threshold
     floors = np.array([0.02 * obj_tol * f / max(1, m * (m - 1) // 2) for m, f in zip(dims, fro2)])
-    active = np.arange(r)
-    tables = _round_tables(active, rounds, floors, n)
+    # built once; a start that stops is filtered out of them
+    tables = _round_tables([by_dim[m] for m in dims], floors, n)
     for _ in range(max_sweeps):
         for s, i, j, row_i, row_j, ii, ij, ji, jj, floor in tables:
             bii, bij, bji, bjj = flat[ii], flat[ij], flat[ji], flat[jj]
@@ -332,20 +360,22 @@ def _run_sweeps(w, dims, max_sweeps: int, obj_tol: float, fro2) -> tuple:
             flat[ii] = new_ii
             flat[jj] = new_jj
             pivots += np.bincount(s, minlength=r)
-        for k in active:
+        objs = objectives()
+        for k, f in objs:
             h = history[k]
-            h.append(_diag_objective(w[k, :dims[k], :dims[k]]))
+            h.append(f)
             gain = h[-1] - h[-2]
             if gain < obj_tol * fro2[k]:
                 stop[k] = "tolerance"
             elif (len(h) > 2 and gain < SWITCH_GAIN * fro2[k]
                   and gain * SWITCH_RATIO > h[-2] - h[-3]):
                 stop[k] = "switch"
-        if any(stop[k] for k in active):
-            active = np.flatnonzero([s is None for s in stop])
-            if active.size == 0:
+        if any(stop[k] for k, _ in objs):
+            live = np.array([reason is None for reason in stop])
+            if not live.any():
                 break
-            tables = _round_tables(active, rounds, floors, n)
+            groups = [(m, ks[live[ks]]) for m, ks in groups if live[ks].any()]
+            tables = [tuple(v[on] for v in t) for t in tables if (on := live[t[0]]).any()]
     return history, pivots.tolist(), [reason or "cap" for reason in stop]
 
 

@@ -25,6 +25,8 @@ def test_layer_bench_quick_run_writes_a_record_that_compares(tmp_path):
     paths, cut = ("svd", "lanczos"), experiments.LANCZOS_MIN_DIM
     names = {f"pseudospectrum.sigma_min.{path}.n{n}" for path in paths for n in (4, 8, 16, 32, 64)}
     names |= {f"pseudospectrum.{path}.n{n}.res41" for path in paths for n in (12, cut)}
+    names |= {f"nearest.{layer}.n{n}" for layer in ("hessian_product", "precondition") for n in (8, 32)}
+    names |= {"nearest.sweep.scatter", "nearest.finish.gauss32"}
     assert record["layers"].keys() == names | {"cli.pseudospec.n8.res41", "cli.pseudospec.n64.res41"}
     for case in record["layers"].values():
         assert 0 < case["q1_s"] <= case["median_s"] <= case["q3_s"]

@@ -351,6 +351,103 @@ def test_preconditioner_inverts_the_plane_blocks_of_the_hessian():
     assert checked >= 5
 
 
+# The Hessian product, the preconditioner and the sweep objectives as they
+# were first written, with a temporary per operation: the in-place forms in
+# nearest must keep every operand order, since numpy's fused complex
+# multiply makes a*b and b*a differ in the last bit.
+
+
+def _hessian_product_formula(b, x):
+    n, dc = b.shape[0], np.diagonal(b).conj()
+    bx_e2x = np.concatenate([b, b * dc]) @ x
+    xb_xe1 = x @ np.concatenate([b, dc[:, None] * b], 1)
+    bx, xb = bx_e2x[:n], xb_xe1[:, :n]
+    cc = (np.diagonal(bx) - np.diagonal(xb)).conj()
+    k = (dc[:, None] * (bx - 2.0 * xb) + (xb - 2.0 * bx) * dc
+         + xb_xe1[:, n:] + bx_e2x[n:])
+    return -_horizontal((cc[:, None] - cc[None, :]) * b * 2.0 + k)
+
+
+def _preconditioner_formula(b, r):
+    """(M^-1 r, scale), from the pairs j < k alone, mirrored as -conj."""
+    n, dc = b.shape[0], np.diagonal(b).conj()
+    j, k = np.triu_indices(n, 1)
+    bjk, bkj = b[j, k], b[k, j]
+    p = 2.0 * (np.abs(dc[j] - dc[k]) ** 2 - np.abs(bjk) ** 2 - np.abs(bkj) ** 2)
+    s = -4.0 * bjk * bkj.conj()
+    top = p + np.abs(s)
+    scale = max(top.max(initial=0.0), np.vdot(b, b).real / n)
+    floor = nearest.PRECOND_FLOOR * scale or 1.0
+    phase = np.exp(0.5j * np.angle(s))
+    t = r[j, k] * phase.conj()
+    z = phase * (t.real * (1.0 / np.maximum(top, floor))
+                 + 1j * (t.imag * (1.0 / np.maximum(p - np.abs(s), floor))))
+    x = np.zeros_like(r)
+    x[j, k] = z
+    x[k, j] = -z.conj()
+    return x, scale
+
+
+def _hessian_cases():
+    """(B, horizontal X): complex Gaussians at n = 2, 3, 8 and 32, and the
+    shift m = 8, whose exact zeros give products and tables signed zeros."""
+    rng = np.random.default_rng(33)
+    cases = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), _skew(rng, n))
+             for n in (2, 3, 8, 32) for _ in range(4)]
+    return cases + [(shift_example(8).astype(complex), _skew(rng, 8)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("b, x", _hessian_cases())
+def test_hessian_product_and_preconditioner_match_their_formulas_bitwise(b, x):
+    hess = _Hessian(b)
+    ref, scale = _preconditioner_formula(b, x)
+    assert hess.scale == scale
+    assert hess.precondition(x).tobytes() == ref.tobytes()
+    assert hess(x).tobytes() == _hessian_product_formula(b, x).tobytes()
+    # twice on one workspace, and on a second direction
+    assert hess(x).tobytes() == _hessian_product_formula(b, x).tobytes()
+    assert hess(-x).tobytes() == _hessian_product_formula(b, -x).tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_preconditioner_on_exact_zeros_differs_from_its_formula_in_mirrored_zero_signs_only(m):
+    # The gradient at a shift is zero off a few planes.  The (k, j) entries
+    # are computed from r's own (k, j) entries, not mirrored from (j, k), so
+    # where r_jk is exactly 0 the zero's sign may differ from the formula's
+    # -conj.  No step reads that sign: truncated CG only adds the preconditioned
+    # residual to a step that starts at +0, and an exact 0 sum is +0.
+    b = shift_example(m).astype(complex) + np.diag(np.arange(m) * 0.25)
+    hess = _Hessian(b)
+    for r in (_gradient(b), -_gradient(b), hess(_gradient(b))):
+        got, (ref, _) = hess.precondition(r), _preconditioner_formula(b, r)
+        assert np.array_equal(got, ref)
+        signs = np.signbit(got.view(float)) != np.signbit(ref.view(float))
+        for row, col in zip(*np.nonzero(signs.reshape(m, m, 2).any(axis=2))):
+            assert row > col and ref[row, col] == 0 and r[col, row] == 0
+        assert hess(r).tobytes() == _hessian_product_formula(b, r).tobytes()
+
+
+def test_sweep_objectives_match_the_per_start_sum_bitwise():
+    # members of dimension 2 to 12 in one stack: numpy's pairwise sum runs
+    # its unrolled form from 8 terms on.  Entry s of each start's history is
+    # the objective of its own block after s sweeps, summed alone.
+    rng = np.random.default_rng(12)
+    mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in range(2, 13)]
+    mats += [shift_example(8), random_contraction(9, 9)]
+    restarts = 2
+    w0 = _starts(mats, 4, restarts)
+    dims = [a.shape[0] for a in mats for _ in range(restarts)]
+    fro2 = [float(np.linalg.norm(a) ** 2) for a in mats for _ in range(restarts)]
+    history, _, reasons = _run_sweeps(w0.copy(), dims, 200, 1e-12, fro2)
+    assert {"tolerance", "switch"} <= set(reasons)
+    for sweeps in range(max(map(len, history))):
+        w = w0.copy()
+        _run_sweeps(w, dims, sweeps, 1e-12, fro2)
+        alone = [_diag_objective(w[k, :m, :m]) for k, m in enumerate(dims)]
+        got = [(h[sweeps], f) for h, f in zip(history, alone) if sweeps < len(h)]
+        assert np.array(got)[:, 0].tobytes() == np.array(got)[:, 1].tobytes(), sweeps
+
+
 def _gauss32(seed):
     """The benchmark's gauss32 input: a complex Gaussian 32x32 of norm 1."""
     rng = np.random.default_rng([seed, 1])
