@@ -9,6 +9,7 @@ failure (input violates a mathematical precondition, e.g. not normal).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -181,23 +182,11 @@ def cmd_gallery_laurent(args) -> None:
 def cmd_nearest(args) -> None:
     a, _ = fileio.load_matrix(args.matrix)
     rep = nearest_normal(a, p_list=tuple(args.p), **_optimizer_args(args))
+    sides = {f.name: f.metadata["side"] for f in dataclasses.fields(rep) if f.metadata}
     payload = _meta(
-        args,
-        dim=a.shape[0],
-        objective=rep.objective,
-        frobenius_exact=rep.frobenius_exact,
-        sweeps=rep.sweeps,
-        converged=rep.converged,
-        objective_history=rep.objective_history,
-        restart_objectives=rep.restart_objectives,
-        restart_sweeps=rep.restart_sweeps,
-        restart_pivots=rep.restart_pivots,
-        restart_stop_reasons=rep.restart_stop_reasons,
-        restart_stationarity=rep.restart_stationarity,
-        distances={str(p): v for p, v in rep.distances.items()},
-        lower_bounds={str(p): v for p, v in rep.lower_bounds.items()},
-        # which side of the true distance each number lies on
-        directions={"frobenius_exact": "upper", "distances": "upper", "lower_bounds": "lower"},
+        args, dim=a.shape[0], **{name: getattr(rep, name) for name in sides},
+        # which side of the true distance each bound lies on
+        directions={name: side for name, side in sides.items() if side in ("upper", "lower")},
     )
     fileio.write_report(args.report, payload)
     if args.witness:
@@ -216,10 +205,10 @@ def cmd_nearest(args) -> None:
 
 
 def _write_table(args, columns, rows) -> None:
-    """The optimizer rows of truncate or scatter as a CSV, and a warning
-    on stderr when some row's optimizer hit the sweep cap."""
+    """The optimizer rows of truncate or scatter as a CSV of the keys of
+    columns, and a warning on stderr when some row's optimizer hit the cap."""
     fileio.write_csv(
-        args.out, columns, [[r[c] for c in columns] for r in rows],
+        args.out, list(columns), [[r[c] for c in columns] for r in rows],
         comments=_comments(_config(args)),
     )
     missed = sum(not r["converged"] for r in rows)

@@ -422,12 +422,15 @@ def pseudospectrum(
                                 evaluated=evaluated, svd=svd, delta=delta)
 
 
-# the CSV columns of the truncate and scatter tables, in order
-TRUNCATE_COLUMNS = (
-    "lambda", "N", "N1", "lhs2", "rhs2", "lhs3", "rhs3", "passed",
-    "dist1_witness", "ratio",
-)
-SCATTER_COLUMNS = ("defect", "dist_op_witness", "dist_frob_exact", "lower_bound_op")
+# the CSV columns of the truncate and scatter tables, in order, with the
+# sides of nearest.DistanceReport
+# rhs2 and rhs3 bound lhs2 and lhs3 from above
+TRUNCATE_COLUMNS = {
+    "lambda": "exact", "N": "counter", "N1": "counter", "lhs2": "exact", "rhs2": "upper",
+    "lhs3": "exact", "rhs3": "upper", "passed": "counter", "dist1_witness": "upper", "ratio": "upper",
+}
+SCATTER_COLUMNS = {"defect": "exact", "dist_op_witness": "upper", "dist_frob_exact": "upper",
+                   "lower_bound_op": "lower"}
 
 
 def f_scatter(

@@ -187,7 +187,7 @@ def load_matrix(path) -> tuple[np.ndarray, dict]:
 
 
 def _sanitize(value):
-    """JSON cannot carry inf/nan; encode them as strings."""
+    """JSON cannot carry inf/nan; encode them as strings, and keys with str()."""
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if math.isinf(v):
@@ -202,10 +202,11 @@ def _sanitize(value):
     if isinstance(value, np.ndarray):
         return [_sanitize(v) for v in value.tolist()]
     if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
+        return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     return value
+
 
 def write_report(path, payload: dict) -> None:
     """Deterministic JSON report: sorted keys, repr floats, sanitized inf."""

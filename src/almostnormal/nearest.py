@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.linalg as npl
@@ -447,6 +447,8 @@ def _finish(a, u, b, history: list, max_sweeps: int, obj_tol: float, fro2: float
     obj_tol * fro2, unless that step reached the boundary of a region
     that then grew: a wider region may hold more.
     """
+    if len(history) > max_sweeps:  # switched on its last sweep: no step to take
+        return u, b, "cap"
     n = a.shape[0]
     f = history[-1]
     reg = RHO_REG * fro2
@@ -455,8 +457,7 @@ def _finish(a, u, b, history: list, max_sweeps: int, obj_tol: float, fro2: float
     # holds every step of Frobenius norm up to pi sqrt(n), as M <= hess.scale
     max_radius = math.pi * math.sqrt(n * hess.scale)
     radius = min(max_radius, FIRST_RADIUS * math.sqrt(_inner(grad, hess.precondition(grad))))
-    reason = "cap"
-    while len(history) <= max_sweeps:
+    while True:
         eta, h_eta, eta_norm, on_boundary = _tcg(grad, hess, radius, 2 * n)
         predicted = _inner(grad, eta) + 0.5 * _inner(eta, h_eta)
         u_new = _retract(u, eta)
@@ -471,12 +472,14 @@ def _finish(a, u, b, history: list, max_sweeps: int, obj_tol: float, fro2: float
             radius, grows = min(2.0 * radius, max_radius), True
         if accept:
             u, b, f = u_new, b_new, f_new
-            grad, hess = _gradient(b), _Hessian(b)
         history.append(f)
         if predicted < obj_tol * fro2 and not grows:
-            reason = "tolerance"
-            break
-    return u, b, reason
+            return u, b, "tolerance"
+        if len(history) > max_sweeps:
+            return u, b, "cap"
+        # built only for a step still to come
+        if accept:
+            grad, hess = _gradient(b), _Hessian(b)
 
 
 def _solve(mats, w, max_sweeps: int, obj_tol: float) -> list:
@@ -541,25 +544,28 @@ def commutator_lower_bound(a, p) -> float:
 
 @dataclass(frozen=True)
 class DistanceReport:
+    """Each reported field declares its side of the true distance to the
+    normal matrices: "upper" lies above it, "lower" below it, "exact" is the
+    computed value itself, and a "counter" counts or classifies the run."""
+
     witness: np.ndarray
     basis: np.ndarray
-    distances: dict
-    # ||A - witness||_F: an upper bound on the distance to the normal
-    # matrices, equal to it only at a global maximum of the objective
-    frobenius_exact: float
-    lower_bounds: dict
-    objective: float
-    objective_history: tuple
-    sweeps: int
-    converged: bool
+    distances: dict = field(metadata={"side": "upper"})
+    # ||A - witness||_F, equal to the distance only at a global maximum
+    frobenius_exact: float = field(metadata={"side": "upper"})
+    lower_bounds: dict = field(metadata={"side": "lower"})
+    objective: float = field(metadata={"side": "exact"})
+    objective_history: tuple = field(metadata={"side": "exact"})
+    sweeps: int = field(metadata={"side": "counter"})
+    converged: bool = field(metadata={"side": "counter"})
     # one entry per start, in start order; pivots count applied rotations
-    restart_objectives: tuple
-    restart_sweeps: tuple
-    restart_pivots: tuple
+    restart_objectives: tuple = field(metadata={"side": "exact"})
+    restart_sweeps: tuple = field(metadata={"side": "counter"})
+    restart_pivots: tuple = field(metadata={"side": "counter"})
     # "tolerance" (the next step would gain under obj_tol * ||A||_F^2) or
     # "cap" (max_sweeps reached first), and ||grad|| / ||A||_F^2 at the end
-    restart_stop_reasons: tuple
-    restart_stationarity: tuple
+    restart_stop_reasons: tuple = field(metadata={"side": "counter"})
+    restart_stationarity: tuple = field(metadata={"side": "exact"})
 
 
 def nearest_normal(
@@ -578,12 +584,11 @@ def nearest_normal(
     stop reasons say whether obj_tol or the cap stopped it, and
     restart_stationarity gives ||grad|| / ||A||_F^2 where each start ended.
     frobenius_exact is the Frobenius norm of the off-diagonal part of U*AU,
-    i.e. the Frobenius distance from A to the witness, so it is an upper
-    bound on the distance to the normal matrices, equal to it only when the
-    objective is the global maximum.  distances[p] measures the witness in
-    each requested Schatten norm and always dominates the commutator lower
-    bound.  The objectives are squared norms, so they overflow to inf for
-    entries past about 2^511 while every distance and bound stays finite.
+    i.e. the Frobenius distance from A to the witness.  distances[p]
+    measures the witness in each requested Schatten norm and always
+    dominates the commutator lower bound.  The objectives are squared
+    norms, so they overflow to inf for entries past about 2^511 while every
+    distance and bound stays finite.
     """
     return _nearest_normals([a], p_list, seed, restarts, max_sweeps, obj_tol)[0]
 

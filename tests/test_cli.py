@@ -59,8 +59,17 @@ def test_gallery_shift_and_nearest(tmp_path):
     assert doc["restart_stop_reasons"] == ["tolerance", "tolerance"]
     assert len(doc["restart_stationarity"]) == 2
     assert all(0.0 <= s <= 1e-6 for s in doc["restart_stationarity"])
+    # the report's keys and directions, pinned: deriving them from
+    # DistanceReport's field sides adds or drops none
+    assert sorted(doc) == [
+        "config", "converged", "dim", "directions", "distances", "frobenius_exact",
+        "lower_bounds", "objective", "objective_history", "restart_objectives",
+        "restart_pivots", "restart_stationarity", "restart_stop_reasons", "restart_sweeps",
+        "sweeps", "version",
+    ]
     assert doc["directions"] == {"frobenius_exact": "upper", "distances": "upper",
                                  "lower_bounds": "lower"}
+    assert sorted(doc["distances"]) == sorted(doc["lower_bounds"]) == ["1", "2", "inf"]
     w, _ = load_matrix(wit)
     assert w.shape == (4, 4)
 

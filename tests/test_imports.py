@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -15,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 import almostnormal
+from almostnormal.experiments import SCATTER_COLUMNS, TRUNCATE_COLUMNS
+from almostnormal.nearest import DistanceReport
 
 PACKAGE = Path(almostnormal.__file__).parent
 
@@ -224,6 +227,24 @@ def test_only_fileio_decode_json_decodes_json():
         for owner in json_decodes(path.read_text())
     ]
     assert found == ["fileio._decode_json"]
+
+
+SIDES = {"exact", "upper", "lower", "counter"}
+
+
+def test_every_reported_number_declares_its_side():
+    # the nearest report and the truncate and scatter tables write only what
+    # declares a side; the witness and basis are matrices, not report numbers
+    fields = {f.name: f.metadata.get("side") for f in dataclasses.fields(DistanceReport)}
+    assert fields["witness"] is None and fields["basis"] is None
+    undeclared = {
+        f"{where}.{name}": side
+        for where, sides in (("DistanceReport", fields), ("TRUNCATE_COLUMNS", TRUNCATE_COLUMNS),
+                             ("SCATTER_COLUMNS", SCATTER_COLUMNS))
+        for name, side in sides.items()
+        if name not in ("witness", "basis") and side not in SIDES
+    }
+    assert undeclared == {}
 
 
 def test_every_tracer_target_is_a_package_function():

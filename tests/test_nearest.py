@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from almostnormal import (
+    EnsembleSpec,
     adjoint,
     commutator_lower_bound,
+    f_scatter,
     nearest_normal,
     operator_norm,
     self_commutator,
@@ -32,6 +36,7 @@ from almostnormal.nearest import (
     _run_sweeps,
     _solve,
     _starts,
+    _tcg,
 )
 from util import brute_force_two_by_two, random_contraction, random_normal_with_spectrum
 
@@ -516,6 +521,50 @@ def test_finish_counts_against_the_sweep_cap():
     assert capped.stop_reason == "cap" and not capped.converged
     assert capped.sweeps == cap and capped.history == done.history[: cap + 1]
     _check_outcome(a, capped)
+
+
+def test_finish_builds_only_hessians_that_it_applies(monkeypatch):
+    # every Hessian the finish builds meets truncated CG: a product or a
+    # preconditioning inside _tcg; on the benchmark's seed-1 scatter ensemble
+    root = Path(__file__).resolve().parents[1]
+    spec = runpy.run_path(str(root / "perfbench" / "workloads.py"))["_ensemble_spec"](1)
+    built, in_tcg = [], []
+
+    class Counted(_Hessian):
+        def __init__(self, b):
+            super().__init__(b)
+            self.uses = 0
+            built.append(self)
+
+        def __call__(self, x):
+            self.uses += bool(in_tcg)
+            return super().__call__(x)
+
+        def precondition(self, r):
+            self.uses += bool(in_tcg)
+            return super().precondition(r)
+
+    def tcg(grad, hess, *args):
+        in_tcg.append(hess)
+        try:
+            return _tcg(grad, hess, *args)
+        finally:
+            in_tcg.pop()
+
+    monkeypatch.setattr(nearest, "_Hessian", Counted)
+    monkeypatch.setattr(nearest, "_tcg", tcg)
+    f_scatter([EnsembleSpec(**s) for s in spec], seed=1)
+    assert len(built) > 10
+    assert [h.uses > 0 for h in built] == [True] * len(built)
+    # a start that switches on its last allowed sweep has no step to take
+    a, seed, _, obj_tol = STACK_CASES["n10"]
+    fro2 = float(np.linalg.norm(a) ** 2)
+    (history,), _, reasons = _run_sweeps(_starts([a], seed, 1), [a.shape[0]], 200, obj_tol, [fro2])
+    assert reasons == ["switch"]
+    built.clear()
+    (capped,) = _solve([a], _starts([a], seed, 1), len(history) - 1, obj_tol)
+    assert capped.stop_reason == "cap" and capped.history == tuple(history)
+    assert built == []
 
 
 def test_panel_matches_the_per_index_bound_bitwise():
