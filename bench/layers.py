@@ -14,6 +14,10 @@ thread count, commit), the one perfbench records.  BLAS runs on one thread.
 Host speed drifts, so a file is a trajectory record: a speed claim still
 rests on alternated parent/change runs.  --compare prints each case's
 median in both files and their ratio.
+
+The start-up cases time whole fresh processes, with bytecode writing off
+as perfbench runs its set-ups: one that imports the CLI, and one that runs
+`almostnormal nearest` once; each keeps the almostnormal modules it loaded.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 import time
@@ -40,10 +46,18 @@ import numpy.linalg as npl  # noqa: E402
 
 import workloads  # noqa: E402
 from almostnormal import cli, experiments, fileio, nearest  # noqa: E402
-from almostnormal.gallery import perturbed_normal  # noqa: E402
+from almostnormal.gallery import perturbed_normal, shift_example  # noqa: E402
 
 EPS = 0.1  # the benchmark's pseudospectrum level
 THREADS = 2  # pseudospec's pool, as in the benchmark on a 2-core host
+# a fresh process: import the CLI, run the command line given, if any, and
+# print the almostnormal modules then loaded
+STARTUP_PROBE = (
+    "import json, sys, almostnormal.cli as cli; "
+    "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('almostnormal')))); "
+    "sys.exit(code)"
+)
 
 
 def timed(fn, repeats: int) -> dict:
@@ -161,6 +175,30 @@ def optimizer_cases(repeats: int, calls: int) -> dict:
     return out
 
 
+def startup_cases(repeats: int) -> dict:
+    """Fresh-process `import almostnormal.cli`, and a one-shot
+    `almostnormal nearest` on shift_example(8), each timed from outside."""
+    src = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        mat = Path(tmp) / "shift8.json"
+        fileio.save_matrix(mat, shift_example(8))
+        nearest_argv = ["nearest", "--matrix", str(mat), "--seed", "1", "--report", str(Path(tmp) / "r.json")]
+        for name, argv in (("import_cli", []), ("nearest.shift8", nearest_argv)):
+            loaded = []
+
+            def run():
+                proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env,
+                                      capture_output=True, text=True, timeout=120, check=True)
+                loaded[:] = json.loads(proc.stdout.splitlines()[-1])
+
+            rec = timed(run, repeats)
+            rec["modules"] = loaded
+            out[f"startup.{name}"] = rec
+    return out
+
+
 def compare(old: Path, new: Path) -> None:
     a, b = (json.loads(p.read_text())["layers"] for p in (old, new))
     for name in sorted(a.keys() & b.keys()):
@@ -178,7 +216,8 @@ def main(argv=None) -> int:
         compare(*args.compare)
         return 0
     repeats, points, resolution = (1, 256, 41) if args.quick else (7, 2048, 201)
-    layers = optimizer_cases(repeats, 20 if args.quick else 1000)
+    layers = startup_cases(3 if args.quick else 21)
+    layers.update(optimizer_cases(repeats, 20 if args.quick else 1000))
     for n in (4, 8, 16, 32, 64):
         layers.update(sigma_min_cases(n, points, repeats))
     for n in (12, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it

@@ -4,9 +4,16 @@ Measures how far a matrix is from the normal matrices (commutator lower
 bounds, certified witness upper bounds), builds normal approximants with
 finite spectrum or controlled norm, performs spectrum surgery on normal
 inputs, and runs the truncation / pseudospectrum / scatter experiments.
+
+The names from nearest and experiments load with their module on first
+use (PEP 562) and are then kept in this module's globals, so the CLI starts
+without those two modules.  partition and surgery load here because
+perfbench's tracer reads them from sys.modules.
 """
 
 from __future__ import annotations
+
+import importlib
 
 from .core import (
     CLUSTER_TOL,
@@ -29,20 +36,6 @@ from .errors import (
     SpectrumOffContour,
     UncoveredSpectrum,
 )
-from .experiments import (
-    GridSpec,
-    PseudospectrumReport,
-    SCATTER_COLUMNS,
-    TruncationModel,
-    counting_functions,
-    f_scatter,
-    laurent_truncation_model,
-    pseudospectrum,
-    truncate,
-    truncation_model,
-    truncation_scaling,
-    verify_truncation_bounds,
-)
 from .fileio import (
     ARTIFACT_VERSION,
     load_matrix,
@@ -57,11 +50,6 @@ from .gallery import (
     materialize,
     perturbed_normal,
     shift_example,
-)
-from .nearest import (
-    DistanceReport,
-    commutator_lower_bound,
-    nearest_normal,
 )
 from .partition import (
     Cover,
@@ -86,3 +74,24 @@ from .surgery import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, for the names loaded on first use
+_LAZY = {
+    **dict.fromkeys(("DistanceReport", "commutator_lower_bound", "nearest_normal"), "nearest"),
+    **dict.fromkeys((
+        "GridSpec", "PseudospectrumReport", "SCATTER_COLUMNS", "TruncationModel",
+        "counting_functions", "f_scatter", "laurent_truncation_model", "pseudospectrum",
+        "truncate", "truncation_model", "truncation_scaling", "verify_truncation_bounds",
+    ), "experiments"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

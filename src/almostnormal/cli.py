@@ -4,6 +4,8 @@ Every artifact (matrix JSON, report JSON, CSV table) embeds the resolved
 configuration that produced it, so a rerun with the same arguments is byte
 identical.  Exit codes: 0 success, 2 usage or validation failure, 3 domain
 failure (input violates a mathematical precondition, e.g. not normal).
+The handlers import nearest and experiments when they run, so a command
+that uses neither never loads them.
 """
 
 from __future__ import annotations
@@ -17,21 +19,14 @@ import sys
 
 from . import fileio
 from .core import (
+    MAX_SWEEPS,
+    OBJ_TOL,
     normal_spectral_decomp,
     normality_defect,
     operator_norm,
     self_commutator,
 )
 from .errors import DomainError, NotNormal
-from .experiments import (
-    SCATTER_COLUMNS,
-    TRUNCATE_COLUMNS,
-    GridSpec,
-    laurent_truncation_model,
-    pseudospectrum,
-    truncation_scaling,
-    f_scatter,
-)
 from .fileio import ARTIFACT_VERSION
 from .gallery import (
     EnsembleSpec,
@@ -42,7 +37,6 @@ from .gallery import (
     perturbed_normal,
     shift_example,
 )
-from .nearest import MAX_SWEEPS, OBJ_TOL, nearest_normal
 from .partition import Cover, OpenDisc, OpenSquare, finite_spectrum_approx, square_cover
 from .surgery import (
     Affine,
@@ -180,6 +174,8 @@ def cmd_gallery_laurent(args) -> None:
 # ---------------------------------------------------------------- nearest
 
 def cmd_nearest(args) -> None:
+    from .nearest import nearest_normal
+
     a, _ = fileio.load_matrix(args.matrix)
     rep = nearest_normal(a, p_list=tuple(args.p), **_optimizer_args(args))
     sides = {f.name: f.metadata["side"] for f in dataclasses.fields(rep) if f.metadata}
@@ -352,6 +348,8 @@ def cmd_surgery_graph(args) -> None:
 # ---------------------------------------------------------------- truncate
 
 def cmd_truncate(args) -> None:
+    from .experiments import TRUNCATE_COLUMNS, laurent_truncation_model, truncation_scaling
+
     model = laurent_truncation_model(args.coeffs, args.K)
     rows = truncation_scaling(model, args.grid, **_optimizer_args(args))
     _write_table(args, TRUNCATE_COLUMNS, rows)
@@ -364,6 +362,8 @@ def cmd_truncate(args) -> None:
 # ---------------------------------------------------------------- pseudospec
 
 def cmd_pseudospec(args) -> None:
+    from .experiments import GridSpec, pseudospectrum
+
     # eps sets the default grid, so it is checked before the grid is built
     if not (args.eps > 0 and math.isfinite(args.eps)):
         raise ValueError(f"eps must be positive, got {args.eps}")
@@ -372,7 +372,8 @@ def cmd_pseudospec(args) -> None:
     half_width = (
         args.half_width if args.half_width is not None else abs(args.center) + nrm + 2.0 * args.eps
     )
-    grid = GridSpec(center=args.center, half_width=half_width, resolution=args.resolution)
+    resolution = GridSpec.resolution if args.resolution is None else args.resolution
+    grid = GridSpec(center=args.center, half_width=half_width, resolution=resolution)
     if args.reference is not None:
         ref = args.reference
     else:
@@ -382,7 +383,7 @@ def cmd_pseudospec(args) -> None:
             ref = ()
     rep = pseudospectrum(a, args.eps, grid, reference=ref, threads=args.threads)
     # threads is echoed as given: the core count changes no number
-    cfg = _config(args, half_width=half_width, reference=ref)
+    cfg = _config(args, half_width=half_width, resolution=resolution, reference=ref)
     extra = [
         f"members={rep.members.size}",
         f"d_eps={fileio.format_float(rep.d_eps)}",
@@ -421,6 +422,8 @@ def _specs_from_file(path) -> list[EnsembleSpec]:
 
 
 def cmd_scatter(args) -> None:
+    from .experiments import SCATTER_COLUMNS, f_scatter
+
     if args.shift is not None:
         specs = [EnsembleSpec(kind="shift_example", params={"m": m}) for m in args.shift]
     else:
@@ -565,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid center, default 0")
     ps.add_argument("--half-width", type=float, dest="half_width",
                     help="default |center| + ||A|| + 2 eps")
-    ps.add_argument("--resolution", type=int, default=GridSpec.resolution)
+    ps.add_argument("--resolution", type=int)  # default GridSpec.resolution
     ps.add_argument("--reference", type=_complex_list_arg,
                     help="reference set 're,im;re,im;...'; default sigma(A) when A is normal")
     ps.add_argument("--threads", type=int, help="worker threads, default cpu count")

@@ -35,6 +35,9 @@ SPLIT_ANGLES = (0.0, 0.3, 1.0)
 # ||M|| <= ||M||_F, so a Frobenius norm under this fraction of a tolerance
 # clears it without an SVD; the margin covers the rounding of both norms
 FRO_PRETEST = 1.0 - 1e-10
+# nearest's default max_sweeps and obj_tol, here so the CLI parser needs no nearest
+MAX_SWEEPS = 200
+OBJ_TOL = 1e-12
 
 
 def as_cmatrix(a) -> np.ndarray:

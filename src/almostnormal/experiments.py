@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .core import as_cmatrix, normality_defect, operator_norm, schatten_norm, self_commutator
+from .core import (MAX_SWEEPS, OBJ_TOL, as_cmatrix, normality_defect, operator_norm, schatten_norm,
+                   self_commutator)
 from .errors import EmptyTruncation
 from .gallery import EnsembleSpec, laurent_multiplication, materialize
-from .nearest import MAX_SWEEPS, OBJ_TOL, _nearest_normals
+from .nearest import _nearest_normals
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .core import (
+    MAX_SWEEPS,
+    OBJ_TOL,
     _ldexp,
     _pow2_scaled,
     _scale,
@@ -68,9 +70,6 @@ from .core import (
 )
 from .gallery import _check_seed, _haar
 
-# the default per-start cap on sweeps plus trust-region steps, and obj_tol
-MAX_SWEEPS = 200
-OBJ_TOL = 1e-12
 # A start leaves the rounds for the trust-region finish once a sweep gains
 # less than SWITCH_GAIN * ||A||_F^2 and more than 1/SWITCH_RATIO of the sweep
 # before it: the Jacobi tail has turned linear.  Quadratically converging

@@ -27,6 +27,7 @@ def test_layer_bench_quick_run_writes_a_record_that_compares(tmp_path):
     names |= {f"pseudospectrum.{path}.n{n}.res41" for path in paths for n in (12, cut)}
     names |= {f"nearest.{layer}.n{n}" for layer in ("hessian_product", "precondition") for n in (8, 32)}
     names |= {"nearest.sweep.scatter", "nearest.finish.gauss32"}
+    names |= {"startup.import_cli", "startup.nearest.shift8"}
     assert record["layers"].keys() == names | {"cli.pseudospec.n8.res41", "cli.pseudospec.n64.res41"}
     for case in record["layers"].values():
         assert 0 < case["q1_s"] <= case["median_s"] <= case["q3_s"]
@@ -34,6 +35,11 @@ def test_layer_bench_quick_run_writes_a_record_that_compares(tmp_path):
         svd, lanczos = (record["layers"][f"pseudospectrum.{path}.n{n}.res41"] for path in paths)
         assert (svd["members"], svd["evaluated"]) == (lanczos["members"], lanczos["evaluated"])
         assert svd["svd"] == svd["evaluated"] and lanczos["svd"] < lanczos["evaluated"]
+    # the CLI loads the optimizer and the experiments only for a command that runs them
+    cli_modules, nearest_modules = (set(record["layers"][f"startup.{case}"]["modules"])
+                                    for case in ("import_cli", "nearest.shift8"))
+    assert "almostnormal.cli" in cli_modules and not {"almostnormal.nearest", "almostnormal.experiments"} & cli_modules
+    assert nearest_modules - cli_modules == {"almostnormal.nearest"}
     small, large = record["layers"]["cli.pseudospec.n8.res41"], record["layers"]["cli.pseudospec.n64.res41"]
     assert small["svd"] == small["evaluated"]  # below LANCZOS_MIN_DIM
     assert large["members"] <= large["evaluated"] and large["svd"] < large["evaluated"]

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import almostnormal
 from almostnormal.experiments import SCATTER_COLUMNS, TRUNCATE_COLUMNS
@@ -51,15 +52,55 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def fresh_process(probe: str, *argv: str) -> str:
+    """The last line that the Python code probe prints, run with argv in a
+    fresh interpreter that imports this package."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return (done.stdout.splitlines() or [""])[-1].strip()
+
+
 def test_importing_the_cli_loads_no_thread_pool_or_logging():
     # pseudospectrum imports its pool when it runs, so a command that never
     # reaches it does not pay for concurrent.futures (which loads logging)
-    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     probe = "import sys, almostnormal.cli; print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    assert fresh_process(probe) == ""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the CLI handlers import the optimizer and the experiments when they run
+    almostnormal.save_matrix(tmp_path / "n.json", np.diag([0.2 + 0.1j, -0.4 + 0j, 0.3j]))
+    probe = (
+        "import sys, almostnormal.cli as cli; code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+        "print(code, *sorted({'almostnormal.nearest', 'almostnormal.experiments'} & set(sys.modules)))"
+    )
+    matrix, report = ("--matrix", str(tmp_path / "n.json")), ("--report", str(tmp_path / "r.json"))
+    assert fresh_process(probe) == "0"
+    assert fresh_process(probe, "nearest", *matrix, "--seed", "0", "--restarts", "1", *report) == "0 almostnormal.nearest"
+    assert fresh_process(probe, "partition", *matrix, "--side", "1", *report) == "0"
+
+
+def test_the_traced_benchmark_imports_load_every_tracer_target():
+    # perfbench imports exactly these before its tracer reads every target
+    # module from sys.modules, so a target left to load lazily fails there
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    probe = (
+        "import runpy, sys, almostnormal, almostnormal.cli, almostnormal.experiments; "
+        f"targets = runpy.run_path({str(tracer)!r})['TARGETS']; "
+        "print(*sorted(t for t in targets if 'almostnormal.' + t not in sys.modules))"
+    )
+    assert fresh_process(probe) == ""
+
+
+def test_lazy_names_are_their_modules_own_objects_and_listed():
+    for name, module in almostnormal._LAZY.items():
+        assert getattr(almostnormal, name) is getattr(importlib.import_module(f"almostnormal.{module}"), name)
+        assert name in vars(almostnormal)  # kept once resolved
+    assert set(almostnormal._LAZY) <= set(dir(almostnormal))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        almostnormal.no_such_name
 
 
 def references(source: str) -> set[str]:
@@ -78,7 +119,8 @@ def references(source: str) -> set[str]:
 def test_every_exported_function_has_a_caller_outside_tests():
     # a caller is a package module other than __init__ (the defining one
     # counts: a pipeline there uses it), or a demo or benchmark script that
-    # names it (a word match in its text)
+    # names it (a word match in its text); the exports are the public names
+    # bound in __init__ and those it loads on first use
     refs = set().union(*(
         references(path.read_text()) for path in PACKAGE.glob("*.py") if path.stem != "__init__"
     ))
@@ -86,9 +128,10 @@ def test_every_exported_function_has_a_caller_outside_tests():
     scripts = "\n".join(
         path.read_text() for folder in ("demos", "perfbench") for path in (root / folder).glob("*.py")
     )
+    exported = {**vars(almostnormal), **{name: getattr(almostnormal, name) for name in almostnormal._LAZY}}
     uncalled = [
-        name for name, value in vars(almostnormal).items()
-        if inspect.isfunction(value) and name not in refs
+        name for name, value in exported.items()
+        if inspect.isfunction(value) and not name.startswith("_") and name not in refs
         and not re.search(rf"\b{name}\b", scripts)
     ]
     assert uncalled == []
