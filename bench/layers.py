@@ -77,7 +77,7 @@ def sigma_min_cases(n: int, points: int, repeats: int) -> dict:
     (_svd_chunk(n) matrices, _lanczos_batch(n) points) and in one stack."""
     a = perturbed_normal(n, 0.05, 1)
     rng = np.random.default_rng(n)
-    eig = experiments._lanczos_setup(a, EPS)
+    eig = experiments._lanczos_setup(a, EPS, *npl.eig(a))
     assert eig is not None, "kappa(V) past KAPPA_MAX: pseudospectrum would not take this path"
     lam = eig[1]
     zs = lam[rng.integers(0, n, points)] + 0.05 * (rng.standard_normal(points) + 1j * rng.standard_normal(points))
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     layers.update(optimizer_cases(repeats, 20 if args.quick else 1000))
     for n in (4, 8, 16, 32, 64):
         layers.update(sigma_min_cases(n, points, repeats))
-    for n in (12, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it
+    for n in (4, 8, 12, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it
         layers.update(crossover_cases(n, resolution, 1 if args.quick else 5))
     for n in (8, 64):  # the CLI on the SVD path alone, and on both
         layers.update(pseudospec_case(n, resolution, 1 if args.quick else 5))

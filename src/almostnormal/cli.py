@@ -26,7 +26,7 @@ from .core import (
     operator_norm,
     self_commutator,
 )
-from .errors import DomainError, NotNormal
+from .errors import DomainError
 from .fileio import ARTIFACT_VERSION
 from .gallery import (
     EnsembleSpec,
@@ -374,16 +374,9 @@ def cmd_pseudospec(args) -> None:
     )
     resolution = GridSpec.resolution if args.resolution is None else args.resolution
     grid = GridSpec(center=args.center, half_width=half_width, resolution=resolution)
-    if args.reference is not None:
-        ref = args.reference
-    else:
-        try:
-            ref = normal_spectral_decomp(a).eigenvalues
-        except NotNormal:
-            ref = ()
-    rep = pseudospectrum(a, args.eps, grid, reference=ref, threads=args.threads)
+    rep = pseudospectrum(a, args.eps, grid, reference=args.reference, threads=args.threads)
     # threads is echoed as given: the core count changes no number
-    cfg = _config(args, half_width=half_width, resolution=resolution, reference=ref)
+    cfg = _config(args, half_width=half_width, resolution=resolution, reference=rep.reference)
     extra = [
         f"members={rep.members.size}",
         f"d_eps={fileio.format_float(rep.d_eps)}",
@@ -570,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default |center| + ||A|| + 2 eps")
     ps.add_argument("--resolution", type=int)  # default GridSpec.resolution
     ps.add_argument("--reference", type=_complex_list_arg,
-                    help="reference set 're,im;re,im;...'; default sigma(A) when A is normal")
+                    help="reference set 're,im;re,im;...'; default sigma(A)")
     ps.add_argument("--threads", type=int, help="worker threads, default cpu count")
     ps.add_argument("--out", required=True, help="output CSV")
     ps.set_defaults(func=cmd_pseudospec)

@@ -194,6 +194,7 @@ class PseudospectrumReport:
     members: np.ndarray
     sigma_min: np.ndarray
     d_eps: float
+    reference: np.ndarray  # the set d_eps is measured against
     evaluated: int  # grid points where sigma_min was computed
     svd: int  # evaluated points whose sigma_min is an SVD's, not a certified bound
     delta: float  # the rounding margin: sigma_min + delta / 2 >= sigma_min(A - zI)
@@ -234,9 +235,9 @@ def _lanczos_batch(n: int) -> int:
     return max(2, _svd_chunk(n) * n // LANCZOS_WORDS)
 
 
-def _lanczos_setup(a, eps):
-    """_lanczos_bounds' arguments after zs, or None where kappa(V) > KAPPA_MAX."""
-    lam, v = npl.eig(a)  # A = V diag(lam) V^-1
+def _lanczos_setup(a, eps, lam, v):
+    """_lanczos_bounds' arguments after zs, given npl.eig(a) = (lam, v) with
+    A = V diag(lam) V^-1, or None where kappa(V) > KAPPA_MAX."""
     cond = npl.svd(v, compute_uv=False)
     if cond[-1] * KAPPA_MAX > cond[0]:  # else V is too ill-conditioned to help
         vinv = npl.inv(v)  # Bauer-Fike: members lie within kappa(V) eps of an eigenvalue
@@ -317,21 +318,22 @@ def _lattice(resolution: int, stride: int) -> np.ndarray:
 
 
 def pseudospectrum(
-    a, eps: float, grid: GridSpec, reference=(), threads: int | None = None
+    a, eps: float, grid: GridSpec, reference=None, threads: int | None = None
 ) -> PseudospectrumReport:
     """Grid points z with sigma_min(A - zI) < eps, and their spread d_eps.
 
-    d_eps is the largest distance from a member to the finite reference set
-    (0 when there are no members; +inf when members exist but the reference
-    is empty).  The caller should size the grid to cover the closed disc of
-    radius ||A|| + eps, where the entire pseudospectrum lives.
+    d_eps is the largest distance from a member to the reference set, by
+    default sigma(A) from the one npl.eig(a) a call takes (0 when there are no
+    members; +inf when members exist but the reference is empty); the report
+    carries the set.  The caller should size the grid to cover the closed disc
+    of radius ||A|| + eps, where the entire pseudospectrum lives.
 
     sigma_min(A - zI) is 1-Lipschitz in z, so a point w with sigma_min(A - wI)
     > eps + delta rules out every z with |z - w| < sigma_min(A - wI) - eps - delta;
     the grid is visited coarse to fine (PRUNE_STRIDES), evaluating only points not
     yet evaluated or ruled out.  delta = 64 n u (||A|| + max |z|) covers twice an
     SVD's backward error plus the rounding of the shift and of |z - w|.  Where
-    n >= LANCZOS_MIN_DIM and _lanczos_setup gives eigenvectors, a point with
+    n >= LANCZOS_MIN_DIM and _lanczos_setup accepts the eigenvectors, a point with
     rho + delta < eps (_lanczos_bounds: rho >= sigma_min(A - zI)) is a certified
     member reporting rho; every other point takes the SVD (`svd` counts them).
     Certified members rule out nothing, so members, `evaluated` and the SVD points'
@@ -365,8 +367,9 @@ def pseudospectrum(
     smin = np.full(zs.size, np.inf)
     settled = np.zeros((res, res), dtype=bool)  # computed or ruled out
     chunk, batch = _svd_chunk(n), _lanczos_batch(n)
+    lam, v = npl.eig(a)
     # no member lies past ||A|| + eps
-    eig = _lanczos_setup(a, eps) if n >= LANCZOS_MIN_DIM and np.abs(zs).min() < nrm + eps else None
+    eig = _lanczos_setup(a, eps, lam, v) if n >= LANCZOS_MIN_DIM and np.abs(zs).min() < nrm + eps else None
     # no part of a stride holds more than its share of the whole grid
     free = SimpleQueue()
     for _ in range(parts):
@@ -412,14 +415,12 @@ def pseudospectrum(
                 settled[r0:r1, c0:c1] |= np.abs(z2[r0:r1, c0:c1] - w) < r
     mask = smin < eps
     members = zs[mask]
-    ref = np.asarray(reference, dtype=complex).ravel()
-    if members.size == 0:
-        d_eps = 0.0
-    elif ref.size == 0:
-        d_eps = math.inf
-    else:
-        d_eps = float(np.abs(members[:, None] - ref[None, :]).min(axis=1).max())
-    return PseudospectrumReport(members=members, sigma_min=smin[mask], d_eps=d_eps,
+    ref = lam if reference is None else np.asarray(reference, dtype=complex).ravel()
+    dist = np.full(members.size, math.inf)
+    for r in ref:  # one pass a point, not a members x reference table: the same bits
+        np.minimum(dist, np.abs(members - r), out=dist)
+    d_eps = float(dist.max()) if members.size else 0.0
+    return PseudospectrumReport(members=members, sigma_min=smin[mask], d_eps=d_eps, reference=ref,
                                 evaluated=evaluated, svd=svd, delta=delta)
 
 

@@ -24,14 +24,15 @@ def test_layer_bench_quick_run_writes_a_record_that_compares(tmp_path):
     assert record["machine"]["blas_threads"] in (1, None)  # pinned, where OpenBLAS says
     paths, cut = ("svd", "lanczos"), experiments.LANCZOS_MIN_DIM
     names = {f"pseudospectrum.sigma_min.{path}.n{n}" for path in paths for n in (4, 8, 16, 32, 64)}
-    names |= {f"pseudospectrum.{path}.n{n}.res41" for path in paths for n in (12, cut)}
+    crossover = (4, 8, 12, cut)
+    names |= {f"pseudospectrum.{path}.n{n}.res41" for path in paths for n in crossover}
     names |= {f"nearest.{layer}.n{n}" for layer in ("hessian_product", "precondition") for n in (8, 32)}
     names |= {"nearest.sweep.scatter", "nearest.finish.gauss32"}
     names |= {"startup.import_cli", "startup.nearest.shift8"}
     assert record["layers"].keys() == names | {"cli.pseudospec.n8.res41", "cli.pseudospec.n64.res41"}
     for case in record["layers"].values():
         assert 0 < case["q1_s"] <= case["median_s"] <= case["q3_s"]
-    for n in (12, cut):  # forcing a path moves the SVD count only
+    for n in crossover:  # forcing a path moves the SVD count only
         svd, lanczos = (record["layers"][f"pseudospectrum.{path}.n{n}.res41"] for path in paths)
         assert (svd["members"], svd["evaluated"]) == (lanczos["members"], lanczos["evaluated"])
         assert svd["svd"] == svd["evaluated"] and lanczos["svd"] < lanczos["evaluated"]

@@ -419,13 +419,28 @@ def test_pseudospec_prunes_silently_at_the_top_of_the_double_range(tmp_path, cap
     assert rows == []
 
 
-def test_pseudospec_reference_is_empty_for_a_non_normal_matrix(tmp_path):
+def test_pseudospec_reference_is_the_spectrum_of_a_non_normal_matrix(tmp_path):
     mat, out = tmp_path / "blocks.json", tmp_path / "ps.csv"
-    save_matrix(mat, triangular_blocks(2.1e-9))
+    a = triangular_blocks(2.1e-9)
+    save_matrix(mat, a)
     assert run("pseudospec", "--matrix", mat, "--eps", 0.3, "--resolution", 11, "--out", out) == 0
-    _, _, comments = read_csv(out)
+    _, rows, comments = read_csv(out)
     config = json.loads(next(c for c in comments if c.startswith("config="))[len("config="):])
-    assert config["reference"] == []
+    lam = np.linalg.eig(a)[0]
+    assert config["reference"] == [[z.real, z.imag] for z in lam.tolist()]
+    pts = np.array([float(r[0]) + 1j * float(r[1]) for r in rows])
+    want = np.abs(pts[:, None] - lam[None, :]).min(axis=1).max()
+    assert math.isfinite(want) and f"d_eps={format_float(want)}" in comments
+
+
+def test_pseudospec_takes_no_normal_decomposition(tmp_path, monkeypatch):
+    def refused(a):
+        raise AssertionError("pseudospec decomposed its input")
+
+    monkeypatch.setattr(cli, "normal_spectral_decomp", refused)
+    mat, out = tmp_path / "n.json", tmp_path / "ps.csv"
+    save_matrix(mat, np.diag([0j, 1 + 0j]))
+    assert run("pseudospec", "--matrix", mat, "--eps", 0.3, "--resolution", 21, "--out", out) == 0
 
 
 def test_scatter_shift_family(tmp_path):

@@ -148,10 +148,40 @@ def test_pseudospectrum_reference_semantics():
     grid = GridSpec(center=0j, half_width=1.0, resolution=21)
     far = pseudospectrum(a, 0.05, GridSpec(center=10 + 0j, half_width=1.0, resolution=11))
     assert far.members.size == 0 and far.d_eps == 0.0
-    noref = pseudospectrum(a, 0.5, grid)
-    assert noref.members.size > 0 and noref.d_eps == math.inf
+    default = pseudospectrum(a, 0.5, grid)  # the reference is sigma(A) = {0}
+    assert np.array_equal(default.reference, [0j])
+    assert default.members.size > 0 and default.d_eps == np.abs(default.members).max() < 0.5
+    noref = pseudospectrum(a, 0.5, grid, reference=())
+    assert noref.members.size > 0 and noref.d_eps == math.inf and noref.reference.size == 0
     with pytest.raises(ValueError):
         pseudospectrum(a, 0.0, grid)
+
+
+@pytest.mark.parametrize("n", (1, 3, 6, 17))
+def test_d_eps_is_bitwise_that_of_the_members_by_reference_table(n):
+    rng = np.random.default_rng(n)
+    a = random_contraction(n, seed=n)
+    ref = rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2)
+    grid = GridSpec(center=0j, half_width=1.5, resolution=61)
+    rep = pseudospectrum(a, 0.3, grid, reference=ref, threads=1)
+    assert rep.members.size > 0 and np.array_equal(rep.reference, ref)
+    assert rep.d_eps == float(np.abs(rep.members[:, None] - ref[None, :]).min(axis=1).max())
+
+
+def test_one_eigendecomposition_gives_the_reference_and_the_certificates(monkeypatch):
+    a = perturbed_normal(experiments.LANCZOS_MIN_DIM, 0.05, 2)
+    lam = np.linalg.eig(a)[0]
+    calls, eig = [], np.linalg.eig
+
+    def counting(m):
+        calls.append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    rep = pseudospectrum(a, 0.1, GridSpec(center=0j, half_width=1.3, resolution=61), threads=2)
+    assert len(calls) == 1 and rep.svd < rep.evaluated  # some members are certified
+    assert np.array_equal(rep.reference, lam)
+    assert rep.d_eps == float(np.abs(rep.members[:, None] - lam[None, :]).min(axis=1).max())
 
 
 def test_pseudospectrum_threads_bitwise_equal():
