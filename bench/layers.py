@@ -45,7 +45,7 @@ import numpy as np  # noqa: E402
 import numpy.linalg as npl  # noqa: E402
 
 import workloads  # noqa: E402
-from almostnormal import cli, experiments, fileio, nearest  # noqa: E402
+from almostnormal import cli, core, experiments, fileio, nearest  # noqa: E402
 from almostnormal.gallery import perturbed_normal, shift_example  # noqa: E402
 
 EPS = 0.1  # the benchmark's pseudospectrum level
@@ -77,7 +77,7 @@ def sigma_min_cases(n: int, points: int, repeats: int) -> dict:
     (_svd_chunk(n) matrices, _lanczos_batch(n) points) and in one stack."""
     a = perturbed_normal(n, 0.05, 1)
     rng = np.random.default_rng(n)
-    eig = experiments._lanczos_setup(a, EPS, *npl.eig(a))
+    eig = experiments._lanczos_setup(a, EPS, 0.0, *npl.eig(a))
     assert eig is not None, "kappa(V) past KAPPA_MAX: pseudospectrum would not take this path"
     lam = eig[1]
     zs = lam[rng.integers(0, n, points)] + 0.05 * (rng.standard_normal(points) + 1j * rng.standard_normal(points))
@@ -199,6 +199,15 @@ def startup_cases(repeats: int) -> dict:
     return out
 
 
+def decomposition_case(repeats: int) -> dict:
+    """core.normal_spectral_decomp on normal256, the normal n = 256 input of the
+    benchmark's spectral workload at seed 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads._setup_spectral(1, Path(tmp))
+        a, _ = fileio.load_matrix(Path(tmp) / "normal256.json")
+    return {"core.normal_spectral_decomp.n256": timed(lambda: core.normal_spectral_decomp(a), repeats)}
+
+
 def compare(old: Path, new: Path) -> None:
     a, b = (json.loads(p.read_text())["layers"] for p in (old, new))
     for name in sorted(a.keys() & b.keys()):
@@ -218,6 +227,7 @@ def main(argv=None) -> int:
     repeats, points, resolution = (1, 256, 41) if args.quick else (7, 2048, 201)
     layers = startup_cases(3 if args.quick else 21)
     layers.update(optimizer_cases(repeats, 20 if args.quick else 1000))
+    layers.update(decomposition_case(repeats if args.quick else 21))
     for n in (4, 8, 16, 32, 64):
         layers.update(sigma_min_cases(n, points, repeats))
     for n in (4, 8, 12, experiments.LANCZOS_MIN_DIM):  # below the cutoff and at it

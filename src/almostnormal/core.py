@@ -8,7 +8,7 @@ Tolerances are relative to the operator norm scale of the input:
   RECONSTRUCT_TOL  ||A - U diag(l) U*||   <= 1e-9 * ||A|| to admit A as normal
   CLUSTER_TOL      eigenvalue clustering width, 1e-8 * ||A||
 A normality defect ||[A*, A]|| over 4 * RECONSTRUCT_TOL * ||A||^2 rejects A
-before any eigensolver runs: no basis can reconstruct it there.  These tests
+once the first basis fails: no basis can reconstruct it there.  These tests
 run the SVD of A only where max_j ||A e_j|| <= ||A|| <= ||A||_F cannot decide.
 
 Entry points that square the input scale it first by a power of two
@@ -202,8 +202,8 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     of the first (cluster width 1e-8 * ||A||); t = 0 uses X and Y
     themselves.  The first basis U with ||A - U diag(l) U*|| at most
     1e-9 * ||A|| is returned, l = diag(U* A U).  Raises NotNormal when no
-    angle gives such a basis, or at once when ||[A*, A]|| exceeds
-    4e-9 * ||A||^2, where no basis can.
+    angle gives such a basis, or once t = 0 fails when ||[A*, A]|| exceeds
+    4e-9 * ||A||^2, where no basis can: an accepted input never forms [A*, A].
 
     Each test bounds ||A|| by max_j ||A e_j|| <= ||A|| <= ||A||_F, O(n^2),
     and runs the SVD of A, once, only where that cannot decide it: every
@@ -211,7 +211,7 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     _pow2_scaled), so the eigenvalues of 2^k A are 2^k times those of A and
     the basis is the same.  Beside the input it holds about five n x n
     arrays at once: 2^-e A, U and the products of one step.  [A*, A] is
-    dropped after its pre-test (and rebuilt for the final NotNormal), X and
+    dropped after its test (and rebuilt for the final NotNormal), X and
     Y are rebuilt for each angle and dropped once diagonalized, and Y is
     built at t = 0 only when a cluster of two or more eigenvalues needs it.
     """
@@ -232,12 +232,6 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
             return None
         nrm = operator_norm(m)
         return nrm if nrm > tol else None
-
-    # T = U diag(l) U* is normal with ||T|| <= ||A||, so the paper's
-    # inequality gives ||[A*, A]|| <= 4 ||A|| ||A - T|| for every basis
-    defect = over(self_commutator(a), 4, 2)
-    if defect is not None:
-        raise NotNormal(_scale(defect, 2 * e), _scale(4 * RECONSTRUCT_TOL * scale() ** 2, 2 * e))
 
     best = math.inf
     for t in SPLIT_ANGLES:
@@ -271,6 +265,12 @@ def normal_spectral_decomp(a: np.ndarray) -> SpectralDecomp:
         if residual is None:
             return SpectralDecomp(eigenvalues=_ldexp(lam, e), basis=u)
         best = min(best, residual)
-        del prod
+        del prod, u
+        if not t:
+            # T = U diag(l) U* is normal with ||T|| <= ||A||, so the paper's
+            # inequality gives ||[A*, A]|| <= 4 ||A|| ||A - T|| for every basis
+            defect = over(self_commutator(a), 4, 2)
+            if defect is not None:
+                raise NotNormal(_scale(defect, 2 * e), _scale(4 * RECONSTRUCT_TOL * scale() ** 2, 2 * e))
     defect = operator_norm(self_commutator(a))
     raise NotNormal(_scale(defect, 2 * e), _scale(RECONSTRUCT_TOL * scale(), e), _scale(best, e))

@@ -196,7 +196,7 @@ class PseudospectrumReport:
     d_eps: float
     reference: np.ndarray  # the set d_eps is measured against
     evaluated: int  # grid points where sigma_min was computed
-    svd: int  # evaluated points whose sigma_min is an SVD's, not a certified bound
+    svd: int  # evaluated points whose sigma_min is an SVD's, not a certified member's or non-member's bound
     delta: float  # the rounding margin: sigma_min + delta / 2 >= sigma_min(A - zI)
 
 
@@ -235,14 +235,20 @@ def _lanczos_batch(n: int) -> int:
     return max(2, _svd_chunk(n) * n // LANCZOS_WORDS)
 
 
-def _lanczos_setup(a, eps, lam, v):
+def _lanczos_setup(a, eps, delta, lam, v):
     """_lanczos_bounds' arguments after zs, given npl.eig(a) = (lam, v) with
     A = V diag(lam) V^-1, or None where kappa(V) > KAPPA_MAX."""
     cond = npl.svd(v, compute_uv=False)
     if cond[-1] * KAPPA_MAX > cond[0]:  # else V is too ill-conditioned to help
         vinv = npl.inv(v)  # Bauer-Fike: members lie within kappa(V) eps of an eigenvalue
         chirp = 0.02 * (np.exp(1j * np.arange(lam.size) ** 2) / lam.size ** 0.5)
-        return cond[0] / cond[-1] * eps, lam, v.conj(), (vinv @ vinv.conj().T).T, v.T, chirp
+        tau = 64 * lam.size ** 1.5 * np.finfo(float).eps  # the lower side's budget: see there
+        kappa = cond[0] * (1 + tau) / (cond[-1] - tau * cond[0])
+        f = min(npl.norm(vinv @ v - np.eye(lam.size)) + tau * kappa, 0.5)
+        err = (npl.norm(a - (v * lam) @ vinv) * (1 + tau) + tau * npl.norm(a)
+               + kappa * (1 + f) * np.abs(lam).max() * (f / (1 - f) + tau)) if f < 0.5 else math.inf
+        budget = (tau * (1 + f) ** 2 + ((1 + f) / (1 - f)) ** 2 - 1, kappa, err)
+        return cond[0] / cond[-1] * eps, lam, v.conj(), (vinv @ vinv.conj().T).T, v.T, chirp, eps, delta, *budget
 
 
 def _row_norms(x, tmp):
@@ -251,17 +257,32 @@ def _row_norms(x, tmp):
     return np.sqrt(np.add.reduce(tmp.real, axis=1))
 
 
-def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt, chirp, stack=None) -> np.ndarray:
-    """rho = ||(A - zI) y|| / ||y|| >= sigma_min(A - zI) for each z of zs within
-    reach of an eigenvalue, nan elsewhere and where |rho^2 theta - 1| >= 1e-12 (0 at
-    an eigenvector).  y is the top Ritz vector, theta its value, of LANCZOS_STEPS
-    Lanczos steps on (A - zI)^-1 (A - zI)^-* = V D G D* V*, D = diag(1 / (lam - z)),
-    G = V^-1 V^-*, from the nearest lam's eigenvector plus a chirp of norm 0.02 (a
-    random vector of norm 0.1 left a near-tied singular vector in y, 0.001 a wrong one).
-    The workspace, LANCZOS_WORDS n-vectors a point, lies in stack where it fits and
-    in a new array otherwise."""
+def _apply_h(q, vc, gt, vt, d, dc, out, tmp):
+    """V D G D* V* q for each row q, in out; tmp is workspace."""
+    np.matmul(q, vc, out=out)
+    out *= dc
+    np.matmul(out, gt, out=tmp)
+    tmp *= d
+    return np.matmul(tmp, vt, out=out)
+
+
+def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt, chirp, eps, delta, tau, kappa, err, stack=None):
+    """(rho, low), rho >= sigma_min(A - zI) >= low, for each z of zs.  rho = ||(A - zI) y||
+    / ||y|| within reach of an eigenvalue, nan elsewhere and where |rho^2 theta - 1| >=
+    1e-12 (0 at an eigenvector); y is the top Ritz vector, theta its value, of LANCZOS_STEPS
+    Lanczos steps on H = (A - zI)^-1 (A - zI)^-* = V D G D* V*, D = diag(1 / (lam - z)),
+    G = V^-1 V^-*, from the nearest lam's eigenvector plus a chirp of norm 0.02 (a random
+    vector of norm 0.1 left a near-tied singular vector in y, 0.001 a wrong one).  Where
+    rho + delta < eps fails, Kato-Temple: t = y*Hy / y*y > alpha >= lambda_2(H) gives
+    lambda_1(H) <= t + r^2 / (t - alpha), r = ||Hy - t y|| / ||y||, alpha = kappa(V)^2 / d_2^2
+    as sigma_{n-1}(A - zI) >= d_2 / kappa(V) (d_k the k-th nearest |lam - z|); else -inf.
+    Rounding: for B = V diag(lam) V^-1 with the computed V, G (off by ||V^-1 V - I||) and
+    the products forming Hy (n^1.5 u each [Higham, 3.5], 64 times over: tau) are within
+    e = tau kappa^2 / d_1^2 of B's H, and so t and r; kappa and err >= ||A - B|| (Weyl) are
+    rounded up: low = ((t + e + (r + e)^2 / (t - e - (1 + tau) alpha))^-1/2 - err) (1 - tau).
+    The workspace, LANCZOS_WORDS n-vectors a point, lies in stack where it fits, else new."""
     b, n, steps = zs.size, lam.size, LANCZOS_STEPS
-    rho = np.full(b, np.nan)
+    rho, low = np.full(b, np.nan), np.full(b, -np.inf)
     need = LANCZOS_WORDS * max(b, 2) * n
     ws = stack.reshape(-1)[:need] if stack is not None and stack.size >= need else np.empty(need, complex)
     with np.errstate(all="ignore"):  # z on an eigenvalue gives nan, and the SVD
@@ -270,7 +291,7 @@ def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt, chirp, stack=None) -> np.ndar
         full = np.divide(1.0, full, out=full)
         near = np.flatnonzero(np.abs(full).max(axis=1) * reach > 1)
         if near.size == 0:
-            return rho
+            return rho, low
         if near.size == 1:  # a one-row product takes another BLAS path, so run it twice
             near = near.repeat(2)
         zs, k = zs[near], near.size
@@ -284,11 +305,7 @@ def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt, chirp, stack=None) -> np.ndar
         t = np.zeros((k, steps, steps))
         for j in range(steps):
             q = basis[j]
-            np.matmul(q, vc, out=w1)
-            w1 *= dc
-            np.matmul(w1, gt, out=w2)
-            w2 *= d
-            np.matmul(w2, vt, out=w1)  # r = V D G D* V* q
+            _apply_h(q, vc, gt, vt, d, dc, w1, w2)  # r = H q, in w1
             t[:, j, j] = np.einsum("ij,ij->i", np.conjugate(q, out=w2), w1).real
             if j == steps - 1:  # the last residual enters no Ritz value
                 break
@@ -305,10 +322,25 @@ def _lanczos_bounds(a, zs, reach, lam, vc, gt, vt, chirp, stack=None) -> np.ndar
         y = w1  # sum_j s_j basis_j, over the real and imaginary parts at once: the same bits
         np.einsum("kj,jkn->kn", s[:, :, -1], fb, out=y.view(float))
         np.matmul(y, a.T, out=w2)
-        w2 -= np.multiply(zs[:, None], y, out=d)
-        r = _row_norms(w2, dc) / _row_norms(y, d)
+        w2 -= np.multiply(zs[:, None], y, out=basis[0])
+        r = _row_norms(w2, basis[0]) / _row_norms(y, basis[1])
         rho[near] = np.where(abs(r * r * theta[:, -1] - 1) < 1e-12, r, np.nan)
-    return rho
+        # the lower side, at the rows rho leaves undecided, gathered into the free basis slabs
+        rows = np.flatnonzero(~(rho[near] + delta < eps))
+        yr, dr, dcr, hy, w, ad = basis[:6, : rows.size]
+        y, d, dc = (np.take(x, rows, axis=0, out=out) for x, out in ((y, yr), (d, dr), (dc, dcr)))
+        _apply_h(y, vc, gt, vt, d, dc, hy, w)
+        ny = _row_norms(y, w)
+        th = np.einsum("ij,ij->i", np.conjugate(y, out=w), hy).real / ny ** 2
+        hy -= np.multiply(th[:, None], y, out=w)
+        res = _row_norms(hy, w) / ny
+        ad = np.abs(d, out=ad.view(float)[:, :n])  # |D|, its top two last
+        ad.partition(max(n - 2, 0), axis=1)
+        e = tau * (kappa * ad[:, -1]) ** 2
+        gap = th - e - (1 + tau) * (kappa * ad[:, max(n - 2, 0)]) ** 2
+        bound = ((th + e + (res + e) ** 2 / gap) ** -0.5 - err) * (1 - tau)
+        low[near[rows]] = np.where(gap > 0, bound, -np.inf)
+    return rho, low
 
 
 def _lattice(resolution: int, stride: int) -> np.ndarray:
@@ -334,12 +366,13 @@ def pseudospectrum(
     yet evaluated or ruled out.  delta = 64 n u (||A|| + max |z|) covers twice an
     SVD's backward error plus the rounding of the shift and of |z - w|.  Where
     n >= LANCZOS_MIN_DIM and _lanczos_setup accepts the eigenvectors, a point with
-    rho + delta < eps (_lanczos_bounds: rho >= sigma_min(A - zI)) is a certified
-    member reporting rho; every other point takes the SVD (`svd` counts them).
-    Certified members rule out nothing, so members, `evaluated` and the SVD points'
-    sigma_min are bitwise those of an SVD at every point.  Only s + delta / 2 >=
-    sigma_min(A - zI) is guaranteed for each reported s: rho may stop at a larger
-    singular value (at most 2.3e-12 relative high on the random inputs tried).
+    rho + delta < eps (_lanczos_bounds: rho >= sigma_min(A - zI) >= low) is a certified
+    member reporting rho, one with low > eps + delta a certified non-member pruning by
+    low; every other point takes the SVD (`svd` counts them).  So members are those of
+    an SVD at every point, SVD points' sigma_min its bits; a low that decides lay within
+    2e-7 relative of the SVD on the inputs tried, where `evaluated` did not move.  Only
+    s + delta / 2 >= sigma_min(A - zI) is guaranteed for each reported s: rho may stop at
+    a larger singular value (at most 2.3e-12 relative high on the random inputs tried).
     SVD parts of at most _svd_chunk(n) matrices and Lanczos batches of at most
     _lanczos_batch(n) points run on `threads` threads (default the core count;
     fewer than one raises ValueError).  Each borrows one of `threads` stacks,
@@ -369,7 +402,7 @@ def pseudospectrum(
     chunk, batch = _svd_chunk(n), _lanczos_batch(n)
     lam, v = npl.eig(a)
     # no member lies past ||A|| + eps
-    eig = _lanczos_setup(a, eps, lam, v) if n >= LANCZOS_MIN_DIM and np.abs(zs).min() < nrm + eps else None
+    eig = _lanczos_setup(a, eps, delta, lam, v) if n >= LANCZOS_MIN_DIM and np.abs(zs).min() < nrm + eps else None
     # no part of a stride holds more than its share of the whole grid
     free = SimpleQueue()
     for _ in range(parts):
@@ -392,10 +425,13 @@ def pseudospectrum(
             idx = lat[rows] * res + lat[cols]
             if idx.size == 0:
                 continue
+            ruled = np.zeros(idx.size, dtype=bool)
             if eig:
                 batches = np.array_split(zs[idx], -(-idx.size // batch))
-                smin[idx] = np.concatenate(list(pool.map(borrowing(_lanczos_bounds, *eig), batches)))
-            rest = idx[~(smin[idx] + delta < eps)]  # all but the certified members
+                rho, low = map(np.concatenate, zip(*pool.map(borrowing(_lanczos_bounds, *eig), batches)))
+                ruled = low > eps + delta  # proven non-members, low their pruning value
+                smin[idx] = np.where(ruled, low, rho)
+            rest = idx[~(ruled | (smin[idx] + delta < eps))]  # all but the certified points
             if rest.size:
                 split = parts * -(-rest.size // (parts * chunk))
                 chunks = np.array_split(zs[rest], min(split, rest.size))

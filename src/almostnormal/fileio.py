@@ -225,7 +225,11 @@ def write_csv(path, columns, rows, comments=()) -> None:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
+    floats = ",".join(["%.17g"] * len(columns)) + "\n"  # a row of Python floats: one format
     for row in rows:
+        if len(row) == len(columns) and all(type(v) is float for v in row):
+            buf.write(floats % tuple(row))
+            continue
         cells = [_format_cell(v) for v in row]
         if all(isinstance(v, _NUMBERS) for v in row):
             buf.write(",".join(cells) + "\n")

@@ -28,7 +28,7 @@ def test_layer_bench_quick_run_writes_a_record_that_compares(tmp_path):
     names |= {f"pseudospectrum.{path}.n{n}.res41" for path in paths for n in crossover}
     names |= {f"nearest.{layer}.n{n}" for layer in ("hessian_product", "precondition") for n in (8, 32)}
     names |= {"nearest.sweep.scatter", "nearest.finish.gauss32"}
-    names |= {"startup.import_cli", "startup.nearest.shift8"}
+    names |= {"startup.import_cli", "startup.nearest.shift8", "core.normal_spectral_decomp.n256"}
     assert record["layers"].keys() == names | {"cli.pseudospec.n8.res41", "cli.pseudospec.n64.res41"}
     for case in record["layers"].values():
         assert 0 < case["q1_s"] <= case["median_s"] <= case["q3_s"]

@@ -144,7 +144,7 @@ def test_normality_check_falls_back_to_the_operator_norm():
     dec = normal_spectral_decomp(a)
     assert operator_norm(dec.reconstruct() - a) <= 1e-9 * operator_norm(a)
     # just over 4e-9 ||A||^2 no basis reconstructs A to 1e-9 ||A||, so it
-    # raises before any eigensolver, with the exact defect
+    # raises once the t = 0 basis fails, with the exact defect and no residual
     a = triangular_blocks(2.1e-9)
     c = self_commutator(a)
     assert 4e-9 < operator_norm(c) < 4.4e-9
@@ -152,6 +152,18 @@ def test_normality_check_falls_back_to_the_operator_norm():
         normal_spectral_decomp(a)
     assert exc.value.defect == pytest.approx(operator_norm(c), rel=1e-12)
     assert exc.value.residual is None
+
+
+def test_an_accepted_normal_input_never_forms_its_self_commutator(monkeypatch):
+    # the residual test alone accepts; [A*, A] is formed once the t = 0 basis fails
+    calls = []
+    monkeypatch.setattr(core, "self_commutator", lambda m: calls.append(m.shape) or self_commutator(m))
+    a, lam, _ = random_normal_with_spectrum(12, seed=5)
+    assert_close_multiset(normal_spectral_decomp(a).eigenvalues, lam, 1e-8)
+    assert calls == []
+    with pytest.raises(NotNormal):
+        normal_spectral_decomp(SHIFT2)
+    assert calls == [(2, 2)]
 
 
 def test_normal_spectral_decomp_rejects_by_residual_under_the_defect_bound():

@@ -30,7 +30,7 @@ from almostnormal import (
 from almostnormal import experiments, nearest
 from almostnormal.experiments import TRUNCATE_COLUMNS, _lanczos_bounds, _sigma_min_batch
 from almostnormal.gallery import materialize, perturbed_normal, shift_example
-from util import random_contraction, traced_peak
+from util import random_contraction, random_normal_with_spectrum, traced_peak
 
 
 def test_truncation_model_sorts_and_freezes():
@@ -371,11 +371,95 @@ def test_certified_members_are_those_of_the_every_point_svd(n, seed, eps, center
     grid = GridSpec(center=center, half_width=half_width, resolution=res)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "LANCZOS_MIN_DIM", 1)  # certify at every n
+        lower = _recording_lower_sides(mp)
         rep = pseudospectrum(a, eps, grid, threads=2)
-    members, smin = _every_point_svd(a, eps, grid)
-    assert np.array_equal(rep.members, members)
-    assert_within_the_certificate(rep, smin)
-    assert rep.evaluated - rep.svd <= members.size  # only members are certified
+    every = _sigma_min_batch(a, grid.points())
+    assert np.array_equal(rep.members, grid.points()[every < eps])
+    assert_within_the_certificate(rep, every[every < eps])
+    assert_lower_sides_hold(a, eps, rep, lower)
+    low = _every_point_lower_side(a, eps, grid)
+    assert (low[np.isfinite(low)] <= every[np.isfinite(low)] + rep.delta / 2).all()
+
+
+def _recording_lower_sides(mp) -> list:
+    """(zs, low) of every _lanczos_bounds call that pseudospectrum makes from here on."""
+    seen = []
+
+    def recording(a, zs, *args):
+        rho, low = _lanczos_bounds(a, zs, *args)
+        seen.append((zs.copy(), low))
+        return rho, low
+
+    mp.setattr(experiments, "_lanczos_bounds", recording)
+    return seen
+
+
+def assert_lower_sides_hold(a, eps, rep, seen) -> int:
+    """Every finite lower side is at most an SVD's sigma_min + delta / 2, and the
+    points that take no SVD are the members rho certifies and the points whose
+    lower side clears eps + delta; returns how many of those last there are."""
+    zs = np.concatenate([z for z, _ in seen]) if seen else np.zeros(0, complex)
+    low = np.concatenate([low for _, low in seen]) if seen else np.zeros(0)
+    finite = np.isfinite(low)
+    assert (low[finite] <= _sigma_min_batch(a, zs[finite]) + rep.delta / 2).all()
+    ruled = int(np.count_nonzero(low > eps + rep.delta))
+    assert rep.evaluated - rep.svd - ruled <= rep.members.size  # rho certifies members only
+    return ruled
+
+
+def _ill_conditioned(n: int, kappa: float, seed: int) -> np.ndarray:
+    """V diag(lam) V^-1 with lam the n-th roots of unity and V = Q diag(s) W, s
+    geometric from 1 to 1 / kappa, Q and W Haar: kappa(V) is near kappa."""
+    rng = np.random.default_rng(seed)
+    q, w = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0] for _ in range(2))
+    v = q @ np.diag(np.geomspace(1.0, 1.0 / kappa, n)) @ w
+    return (v * np.exp(2j * np.pi * np.arange(n) / n)) @ np.linalg.inv(v)
+
+
+def _lower_side_cases():
+    """(id, A, eps, grid): pert32 seeds 1-10, criterion 10's normals, the demo's
+    inputs, and kappa(V) near KAPPA_MAX."""
+    for s in range(1, 11):
+        a = perturbed_normal(32, 0.05, s)
+        yield f"pert32-{s}", a, 0.1, GridSpec(center=0j, half_width=np.linalg.norm(a, 2) + 0.2, resolution=81)
+    for i in range(20):
+        a, lam, _ = random_normal_with_spectrum(4 + i % 3, 100_000 + i)
+        half = float(np.abs(lam).max()) + 0.5
+        yield f"criterion10-{i}", a, 0.3, GridSpec(center=0j, half_width=half, resolution=101)
+    for eps in (0.4, 0.2, 0.1):
+        yield f"demo-diag-{eps}", np.diag([0j, 1]), eps, GridSpec(center=0.5 + 0j, half_width=1.7, resolution=161)
+        yield f"demo-jordan-{eps}", 4.0 * shift_example(2), eps, GridSpec(center=0j, half_width=3.0, resolution=161)
+    a = _ill_conditioned(16, 99.0, 99)
+    yield "kappa98", a, 1e-3, GridSpec(center=complex(np.linalg.eigvals(a)[0]), half_width=0.02, resolution=41)
+
+
+@pytest.mark.parametrize("case", list(_lower_side_cases()), ids=lambda case: case[0])
+def test_lower_sides_are_below_the_svd_and_members_are_its(monkeypatch, case):
+    name, a, eps, grid = case
+    monkeypatch.setattr(experiments, "LANCZOS_MIN_DIM", 1)  # the lower side at every n
+    lower = _recording_lower_sides(monkeypatch)
+    rep = pseudospectrum(a, eps, grid, threads=2)
+    every = _sigma_min_batch(a, grid.points())
+    assert np.array_equal(rep.members, grid.points()[every < eps])
+    assert_within_the_certificate(rep, every[every < eps])
+    ruled = assert_lower_sides_hold(a, eps, rep, lower)
+    # a normal input's non-members lie past the Bauer-Fike reach, where no Lanczos runs
+    assert (ruled > 0) == name.startswith(("pert32", "kappa"))
+    low = _every_point_lower_side(a, eps, grid)
+    finite = np.isfinite(low)
+    assert (low[finite] <= every[finite] + rep.delta / 2).all()
+    assert finite.any() != name.startswith("demo-jordan")  # defective: no eigenvector basis
+
+
+def _every_point_lower_side(a, eps, grid) -> np.ndarray:
+    """_lanczos_bounds' low at every grid point, in pseudospectrum's batches, with
+    the reach and the member test off so that every point gets its bound."""
+    eig = experiments._lanczos_setup(a, eps, 0.0, *np.linalg.eig(a))
+    zs, batch = grid.points(), experiments._lanczos_batch(a.shape[0])
+    if eig is None:
+        return np.full(zs.size, -np.inf)
+    args = (math.inf, *eig[1:6], 0.0, 0.0, *eig[-3:])  # reach, ..., eps, delta, rounding budget
+    return np.concatenate([_lanczos_bounds(a, zs[k:k + batch], *args)[1] for k in range(0, zs.size, batch)])
 
 
 def test_a_grid_point_on_an_eigenvalue_takes_the_svd():

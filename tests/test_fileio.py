@@ -471,6 +471,15 @@ def test_write_csv_round_trip(tmp_path):
     assert '\n"a,""b""",1.5,c\n' in ref.getvalue()
 
 
+def test_rows_of_floats_are_formatted_at_once_with_the_bytes_of_format_cell(tmp_path, monkeypatch):
+    special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5]
+    rows = [(x, y) for x in special for y in special]
+    want = "x,y\n" + "".join(",".join(fileio._format_cell(v) for v in row) + "\n" for row in rows)
+    monkeypatch.setattr(fileio, "_format_cell", None)  # rows of Python floats do not call it
+    write_csv(tmp_path / "t.csv", ("x", "y"), iter(rows))
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
 def test_read_csv_requires_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# only a comment\n")
