@@ -451,6 +451,26 @@ def test_lower_sides_are_below_the_svd_and_members_are_its(monkeypatch, case):
     assert finite.any() != name.startswith("demo-jordan")  # defective: no eigenvector basis
 
 
+def test_only_a_lower_side_past_eps_plus_delta_rules_a_point_out(monkeypatch):
+    # lower sides moved onto the threshold eps + delta rule nothing out: the run
+    # equals one with no lower side at all, while the true ones save SVDs
+    a = perturbed_normal(32, 0.05, 1)
+    grid = GridSpec(center=0j, half_width=np.linalg.norm(a, 2) + 0.2, resolution=81)
+    true = pseudospectrum(a, 0.1, grid, threads=2)
+    reps = []
+    for on_threshold in (False, True):
+        def moved(a, zs, *args, on_threshold=on_threshold):
+            rho, low = _lanczos_bounds(a, zs, *args)
+            eps, delta = args[6], args[7]  # after reach and the five spectral arguments
+            return rho, np.where(np.isfinite(low) & on_threshold, eps + delta, -np.inf)
+        monkeypatch.setattr(experiments, "_lanczos_bounds", moved)
+        reps.append(pseudospectrum(a, 0.1, grid, threads=2))
+    none, threshold = reps
+    assert np.array_equal(none.members, threshold.members) and np.array_equal(none.members, true.members)
+    assert (threshold.evaluated, threshold.svd) == (none.evaluated, none.svd)
+    assert true.svd < none.svd
+
+
 def _every_point_lower_side(a, eps, grid) -> np.ndarray:
     """_lanczos_bounds' low at every grid point, in pseudospectrum's batches, with
     the reach and the member test off so that every point gets its bound."""
@@ -458,7 +478,8 @@ def _every_point_lower_side(a, eps, grid) -> np.ndarray:
     zs, batch = grid.points(), experiments._lanczos_batch(a.shape[0])
     if eig is None:
         return np.full(zs.size, -np.inf)
-    args = (math.inf, *eig[1:6], 0.0, 0.0, *eig[-3:])  # reach, ..., eps, delta, rounding budget
+    _, *spectral, _, _, tau, kappa, err = eig  # reach, ..., eps, delta, the rounding budget
+    args = (math.inf, *spectral, 0.0, 0.0, tau, kappa, err)
     return np.concatenate([_lanczos_bounds(a, zs[k:k + batch], *args)[1] for k in range(0, zs.size, batch)])
 
 
